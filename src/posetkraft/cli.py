@@ -81,17 +81,6 @@ def _build_poset(args, parser: argparse.ArgumentParser) -> poset.GradedPoset:
         parser.error(str(exc))
 
 
-def _resolve_element(host: poset.GradedPoset, rank: int, text: str):
-    level = host.level(rank)
-    text = text.strip()
-    matches = [x for x in level if poset.format_poset_element(x) == text]
-    if not matches:
-        matches = [x for x in level if poset.format_poset_element(x).split("@")[0] == text]
-    if len(matches) != 1:
-        raise ValueError(f"cannot resolve element {text!r} at level {rank}")
-    return matches[0]
-
-
 def _search_budget(args) -> int | None:
     if getattr(args, "budget", None) is not None:
         return args.budget
@@ -314,10 +303,12 @@ def _cmd_local_lym(args, parser) -> int:
     elif args.set:
         with open(args.set, "r", encoding="utf-8") as fh:
             texts = json.load(fh)
+        if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+            raise ValueError("--set needs a JSON list of element strings")
     else:
         parser.error("give --elements or --set")
     try:
-        elements = [_resolve_element(host, args.level, t) for t in texts]
+        elements = [host.resolve_element(args.level, t) for t in texts]
         result = lym.local_lym_check(host, args.level, elements)
     except ValueError as exc:
         parser.error(str(exc))

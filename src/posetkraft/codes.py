@@ -29,6 +29,7 @@ from .perm import (
     is_substring_pattern_in,
     parse_partial_permutation,
     parse_str,
+    symbols_of,
 )
 
 CODE_RELATIONS = ("prefix", "subsequence", "substring", "pattern", "substring_pattern")
@@ -44,8 +45,8 @@ class Codomain:
     def __post_init__(self):
         if self.kind not in ("string", "partial_perm", "perm_pattern"):
             raise ValueError(f"unknown codomain kind {self.kind!r}")
-        if self.size < 1:
-            raise ValueError("codomain size must be >= 1")
+        if not isinstance(self.size, int) or self.size < 1:
+            raise ValueError("codomain size must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -101,9 +102,13 @@ def code_to_json_dict(code: Code) -> dict:
 
 
 def code_from_json_dict(data: dict) -> Code:
+    if not isinstance(data, dict) or not isinstance(data.get("codomain"), dict):
+        raise ValueError('a code file holds {"codomain": {...}, "codewords": [...]}')
     dom = data["codomain"]
     kind = dom["kind"]
     texts = data["codewords"]
+    if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+        raise ValueError("codewords must be a list of element strings")
     if kind == "string":
         return Code.of_strings(dom["r"], texts)
     if kind == "partial_perm":
@@ -151,9 +156,6 @@ def as_parameter_sequence(params) -> ParameterSequence:
     return ParameterSequence(tuple(params))
 
 
-_counts = as_parameter_sequence
-
-
 def parameter_sequence(code: Code) -> ParameterSequence:
     """Length histogram of the codewords."""
     if not code.codewords:
@@ -168,7 +170,7 @@ def kraft_number(params, r: int) -> Fraction:
     """Sum of codeword-length densities a_i / r^i, exact."""
     if r < 1:
         raise ValueError("need r >= 1")
-    seq = _counts(params)
+    seq = as_parameter_sequence(params)
     return sum((Fraction(a, r**i) for i, a in enumerate(seq)), Fraction(0))
 
 
@@ -180,7 +182,7 @@ def _check_perm_support(seq: ParameterSequence, k: int) -> None:
 def partial_perm_constant(params, k: int) -> Fraction:
     """Density sum against the counts of injective l-sequences over [1..k]:
     sum of a_l / (C(k,l) * l!)."""
-    seq = _counts(params)
+    seq = as_parameter_sequence(params)
     _check_perm_support(seq, k)
     return sum(
         (Fraction(seq[l], math.comb(k, l) * math.factorial(l)) for l in range(1, k + 1)),
@@ -190,7 +192,7 @@ def partial_perm_constant(params, k: int) -> Fraction:
 
 def full_perm_constant(params, k: int) -> Fraction:
     """Density sum against the counts of full permutations: sum of a_l / l!."""
-    seq = _counts(params)
+    seq = as_parameter_sequence(params)
     _check_perm_support(seq, k)
     return sum((Fraction(seq[l], math.factorial(l)) for l in range(1, k + 1)), Fraction(0))
 
@@ -254,10 +256,6 @@ def is_free(code: Code, relation: str) -> FreenessResult:
 # ---------------------------------------------------------------------------
 # Extension, decoding, unique decodability
 
-def _word_symbols(w) -> tuple[int, ...]:
-    return w.symbols if isinstance(w, Str) else w.entries
-
-
 def encode(code: Code, message: Sequence[int]):
     """Concatenate the codewords selected by 1-based source indices."""
     words = []
@@ -265,7 +263,7 @@ def encode(code: Code, message: Sequence[int]):
         if not 1 <= s <= len(code.codewords):
             raise ValueError(f"source symbol {s} outside 1..{len(code.codewords)}")
         words.append(code.codewords[s - 1])
-    joined = tuple(itertools.chain.from_iterable(_word_symbols(w) for w in words))
+    joined = tuple(itertools.chain.from_iterable(symbols_of(w) for w in words))
     kind, size = code.codomain.kind, code.codomain.size
     if kind == "string":
         return Str(joined, size)
@@ -284,10 +282,10 @@ def decode_prefix_free(code: Code, output) -> tuple[int, ...]:
         )
     if any(len(w) == 0 for w in code.codewords):
         raise ValueError("a code containing the empty codeword cannot be decoded")
-    lookup = {_word_symbols(w): i + 1 for i, w in enumerate(code.codewords)}
+    lookup = {symbols_of(w): i + 1 for i, w in enumerate(code.codewords)}
     message = []
     block: tuple[int, ...] = ()
-    for s in _word_symbols(output):
+    for s in symbols_of(output):
         block += (s,)
         if block in lookup:
             message.append(lookup[block])

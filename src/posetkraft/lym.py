@@ -83,7 +83,7 @@ def is_antichain(poset: GradedPoset, members) -> AntichainCheck:
         for ib in by_pos[pb]:
             below = {ib}
             for q in range(pb, positions[0], -1):
-                below = poset._shadow_down_indices(q, below)
+                below = poset.down_closure(q, below, q - 1)
                 pa = q - 1
                 if pa in by_pos:
                     hits = below.intersection(by_pos[pa])
@@ -130,7 +130,7 @@ def local_lym_check(poset: GradedPoset, rank: int, elements) -> LocalLym:
     indices = {poset.index_of(rank, x) for x in elements}
     if not indices:
         raise ValueError("need a nonempty set of elements")
-    shadow = poset._shadow_down_indices(p, indices)
+    shadow = poset.down_closure(p, indices, p - 1)
     lhs = Fraction(len(shadow), len(poset.levels[p - 1]))
     rhs = Fraction(len(indices), len(poset.levels[p]))
     return LocalLym(lhs, rhs, lhs >= rhs)
@@ -152,7 +152,7 @@ def reduce_top_level(poset: GradedPoset, antichain) -> Antichain:
     top = max(by_pos)
     if top == 0:
         raise ValueError("top members already sit at the bottom level")
-    shadow = poset._shadow_down_indices(top, by_pos[top])
+    shadow = poset.down_closure(top, by_pos[top], top - 1)
     new_members = {
         (poset.rank_of_position(p), poset.levels[p][i])
         for p, idx in by_pos.items()
@@ -201,20 +201,17 @@ class LevelCounts:
 
 
 def _dense_counts(poset: GradedPoset, counts) -> list[int]:
-    if isinstance(counts, LevelCounts):
-        dense = list(counts.counts)
-    elif isinstance(counts, Mapping):
-        dense = list(LevelCounts.at_ranks(poset, counts).counts)
-    else:
-        dense = [int(c) for c in counts]
+    if isinstance(counts, Mapping):
+        counts = LevelCounts.at_ranks(poset, counts)
+    elif not isinstance(counts, LevelCounts):
+        counts = LevelCounts(tuple(counts))
+    dense = list(counts.counts)
     if len(dense) > poset.num_levels:
         if any(dense[poset.num_levels:]):
             raise ValueError("counts extend past the top level of the poset")
         dense = dense[: poset.num_levels]
     dense += [0] * (poset.num_levels - len(dense))
     for p, a in enumerate(dense):
-        if a < 0:
-            raise ValueError("level counts must be non-negative")
         if a > len(poset.levels[p]):
             raise ValueError(
                 f"count {a} exceeds the {len(poset.levels[p])} elements of level "
@@ -284,23 +281,6 @@ class CounterexampleResult:
         return self.accepted
 
 
-def _bipartite_between(poset: GradedPoset, p_lo: int, p_hi: int) -> dict:
-    """Cover multigraph between two levels, composing multiplicities through
-    any intermediate levels."""
-    graph = dict(poset.covers[p_lo])
-    for p in range(p_lo + 1, p_hi):
-        by_mid: dict[int, list[tuple[int, int]]] = {}
-        for (mid, hi), m2 in poset.covers[p].items():
-            by_mid.setdefault(mid, []).append((hi, m2))
-        composed: dict[tuple[int, int], int] = {}
-        for (lo, mid), m1 in graph.items():
-            for hi, m2 in by_mid.get(mid, ()):
-                key = (lo, hi)
-                composed[key] = composed.get(key, 0) + m1 * m2
-        graph = composed
-    return graph
-
-
 def counterexample_params(poset: GradedPoset, lower_rank: int, upper_rank: int | None = None) -> CounterexampleResult:
     """Check the converse-failure hypotheses between two levels and produce
     the parameter vector that no antichain can realize.
@@ -321,36 +301,18 @@ def counterexample_params(poset: GradedPoset, lower_rank: int, upper_rank: int |
     def reject(reason: str) -> CounterexampleResult:
         return CounterexampleResult(False, reason, lower_rank, upper_rank)
 
-    graph = _bipartite_between(poset, p_lo, p_hi)
-    n_lo, n_hi = len(poset.levels[p_lo]), len(poset.levels[p_hi])
-    up_totals = [0] * n_lo
-    down_totals = [0] * n_hi
-    for (lo, hi), mult in graph.items():
-        up_totals[lo] += mult
-        down_totals[hi] += mult
-    if len(set(up_totals)) != 1 or len(set(down_totals)) != 1:
+    reg = poset.pair_regularity(p_lo, p_hi)
+    if not reg.is_biregular:
         return reject("level pair not biregular")
-    u, d = up_totals[0], down_totals[0]
+    u, d = reg.up_degree, reg.down_degree
     if u <= 1:
         return reject("up-degree not > 1")
     if d <= 1:
         return reject("down-degree not > 1")
-
-    parent = list(range(n_lo + n_hi))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for (lo, hi) in graph:
-        a, b = find(lo), find(n_lo + hi)
-        if a != b:
-            parent[a] = b
-    if len({find(v) for v in range(n_lo + n_hi)}) != 1:
+    if not poset.is_weakly_connected_pair(lower_rank, upper_rank):
         return reject("level pair not weakly connected")
 
+    n_lo, n_hi = reg.lower_size, reg.upper_size
     g = math.gcd(n_lo, n_hi)
     if g <= 1:
         return reject("level sizes have gcd 1")
@@ -382,11 +344,7 @@ class SearchOutcome:
 
     def to_json_dict(self) -> dict:
         if self.exists:
-            listed = sorted(
-                ((rank, format_poset_element(x)) for rank, x in self.antichain.members),
-                key=lambda rx: (rx[0], rx[1]),
-            )
-            return {"exists": True, "antichain": [list(rx) for rx in listed]}
+            return {"exists": True, **antichain_to_json_dict(self.antichain)}
         return {"exists": False, "search_nodes": self.nodes}
 
 
@@ -400,37 +358,6 @@ def _members_from_indices(poset: GradedPoset, chosen: Mapping[int, Iterable[int]
     )
 
 
-def _down_to(poset: GradedPoset, indices: set[int], p_from: int, p_to: int) -> set[int]:
-    current = set(indices)
-    for q in range(p_from, p_to, -1):
-        current = poset._shadow_down_indices(q, current)
-        if not current:
-            break
-    return current
-
-
-def _two_level_search(poset: GradedPoset, dense, p_lo: int, p_hi: int, budget: int) -> SearchOutcome:
-    """Iterate every upper-level choice; a choice extends to a full antichain
-    iff enough lower elements escape its down-closure (same-level elements
-    are never comparable, so any of them complete it)."""
-    a_lo, a_hi = dense[p_lo], dense[p_hi]
-    n_lo = len(poset.levels[p_lo])
-    nodes = 0
-    for combo in itertools.combinations(range(len(poset.levels[p_hi])), a_hi):
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"visited more than {budget} assignments; rerun with a larger "
-                "budget or a smaller instance"
-            )
-        below = _down_to(poset, set(combo), p_hi, p_lo)
-        if n_lo - len(below) >= a_lo:
-            lower = [i for i in range(n_lo) if i not in below][:a_lo]
-            chosen = {p_hi: combo, p_lo: lower}
-            return SearchOutcome(True, _members_from_indices(poset, chosen), nodes)
-    return SearchOutcome(False, None, nodes)
-
-
 def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> SearchOutcome:
     """Exhaustively decide whether an antichain with the given per-level
     sizes exists.
@@ -438,19 +365,22 @@ def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> S
     Levels are processed from the top down; at each level the requested
     number of elements is chosen among those not below any element already
     chosen (choices in lexicographic order, so a returned witness is the
-    lexicographically least antichain).  Each attempted per-level combination
-    counts as one visited assignment against the budget.
+    lexicographically least antichain).  A level is skipped without a visit
+    when fewer of its elements remain unblocked than were requested.
+
+    ``nodes`` counts every per-level combination tried, the last level's
+    included, and each counts as one visited assignment against the budget:
+    a search that finds a witness counts one node per populated level on the
+    path to it, besides the combinations it abandoned.  A two-level witness
+    thus reports the upper-level choices tried plus one for the lower level.
     """
     if budget is None:
         budget = DEFAULT_SEARCH_BUDGET
     dense = _dense_counts(poset, counts)
-    support = [p for p, a in enumerate(dense) if a > 0]
-    if not support:
+    order = [p for p in range(poset.num_levels - 1, -1, -1) if dense[p] > 0]
+    if not order:
         return SearchOutcome(True, Antichain(frozenset()), 0)
-    if len(support) == 2:
-        return _two_level_search(poset, dense, support[0], support[1], budget)
-
-    order = sorted(support, reverse=True)
+    last = len(order) - 1
     nodes = 0
     chosen: dict[int, tuple[int, ...]] = {}
 
@@ -458,6 +388,9 @@ def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> S
         nonlocal nodes
         p = order[step]
         candidates = [i for i in range(len(poset.levels[p])) if i not in forbidden]
+        if step < last:
+            next_p = order[step + 1]
+            max_blocked = len(poset.levels[next_p]) - dense[next_p]
         for combo in itertools.combinations(candidates, dense[p]):
             nodes += 1
             if nodes > budget:
@@ -465,14 +398,12 @@ def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> S
                     f"visited more than {budget} assignments; rerun with a larger "
                     "budget or a smaller instance"
                 )
-            chosen[p] = combo
-            if step == len(order) - 1:
+            chosen[p] = combo  # stale entries are overwritten on the path that succeeds
+            if step == last:
                 return True
-            next_p = order[step + 1]
-            blocked = _down_to(poset, forbidden | set(combo), p, next_p)
-            if search(step + 1, blocked):
+            blocked = poset.down_closure(p, forbidden.union(combo), next_p)
+            if len(blocked) <= max_blocked and search(step + 1, blocked):
                 return True
-        chosen.pop(p, None)
         return False
 
     if search(0, set()):
@@ -498,7 +429,7 @@ def sample_antichain(poset: GradedPoset, rng: Random) -> Antichain:
         ]
         members.update((poset.rank_of_position(p), poset.levels[p][i]) for i in picks)
         if p > 0:
-            blocked = poset._shadow_down_indices(p, blocked | set(picks))
+            blocked = poset.down_closure(p, blocked.union(picks), p - 1)
     return Antichain(frozenset(members))
 
 
@@ -515,14 +446,18 @@ def antichain_to_json_dict(antichain: Antichain) -> dict:
 
 def antichain_from_json_dict(poset: GradedPoset, data: dict) -> Antichain:
     """Resolve [rank, element-string] pairs against the poset's levels."""
+    entries = data.get("antichain") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError('an antichain file holds {"antichain": [[level, element], ...]}')
     members = set()
-    for rank, text in data["antichain"]:
-        level = poset.level(rank)
-        matches = [x for x in level if format_poset_element(x) == text]
-        if not matches:
-            plain = [x for x in level if format_poset_element(x).split("@")[0] == text]
-            matches = plain
-        if len(matches) != 1:
-            raise ValueError(f"cannot resolve element {text!r} at rank {rank}")
-        members.add((rank, matches[0]))
+    for entry in entries:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[0], int)
+            and isinstance(entry[1], str)
+        ):
+            raise ValueError(f"antichain entries must be [level, element] pairs, not {entry!r}")
+        rank, text = entry
+        members.add((rank, poset.resolve_element(rank, text)))
     return Antichain(frozenset(members))

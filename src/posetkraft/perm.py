@@ -76,7 +76,8 @@ class PartialPermutation:
 Element = Union[Str, PartialPermutation]
 
 
-def _symbols(x: Element) -> tuple[int, ...]:
+def symbols_of(x: Element) -> tuple[int, ...]:
+    """The symbol tuple of a string or a partial permutation."""
     return x.symbols if isinstance(x, Str) else x.entries
 
 
@@ -93,15 +94,13 @@ def pattern_of(tau: PartialPermutation) -> PartialPermutation:
     Entry i of the result is the rank of tau's i-th entry among all entries,
     so the result lives in the universe of size len(tau).
     """
-    order = sorted(tau.entries)
-    ranks = tuple(order.index(e) + 1 for e in tau.entries)
-    return PartialPermutation(ranks, len(tau.entries))
+    return PartialPermutation(_order_pattern(tau.entries), len(tau.entries))
 
 
 def is_prefix(t: Element, u: Element, proper: bool = False) -> bool:
     """True iff u = t followed by a suffix (required nonempty when proper)."""
     _check_same_kind(t, u)
-    ts, us = _symbols(t), _symbols(u)
+    ts, us = symbols_of(t), symbols_of(u)
     if proper and len(ts) == len(us):
         return False
     return len(ts) <= len(us) and us[: len(ts)] == ts
@@ -110,7 +109,7 @@ def is_prefix(t: Element, u: Element, proper: bool = False) -> bool:
 def is_subsequence(sigma: Element, tau: Element) -> bool:
     """True iff sigma's symbols appear in tau in order, not necessarily adjacent."""
     _check_same_kind(sigma, tau)
-    ss, ts = _symbols(sigma), _symbols(tau)
+    ss, ts = symbols_of(sigma), symbols_of(tau)
     it = iter(ts)  # each membership test consumes tau up to the match
     return all(s in it for s in ss)
 
@@ -118,7 +117,7 @@ def is_subsequence(sigma: Element, tau: Element) -> bool:
 def is_substring(sigma: Element, tau: Element) -> bool:
     """True iff sigma occurs in tau as a consecutive block."""
     _check_same_kind(sigma, tau)
-    ss, ts = _symbols(sigma), _symbols(tau)
+    ss, ts = symbols_of(sigma), symbols_of(tau)
     m, l = len(ss), len(ts)
     return any(ts[n : n + m] == ss for n in range(l - m + 1))
 
@@ -231,7 +230,7 @@ def enumerate_elements(kind: str, k: int, l: int | None = None) -> list[Element]
 # string renders as 'ε'.
 
 def format_element(x: Element, with_universe: bool = False) -> str:
-    syms = _symbols(x)
+    syms = symbols_of(x)
     if not syms:
         body = "ε"
     elif all(s <= 9 for s in syms):

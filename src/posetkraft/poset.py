@@ -20,12 +20,12 @@ from dataclasses import dataclass
 
 from .perm import (
     PartialPermutation,
-    Str,
     format_element,
     full_permutations,
     partial_permutations,
     pattern_of,
     strings,
+    symbols_of,
 )
 
 STRING_RELATIONS = ("prefix", "subsequence", "substring")
@@ -50,7 +50,9 @@ class GradedPoset:
     ``levels[p]`` holds the elements of the p-th level; ``covers[p]`` maps
     ``(lower_index, upper_index) -> multiplicity`` between levels p and p+1.
     Levels are addressed publicly by *rank* ``first_rank + p`` (partial
-    permutation posets start at rank 1, everything else at 0).
+    permutation posets start at rank 1, everything else at 0).  The
+    index-level methods (``down_closure``, ``pair_regularity``) take
+    positions ``p`` and element indices into ``levels[p]``.
     """
 
     def __init__(self, levels, covers, family="custom", first_rank=0, level_labels=None):
@@ -75,7 +77,8 @@ class GradedPoset:
                 raise ValueError(f"level {first_rank + p} has duplicate elements")
             self._index.append(idx)
 
-        # adjacency lists per pair, indexed by element position
+        # neighbour indices per pair, indexed by element position; the
+        # multiplicities stay in ``covers``
         self._up = []
         self._down = []
         for p, cov in enumerate(self.covers):
@@ -86,11 +89,13 @@ class GradedPoset:
                     raise ValueError(f"edge ({lo}, {hi}) out of range between levels {p} and {p + 1}")
                 if mult < 1:
                     raise ValueError("edge multiplicities must be >= 1")
-                up[lo].append((hi, mult))
-                down[hi].append((lo, mult))
+                up[lo].append(hi)
+                down[hi].append(lo)
             self._up.append(up)
             self._down.append(down)
-        self._pair_regularity_cache: dict[int, "LevelPairRegularity"] = {}
+        # (lower pos, upper pos) -> (chain totals of lower elements, of upper
+        # elements, audit)
+        self._pair_audits: dict[tuple[int, int], tuple] = {}
 
     # -- level addressing ---------------------------------------------------
 
@@ -126,6 +131,19 @@ class GradedPoset:
                 f"{format_poset_element(element)} is not an element of level {rank} of this poset"
             ) from None
 
+    def resolve_element(self, rank: int, text: str):
+        """The element of level ``rank`` named ``text``, or else the one whose
+        name without its ``@k`` universe suffix is ``text``; the match must be
+        unique."""
+        text = text.strip()
+        named = [(format_poset_element(x), x) for x in self.level(rank)]
+        matches = [x for name, x in named if name == text] or [
+            x for name, x in named if name.split("@")[0] == text
+        ]
+        if len(matches) != 1:
+            raise ValueError(f"cannot resolve element {text!r} at level {rank}")
+        return matches[0]
+
     # -- degrees and shadows --------------------------------------------------
 
     def up_degree(self, rank: int, element) -> int:
@@ -133,22 +151,25 @@ class GradedPoset:
         p = self.position(rank)
         if p == len(self.levels) - 1:
             return 0
-        return sum(m for _, m in self._up[p][self.index_of(rank, element)])
+        return self._pair_audit(p, p + 1)[0][self.index_of(rank, element)]
 
     def down_degree(self, rank: int, element) -> int:
         """Number of cover edges arriving from below, with multiplicity."""
         p = self.position(rank)
         if p == 0:
             return 0
-        return sum(m for _, m in self._down[p - 1][self.index_of(rank, element)])
+        return self._pair_audit(p - 1, p)[1][self.index_of(rank, element)]
 
-    def _shadow_down_indices(self, pos: int, indices) -> set[int]:
-        down = self._down[pos - 1]
-        return {lo for i in indices for lo, _ in down[i]}
-
-    def _shadow_up_indices(self, pos: int, indices) -> set[int]:
-        up = self._up[pos]
-        return {hi for i in indices for hi, _ in up[i]}
+    def down_closure(self, pos: int, indices, to_pos: int) -> set[int]:
+        """Indices of the elements at position ``to_pos < pos`` lying below
+        some element of ``indices`` (indices into ``levels[pos]``)."""
+        if not 0 <= to_pos < pos < len(self.levels):
+            raise ValueError(f"cannot close downward from position {pos} to {to_pos}")
+        closure = indices
+        for q in range(pos, to_pos, -1):
+            down = self._down[q - 1]
+            closure = {lo for i in closure for lo in down[i]}
+        return closure
 
     def lower_shadow(self, rank: int, elements) -> set:
         """Set of elements one level down covered by some element of the input."""
@@ -157,7 +178,7 @@ class GradedPoset:
         if p == 0:
             return set()
         level = self.levels[p - 1]
-        return {level[i] for i in self._shadow_down_indices(p, indices)}
+        return {level[i] for i in self.down_closure(p, indices, p - 1)}
 
     def upper_shadow(self, rank: int, elements) -> set:
         """Set of elements one level up covering some element of the input."""
@@ -165,8 +186,8 @@ class GradedPoset:
         indices = {self.index_of(rank, x) for x in elements}
         if p == len(self.levels) - 1:
             return set()
-        level = self.levels[p + 1]
-        return {level[i] for i in self._shadow_up_indices(p, indices)}
+        level, up = self.levels[p + 1], self._up[p]
+        return {level[hi] for i in indices for hi in up[i]}
 
     # -- order ----------------------------------------------------------------
 
@@ -174,44 +195,60 @@ class GradedPoset:
         """Strict comparability: a (at rank_a) below b (at rank_b) through covers."""
         pa, pb = self.position(rank_a), self.position(rank_b)
         ia, ib = self.index_of(rank_a, a), self.index_of(rank_b, b)
-        if pa >= pb:
-            return False
-        current = {ib}
-        for pos in range(pb, pa, -1):
-            current = self._shadow_down_indices(pos, current)
-            if not current:
-                return False
-        return ia in current
+        return pa < pb and ia in self.down_closure(pb, (ib,), pa)
 
-    def pair_regularity(self, pos: int) -> "LevelPairRegularity":
-        """Degree audit of the level pair (pos, pos+1), cached."""
-        if pos not in self._pair_regularity_cache:
-            up_totals = [0] * len(self.levels[pos])
-            down_totals = [0] * len(self.levels[pos + 1])
-            edge_count = 0
-            for (lo, hi), mult in self.covers[pos].items():
-                up_totals[lo] += mult
-                down_totals[hi] += mult
-                edge_count += mult
-            self._pair_regularity_cache[pos] = LevelPairRegularity(
-                lower_rank=self.rank_of_position(pos),
-                upper_rank=self.rank_of_position(pos + 1),
-                lower_size=len(self.levels[pos]),
-                upper_size=len(self.levels[pos + 1]),
+    def _pair_audit(self, lo: int, hi: int) -> tuple:
+        """Per-element chain totals between positions lo < hi and their
+        audit, cached.  A chain climbs one cover edge per level and counts
+        with the product of its edges' multiplicities."""
+        audit = self._pair_audits.get((lo, hi))
+        if audit is None:
+            up_totals = [1] * len(self.levels[hi])
+            for q in range(hi - 1, lo - 1, -1):
+                below = [0] * len(self.levels[q])
+                for (a, b), mult in self.covers[q].items():
+                    below[a] += mult * up_totals[b]
+                up_totals = below
+            down_totals = [1] * len(self.levels[lo])
+            for q in range(lo, hi):
+                above = [0] * len(self.levels[q + 1])
+                for (a, b), mult in self.covers[q].items():
+                    above[b] += mult * down_totals[a]
+                down_totals = above
+            report = LevelPairRegularity(
+                lower_rank=self.rank_of_position(lo),
+                upper_rank=self.rank_of_position(hi),
+                lower_size=len(self.levels[lo]),
+                upper_size=len(self.levels[hi]),
                 up_degrees=tuple(sorted(set(up_totals))),
                 down_degrees=tuple(sorted(set(down_totals))),
-                edge_count=edge_count,
+                edge_count=sum(up_totals),
             )
-        return self._pair_regularity_cache[pos]
+            audit = self._pair_audits[(lo, hi)] = (up_totals, down_totals, report)
+        return audit
+
+    def pair_regularity(self, pos: int, upper_pos: int | None = None) -> "LevelPairRegularity":
+        """Degree audit of the level pair (pos, upper_pos), cached; upper_pos
+        defaults to pos+1.  Between non-adjacent levels the degrees count
+        cover chains through the levels in between, with multiplicity."""
+        if upper_pos is None:
+            upper_pos = pos + 1
+        if not 0 <= pos < upper_pos < len(self.levels):
+            raise ValueError(f"no level pair at positions ({pos}, {upper_pos})")
+        return self._pair_audit(pos, upper_pos)[2]
 
     # -- connectivity -----------------------------------------------------------
 
-    def is_weakly_connected_pair(self, rank: int) -> bool:
+    def is_weakly_connected_pair(self, rank: int, upper_rank: int | None = None) -> bool:
         """True iff the undirected bipartite graph between the levels of rank
-        and rank+1 is connected."""
-        p = self.position(rank)
-        self.position(rank + 1)  # both levels must exist
-        n_lo, n_hi = len(self.levels[p]), len(self.levels[p + 1])
+        and upper_rank (default rank+1), with an edge wherever a cover chain
+        joins two elements, is connected."""
+        if upper_rank is None:
+            upper_rank = rank + 1
+        p_lo, p_hi = self.position(rank), self.position(upper_rank)
+        if p_hi <= p_lo:
+            raise ValueError("upper rank must be above lower rank")
+        n_lo, n_hi = len(self.levels[p_lo]), len(self.levels[p_hi])
         parent = list(range(n_lo + n_hi))
 
         def find(v):
@@ -220,10 +257,11 @@ class GradedPoset:
                 v = parent[v]
             return v
 
-        for (lo, hi) in self.covers[p]:
-            a, b = find(lo), find(n_lo + hi)
-            if a != b:
-                parent[a] = b
+        for hi in range(n_hi):
+            for lo in self.down_closure(p_hi, (hi,), p_lo):
+                a, b = find(lo), find(n_lo + hi)
+                if a != b:
+                    parent[a] = b
         return len({find(v) for v in range(n_lo + n_hi)}) == 1
 
     # -- export -------------------------------------------------------------------
@@ -362,11 +400,10 @@ def _deletions(symbols: tuple[int, ...], relation: str):
 
 
 def _cover_map(lower_level, upper_level, relation: str) -> dict:
-    index = {x.symbols if isinstance(x, Str) else x.entries: i for i, x in enumerate(lower_level)}
+    index = {symbols_of(x): i for i, x in enumerate(lower_level)}
     cov: dict[tuple[int, int], int] = {}
     for j, w in enumerate(upper_level):
-        syms = w.symbols if isinstance(w, Str) else w.entries
-        for lower_syms in _deletions(syms, relation):
+        for lower_syms in _deletions(symbols_of(w), relation):
             key = (index[lower_syms], j)
             cov[key] = cov.get(key, 0) + 1
     return cov

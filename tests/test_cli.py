@@ -205,6 +205,27 @@ def test_input_errors_exit_as_usage_errors(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["check-free", "INPUT", "--relation", "prefix"],
+         {"codomain": {"kind": "string", "r": 2}, "codewords": [0, 10]}),
+        (["check-free", "INPUT", "--relation", "prefix"],
+         {"codomain": {"kind": "string", "r": "2"}, "codewords": ["0"]}),
+        (["check-free", "INPUT", "--relation", "prefix"], {"codomain": "string", "codewords": []}),
+        (["lym", "--subsets", "--n", "2", "--antichain", "INPUT"], {"antichain": [1]}),
+        (["lym", "--subsets", "--n", "2", "--antichain", "INPUT"], [[1, "{1}"]]),
+        (["local-lym", "--subsets", "--n", "2", "--level", "1", "--set", "INPUT"], [1]),
+    ],
+)
+def test_malformed_json_exits_as_usage_error(tmp_path, capsys, argv, payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, *(str(path) if a == "INPUT" else a for a in argv))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_local_lym_subset_elements_split(capsys):
     code, out, _ = run(
         capsys, "local-lym", "--subsets", "--n", "3", "--level", "2",

@@ -331,6 +331,8 @@ def test_search_respects_counts_and_validates():
         antichain_exists(P, (0, 0, 0, 0, 1))
     with pytest.raises(ValueError):
         antichain_exists(P, (-1,))
+    with pytest.raises(ValueError):
+        antichain_exists(P, [0, 1.7, 0, 0])  # never truncated to a count of 1
 
 
 def test_search_multi_level_backtracking():
@@ -363,6 +365,68 @@ def test_search_is_deterministic():
     none_a = antichain_exists(build_subset_poset(4), {1: 2, 2: 2})
     none_b = antichain_exists(build_subset_poset(4), {1: 2, 2: 2})
     assert not none_a.exists and none_a.nodes == none_b.nodes
+
+
+def test_two_level_witness_counts_its_lower_choice():
+    P = build_subset_poset(4)
+    out = antichain_exists(P, {1: 1, 2: 3})
+    assert out.antichain.members == fs(
+        (2, fs(1, 2)), (2, fs(1, 3)), (2, fs(2, 3)), (1, fs(4))
+    )
+    # {12,13,14} blocks every singleton, {12,13,23} leaves {4}: two upper
+    # choices tried, plus the lower-level choice
+    assert out.nodes == 2 + 1
+
+
+def _brute_force_count_vectors(P):
+    """Per-level counts of every antichain, listed from the order relation."""
+    elements = [(rank, x) for rank in P.ranks for x in P.level(rank)]
+    below = {
+        (a, b)
+        for a, (ra, x) in enumerate(elements)
+        for b, (rb, y) in enumerate(elements)
+        if P.less_than(ra, x, rb, y)
+    }
+    incomparable = [
+        {b for b in range(len(elements)) if (a, b) not in below and (b, a) not in below}
+        for a in range(len(elements))
+    ]
+    vectors = set()
+
+    def extend(start, allowed, counts):
+        vectors.add(tuple(counts))
+        for e in range(start, len(elements)):
+            if e in allowed:
+                p = P.position(elements[e][0])
+                counts[p] += 1
+                extend(e + 1, allowed & incomparable[e], counts)
+                counts[p] -= 1
+
+    extend(0, set(range(len(elements))), [0] * P.num_levels)
+    return vectors, below, elements
+
+
+@pytest.mark.parametrize(
+    "P",
+    [build_subset_poset(n) for n in range(5)]
+    + [build_string_poset(2, rel, L) for rel in ("subsequence", "substring") for L in (1, 2, 3)]
+    + [build_pattern_poset(3, rel) for rel in ("pattern", "substring_pattern")],
+    ids=repr,
+)
+def test_search_matches_brute_force(P):
+    vectors, below, elements = _brute_force_count_vectors(P)
+    position = {(rank, x): e for e, (rank, x) in enumerate(elements)}
+    sizes = [len(level) for level in P.levels]
+    for counts in itertools.product(*(range(n + 1) for n in sizes)):
+        out = antichain_exists(P, counts)
+        assert out.exists == (counts in vectors), counts
+        if out.exists:
+            got = [0] * P.num_levels
+            for rank, _ in out.antichain:
+                got[P.position(rank)] += 1
+            assert tuple(got) == counts
+            members = [position[m] for m in out.antichain]
+            assert not any((a, b) in below for a in members for b in members)
 
 
 def test_search_budget_exceeded():

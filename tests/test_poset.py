@@ -305,6 +305,27 @@ def test_two_component_poset_is_disconnected():
     assert not P.is_weakly_connected_pair(0)
 
 
+def test_non_adjacent_pair_counts_cover_chains():
+    # a and b meet only in m, which nothing covers: no chain joins the two
+    # halves a-n-x and b-o-y, so ranks 0 and 2 are not connected
+    levels = [["a", "b"], ["m", "n", "o"], ["x", "y"]]
+    covers = [{(0, 0): 1, (1, 0): 1, (0, 1): 2, (1, 2): 1}, {(1, 0): 1, (2, 1): 1}]
+    P = GradedPoset(levels, covers, family="dead-end")
+    assert P.is_weakly_connected_pair(0) and not P.is_weakly_connected_pair(0, 2)
+    reg = P.pair_regularity(0, 2)
+    assert (reg.up_degrees, reg.down_degrees, reg.edge_count) == ((1, 2), (1, 2), 3)
+    assert P.down_closure(2, {0}, 0) == {0} and P.down_closure(1, [0, 2], 0) == {0, 1}
+    # subsets: each singleton lies below three 3-sets, through two chains each
+    Q = build_subset_poset(4)
+    reg = Q.pair_regularity(1, 3)
+    assert (reg.up_degree, reg.down_degree, reg.edge_count) == (6, 6, 24)
+    assert Q.is_weakly_connected_pair(1, 3)
+    with pytest.raises(ValueError):
+        Q.pair_regularity(3, 1)
+    with pytest.raises(ValueError):
+        Q.down_closure(1, {0}, 1)
+
+
 # ---------------------------------------------------------------------------
 # Exports
 
