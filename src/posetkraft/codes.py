@@ -12,6 +12,7 @@ constants) are exact rationals; no floating point is ever compared against 1.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -241,16 +242,46 @@ def _comparable_views(code: Code, relation: str):
 def is_free(code: Code, relation: str) -> FreenessResult:
     """True iff no codeword sits inside a different codeword under the relation.
 
-    On failure the witness pair is (inner, outer) for the first offending
-    ordered pair in codeword order.
+    On failure the witness pair is (inner, outer) for the least offending
+    (inner index, outer index) pair in codeword order.
+
+    Under all five orders a word sits only inside words at least as long,
+    and inside one of the same length only when the two are equal; codewords
+    are distinct, so only strictly shorter inner words are tried.  For prefix
+    and substring, each word's prefixes or blocks at the codeword lengths
+    below its own are looked up in one table of the codewords: O(sum of L*D)
+    symbols hashed for prefix and O(sum of L^2*D) for substring, with D
+    distinct codeword lengths, so O(sum of L) for prefix on a fixed-length
+    code.  Subsequence and the pattern orders test each pair of a shorter
+    and a longer word, at most n^2 pair tests.
     """
-    rel = _PATTERN_RELATIONS.get(relation) or _SYMBOL_RELATIONS.get(relation)
     views = _comparable_views(code, relation)
-    for i, a in enumerate(views):
-        for j, b in enumerate(views):
-            if i != j and rel(a, b):
-                return FreenessResult(False, (code.codewords[i], code.codewords[j]))
-    return FreenessResult(True, None)
+    lengths = [len(v) for v in views]
+    witness = None
+    if relation in ("prefix", "substring"):
+        index = {symbols_of(v): i for i, v in enumerate(views)}
+        shorter = sorted(set(lengths))
+        for j, v in enumerate(views):
+            outer = symbols_of(v)
+            for m in shorter:
+                if m >= len(outer):
+                    break
+                offsets = range(1) if relation == "prefix" else range(len(outer) - m + 1)
+                for n in offsets:
+                    i = index.get(outer[n : n + m])
+                    if i is not None and (witness is None or (i, j) < witness):
+                        witness = (i, j)
+    else:
+        rel = _PATTERN_RELATIONS.get(relation) or _SYMBOL_RELATIONS[relation]
+        longer = {m: [j for j, l in enumerate(lengths) if l > m] for m in set(lengths)}
+        witness = next(
+            ((i, j) for i, a in enumerate(views) for j in longer[lengths[i]] if rel(a, views[j])),
+            None,
+        )
+    if witness is None:
+        return FreenessResult(True, None)
+    i, j = witness
+    return FreenessResult(False, (code.codewords[i], code.codewords[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +327,19 @@ def decode_prefix_free(code: Code, output) -> tuple[int, ...]:
 
 
 def is_uniquely_decodable(code: Code) -> bool:
-    """Decide extension injectivity by the dangling-suffix iteration.
+    """Decide extension injectivity by the dangling-suffix iteration
+    (Sardinas and Patterson, 1953).
 
     Starting from the suffixes that witness one codeword being a proper
     prefix of another, repeatedly split dangling suffixes against codewords;
     the code fails to be uniquely decodable exactly when some dangling
     suffix is itself a codeword.
+
+    The codewords that extend a suffix d form one run of the sorted codeword
+    list, found by bisection, and the codewords that are prefixes of d are
+    looked up at the D codeword lengths below |d|.  Each dangling suffix so
+    costs O(L * (log n + D)) plus the suffixes it leaves, not a scan over
+    every codeword, and the memory stays O(sum of L).
     """
     if code.codomain.kind != "string":
         raise ValueError("unique decodability is defined for string codomains")
@@ -311,29 +349,35 @@ def is_uniquely_decodable(code: Code) -> bool:
     if () in words:
         # appending the empty codeword changes the message but not the output
         return False
+    ordered = sorted(words)
+    lengths = sorted({len(w) for w in words})
 
-    def danglings(a, b):
-        if len(a) < len(b) and b[: len(a)] == a:
-            yield b[len(a):]
+    def danglings(d):
+        """The suffixes left when d and a codeword, one a proper prefix of
+        the other, are split against each other."""
+        k = len(d)
+        i = bisect.bisect_left(ordered, d)
+        while i < len(ordered) and ordered[i][:k] == d:
+            if len(ordered[i]) > k:
+                yield ordered[i][k:]
+            i += 1
+        for m in lengths:
+            if m >= k:
+                break
+            if d[:m] in words:
+                yield d[m:]
 
-    seen: set[tuple[int, ...]] = set()
-    work: list[tuple[int, ...]] = []
-    for u in words:
-        for v in words:
-            if u != v:
-                for w in danglings(u, v):
-                    if w not in seen:
-                        seen.add(w)
-                        work.append(w)
+    # the suffixes left by codeword pairs, one a proper prefix of the other
+    seen = {w for u in words for w in danglings(u)}
+    work = list(seen)
     while work:
         d = work.pop()
         if d in words:
             return False
-        for u in words:
-            for w in itertools.chain(danglings(d, u), danglings(u, d)):
-                if w not in seen:
-                    seen.add(w)
-                    work.append(w)
+        for w in danglings(d):
+            if w not in seen:
+                seen.add(w)
+                work.append(w)
     return True
 
 

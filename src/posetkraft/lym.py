@@ -244,19 +244,31 @@ def mcmillan_construct(r: int, params) -> McMillanResult:
     lexicographically smallest strings first, never extending a chosen word.
 
     Succeeds exactly when the Kraft number of the parameters is at most 1.
+    The strings of length l that extend no chosen word are those whose
+    base-r values run from some ``start`` to ``r^l - 1``, so the walk keeps
+    two integers instead of the frontier (the canonical code of Schwartz and
+    Kallick, 1964): O(sum of a_l * l) work and memory, however long the
+    longest codeword.
     """
     if r < 1:
         raise ValueError("need r >= 1")
     seq = as_parameter_sequence(params)
-    frontier: list[tuple[int, ...]] = [()]  # unchosen, prefix-free-extendable strings
+    start, free = 0, 1  # first unused value at this length, and r^l - start
     chosen: list[tuple[int, ...]] = []
     for length, need in enumerate(seq):
-        if need > len(frontier):
+        if need > free:
             return McMillanResult(None, failed_level=length)
-        chosen.extend(frontier[:need])
-        frontier = [w + (s,) for w in frontier[need:] for s in range(r)]
+        chosen.extend(_base_r_digits(v, r, length) for v in range(start, start + need))
+        start, free = (start + need) * r, (free - need) * r
     code = Code(Codomain("string", r), tuple(Str(w, r) for w in chosen))
     return McMillanResult(code, None)
+
+
+def _base_r_digits(value: int, r: int, length: int) -> tuple[int, ...]:
+    digits = [0] * length
+    for i in range(length - 1, -1, -1):
+        value, digits[i] = divmod(value, r)
+    return tuple(digits)
 
 
 # ---------------------------------------------------------------------------

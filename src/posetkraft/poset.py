@@ -44,6 +44,20 @@ def format_poset_element(x) -> str:
     return format_element(x)
 
 
+_AMBIGUOUS = -1  # name-table entry for a name that several elements share
+
+
+def _name_tables(level) -> tuple[dict, dict]:
+    """Indices of a level's elements by name and by name without ``@k``."""
+    exact: dict[str, int] = {}
+    bare: dict[str, int] = {}
+    for i, x in enumerate(level):
+        name = format_poset_element(x)
+        for table, key in ((exact, name), (bare, name.split("@")[0])):
+            table[key] = _AMBIGUOUS if key in table else i
+    return exact, bare
+
+
 class GradedPoset:
     """Immutable level-indexed poset with a cover multigraph.
 
@@ -96,6 +110,8 @@ class GradedPoset:
         # (lower pos, upper pos) -> (chain totals of lower elements, of upper
         # elements, audit)
         self._pair_audits: dict[tuple[int, int], tuple] = {}
+        # pos -> (index by name, index by name without "@k"), built on first use
+        self._names: dict[int, tuple[dict, dict]] = {}
 
     # -- level addressing ---------------------------------------------------
 
@@ -134,15 +150,20 @@ class GradedPoset:
     def resolve_element(self, rank: int, text: str):
         """The element of level ``rank`` named ``text``, or else the one whose
         name without its ``@k`` universe suffix is ``text``; the match must be
-        unique."""
+        unique.  Each level's names are indexed on first use, so a lookup
+        costs O(1) after one O(|level|) pass."""
+        p = self.position(rank)
+        names = self._names.get(p)
+        if names is None:
+            names = self._names[p] = _name_tables(self.levels[p])
+        exact, bare = names
         text = text.strip()
-        named = [(format_poset_element(x), x) for x in self.level(rank)]
-        matches = [x for name, x in named if name == text] or [
-            x for name, x in named if name.split("@")[0] == text
-        ]
-        if len(matches) != 1:
+        i = exact.get(text)
+        if i is None:
+            i = bare.get(text)
+        if i is None or i == _AMBIGUOUS:
             raise ValueError(f"cannot resolve element {text!r} at level {rank}")
-        return matches[0]
+        return self.levels[p][i]
 
     # -- degrees and shadows --------------------------------------------------
 

@@ -3,11 +3,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetkraft import codes, perm
 from posetkraft.codes import (
     Code,
     Codomain,
+    FreenessResult,
     ParameterSequence,
     brute_force_uniquely_decodable,
     code_from_json_dict,
@@ -168,6 +171,63 @@ def test_freeness_witness_direction():
     assert perm.format_element(outer) == "231"
 
 
+def all_pairs_is_free(code, relation):
+    """The all-pairs scan that ``is_free`` replaced, kept as the reference."""
+    rel = {
+        "prefix": perm.is_prefix,
+        "subsequence": perm.is_subsequence,
+        "substring": perm.is_substring,
+        "pattern": perm.is_pattern_in,
+        "substring_pattern": perm.is_substring_pattern_in,
+    }[relation]
+    views = code.codewords
+    if code.codomain.kind == "perm_pattern" and relation in ("prefix", "subsequence", "substring"):
+        views = tuple(Str(w.entries, code.codomain.size + 1) for w in views)
+    for i, a in enumerate(views):
+        for j, b in enumerate(views):
+            if i != j and rel(a, b):
+                return FreenessResult(False, (code.codewords[i], code.codewords[j]))
+    return FreenessResult(True, None)
+
+
+def string_codes():
+    return st.integers(1, 3).flatmap(
+        lambda r: st.lists(
+            st.lists(st.integers(0, r - 1), max_size=5).map(tuple), unique=True, max_size=8
+        ).map(lambda ws: Code(Codomain("string", r), tuple(Str(w, r) for w in ws)))
+    )
+
+
+def partial_perm_codes():
+    return st.integers(1, 4).flatmap(
+        lambda k: st.lists(
+            st.tuples(st.permutations(range(1, k + 1)), st.integers(1, k)).map(
+                lambda t: tuple(t[0][: t[1]])
+            ),
+            unique=True,
+            max_size=8,
+        ).map(lambda ws: Code(Codomain("partial_perm", k), tuple(PartialPermutation(w, k) for w in ws)))
+    )
+
+
+def perm_pattern_codes():
+    return st.integers(1, 5).flatmap(
+        lambda k: st.lists(
+            st.integers(1, k).flatmap(lambda l: st.permutations(range(1, l + 1))).map(tuple),
+            unique=True,
+            max_size=8,
+        ).map(lambda ws: Code(Codomain("perm_pattern", k), tuple(PartialPermutation(w, len(w)) for w in ws)))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(string_codes(), partial_perm_codes(), perm_pattern_codes()))
+def test_is_free_matches_all_pairs_scan(code):
+    relations = codes.CODE_RELATIONS if code.codomain.kind == "perm_pattern" else codes.CODE_RELATIONS[:3]
+    for relation in relations:
+        assert is_free(code, relation) == all_pairs_is_free(code, relation), relation
+
+
 # ---------------------------------------------------------------------------
 # Extension and decoding
 
@@ -239,6 +299,29 @@ def test_sardinas_patterson_agrees_with_brute_force_exhaustively():
         for combo in itertools.combinations(words, size):
             code = Code.of_strings(2, combo)
             assert is_uniquely_decodable(code) == brute_force_uniquely_decodable(code, 12), combo
+
+
+# Every binary code of 4-7 words of lengths 1-3, and every ternary one of
+# lengths 1-2, that is not uniquely decodable has two messages with one
+# output of at most 8 symbols (checked exhaustively), so within these bounds
+# the brute force is exact.
+BRUTE_FORCE_OUTPUT_BOUND = {2: 12, 3: 8}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([(2, 3), (3, 2)]).flatmap(
+        lambda rl: st.lists(
+            st.lists(st.integers(0, rl[0] - 1), min_size=1, max_size=rl[1]).map(tuple),
+            unique=True,
+            min_size=4,
+            max_size=7,
+        ).map(lambda ws: Code(Codomain("string", rl[0]), tuple(Str(w, rl[0]) for w in ws)))
+    )
+)
+def test_sardinas_patterson_agrees_with_brute_force_beyond_size_3(code):
+    bound = BRUTE_FORCE_OUTPUT_BOUND[code.codomain.size]
+    assert is_uniquely_decodable(code) == brute_force_uniquely_decodable(code, bound)
 
 
 def test_uniquely_decodable_implies_kraft_at_most_one():

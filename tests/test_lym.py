@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetkraft import codes, lym, perm
 from posetkraft.codes import kraft_number, parameter_sequence
@@ -208,9 +210,31 @@ def test_mcmillan_r1_and_empty():
     assert res.failed_level == 2
 
 
+def frontier_greedy(r, counts):
+    """The greedy tree walk that ``mcmillan_construct`` replaced, kept as the
+    reference: it grows every unchosen, extendable string one symbol at a
+    time, so its cost is exponential in the longest length.  Returns the
+    codewords' symbol tuples and the failed length."""
+    frontier = [()]
+    chosen = []
+    for length, need in enumerate(counts):
+        if need > len(frontier):
+            return None, length
+        chosen.extend(frontier[:need])
+        frontier = [w + (s,) for w in frontier[need:] for s in range(r)]
+    return chosen, None
+
+
+def assert_matches_frontier_greedy(r, counts):
+    res = mcmillan_construct(r, counts)
+    words = None if res.code is None else [w.symbols for w in res.code.codewords]
+    assert (words, res.failed_level) == frontier_greedy(r, counts), (r, counts)
+
+
 def test_mcmillan_succeeds_iff_kraft_at_most_one_small():
-    for r in (2, 3):
+    for r in (1, 2, 3):
         for a in itertools.product(range(4), repeat=5):
+            assert_matches_frontier_greedy(r, a)
             res = mcmillan_construct(r, a)
             expected = kraft_number(a, r) <= 1
             assert bool(res) == expected, (r, a)
@@ -226,6 +250,24 @@ def test_mcmillan_succeeds_iff_kraft_at_most_one_small():
 def test_mcmillan_greedy_is_lexicographic():
     res = mcmillan_construct(2, (0, 1, 0, 2))
     assert [perm.format_element(w) for w in res.code.codewords] == ["0", "100", "101"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3]).flatmap(
+        lambda r: st.tuples(st.just(r), st.lists(st.integers(0, r * r), max_size=8))
+    )
+)
+def test_mcmillan_matches_frontier_greedy_on_random_profiles(case):
+    assert_matches_frontier_greedy(*case)
+
+
+def test_mcmillan_deep_profiles():
+    # the frontier greedy would hold 2^64 and 2^50 strings here
+    res = mcmillan_construct(2, [0] * 64 + [2])
+    assert [w.symbols for w in res.code.codewords] == [(0,) * 64, (0,) * 63 + (1,)]
+    res = mcmillan_construct(2, [0] * 50 + [2**50 + 1])
+    assert not res and res.failed_level == 50
 
 
 # ---------------------------------------------------------------------------

@@ -375,6 +375,27 @@ def test_format_poset_element():
     assert format_poset_element(Str((0, 1), 2)) == "01"
 
 
+def test_resolve_element_exact_then_bare_and_unique():
+    level = [
+        PartialPermutation((1, 2), 3),
+        PartialPermutation((1, 2), 4),
+        PartialPermutation((2, 1), 3),
+        Str((1,), 2),
+        PartialPermutation((1,), 1),
+        PartialPermutation((1,), 3),
+    ]
+    P = GradedPoset([level], [])
+    assert P.resolve_element(0, "12@4") == level[1]
+    assert P.resolve_element(0, " 21 ") == level[2]  # bare name, unique
+    assert P.resolve_element(0, "1@3") == level[5]
+    # "12" has two bare matches; "1" names two elements exactly, which the
+    # bare name of 1@3 does not settle
+    for text in ("12", "1", "99", "21@4"):
+        with pytest.raises(ValueError):
+            P.resolve_element(0, text)
+    assert P.resolve_element(0, "12@3") == level[0]
+
+
 # ---------------------------------------------------------------------------
 # Constructor validation
 
