@@ -138,45 +138,36 @@ def _cmd_check_free(args, parser) -> int:
     return EXIT_OK if result else EXIT_FAIL
 
 
-def _constants_for(code: codes.Code) -> tuple[str, Fraction]:
-    params = codes.parameter_sequence(code)
-    dom = code.codomain
-    if dom.kind == "string":
-        return "K", codes.kraft_number(params, dom.size)
-    if dom.kind == "partial_perm":
-        return "P_partial", codes.partial_perm_constant(params, dom.size)
-    return "P_full", codes.full_perm_constant(params, dom.size)
+def _constant(kind: str, size: int, params) -> tuple[str, Fraction]:
+    """Label and value of the code constant for a codomain kind and size."""
+    if kind == "string":
+        return "K", codes.kraft_number(params, size)
+    if kind == "partial_perm":
+        return "P_partial", codes.partial_perm_constant(params, size)
+    return "P_full", codes.full_perm_constant(params, size)
 
 
 def _cmd_constants(args, parser) -> int:
     if args.codefile:
-        label, value = _constants_for(_load_code(args.codefile))
+        code = _load_code(args.codefile)
+        params = codes.parameter_sequence(code)
+        kind, size = code.codomain.kind, code.codomain.size
     else:
         if args.params is None:
             parser.error("give a code file or --params")
         params = _parse_int_list(args.params)
         if args.r is not None:
-            label, value = "K", codes.kraft_number(params, args.r)
+            kind, size = "string", args.r
         elif args.k is not None:
-            if args.kind == "partial":
-                label, value = "P_partial", codes.partial_perm_constant(params, args.k)
-            else:
-                label, value = "P_full", codes.full_perm_constant(params, args.k)
+            kind = "partial_perm" if args.kind == "partial" else "perm_pattern"
+            size = args.k
         else:
             parser.error("--params needs --r (strings) or --k (permutations)")
+    label, value = _constant(kind, size, params)
     if args.json:
         print(json.dumps({label: _fmt_fraction(value)}))
     else:
         print(f"{label} = {_fmt_fraction(value, args.decimal)}")
-    return EXIT_OK
-
-
-def _cmd_kraft(args, parser) -> int:
-    value = codes.kraft_number(_parse_int_list(args.params), args.r)
-    if args.json:
-        print(json.dumps({"K": _fmt_fraction(value)}))
-    else:
-        print(f"K = {_fmt_fraction(value, args.decimal)}")
     return EXIT_OK
 
 
@@ -429,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--decimal", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_kraft)
+    p.set_defaults(func=_cmd_constants, codefile=None, k=None, kind="partial")
 
     p = sub.add_parser("mcmillan", help="greedily build a prefix-free code with given parameters")
     p.add_argument("--r", type=int, required=True)

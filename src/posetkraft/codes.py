@@ -386,7 +386,9 @@ def brute_force_uniquely_decodable(code: Code, max_total_length: int = 12) -> bo
 
     All messages whose encoded output (and message length) stay within the
     bound are generated breadth-first; any two distinct messages hitting the
-    same output is a counterexample.
+    same output is a counterexample.  The answer is exact only when every
+    ambiguity of the code has an output of at most ``max_total_length``
+    symbols; a code whose shortest ambiguity is longer may get True.
     """
     if code.codomain.kind != "string":
         raise ValueError("unique decodability is defined for string codomains")

@@ -14,7 +14,6 @@ compare relative order only, so the left side must be a full permutation).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
@@ -94,7 +93,7 @@ def pattern_of(tau: PartialPermutation) -> PartialPermutation:
     Entry i of the result is the rank of tau's i-th entry among all entries,
     so the result lives in the universe of size len(tau).
     """
-    return PartialPermutation(_order_pattern(tau.entries), len(tau.entries))
+    return PartialPermutation(order_pattern(tau.entries), len(tau.entries))
 
 
 def is_prefix(t: Element, u: Element, proper: bool = False) -> bool:
@@ -122,7 +121,9 @@ def is_substring(sigma: Element, tau: Element) -> bool:
     return any(ts[n : n + m] == ss for n in range(l - m + 1))
 
 
-def _order_pattern(seq: Sequence[int]) -> tuple[int, ...]:
+def order_pattern(seq: Sequence[int]) -> tuple[int, ...]:
+    """The ranks of seq's distinct entries among themselves, in seq's order:
+    ``order_pattern((5, 2, 7)) == (2, 1, 3)``."""
     order = sorted(seq)
     return tuple(order.index(e) + 1 for e in seq)
 
@@ -144,7 +145,7 @@ def is_pattern_in(sigma: PartialPermutation, tau: PartialPermutation) -> bool:
         return False
     target = sigma.entries
     return any(
-        _order_pattern(sub) == target
+        order_pattern(sub) == target
         for sub in itertools.combinations(tau.entries, m)
     )
 
@@ -157,7 +158,7 @@ def is_substring_pattern_in(sigma: PartialPermutation, tau: PartialPermutation) 
         return False
     target = sigma.entries
     return any(
-        _order_pattern(tau.entries[n : n + m]) == target
+        order_pattern(tau.entries[n : n + m]) == target
         for n in range(len(tau) - m + 1)
     )
 
@@ -194,10 +195,6 @@ def all_full_permutations(k: int) -> Iterator[PartialPermutation]:
     """Every full permutation of [1..l] for l = 1..k, by length then lexicographically."""
     for l in range(1, k + 1):
         yield from full_permutations(l)
-
-
-def count_partial_permutations(k: int, l: int) -> int:
-    return math.comb(k, l) * math.factorial(l)
 
 
 def enumerate_elements(kind: str, k: int, l: int | None = None) -> list[Element]:

@@ -10,20 +10,24 @@ Builders produce the concrete families of interest: strings under the
 prefix/subsequence/substring orders, partial permutations under the same
 three orders, full permutations under the pattern and substring-pattern
 orders (realized with interleaved helper levels so every consecutive pair is
-biregular), and subsets of [n] ordered by inclusion.
+biregular), and subsets of [n] ordered by inclusion, which is the
+subsequence order on their increasing sequences.  One routine,
+``_cover_map``, computes the covers of every family from the elements'
+symbol tuples.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from .perm import (
     PartialPermutation,
     format_element,
     full_permutations,
+    order_pattern,
     partial_permutations,
-    pattern_of,
     strings,
     symbols_of,
 )
@@ -69,7 +73,7 @@ class GradedPoset:
     positions ``p`` and element indices into ``levels[p]``.
     """
 
-    def __init__(self, levels, covers, family="custom", first_rank=0, level_labels=None):
+    def __init__(self, levels, covers, family="custom", first_rank=0):
         self.levels = tuple(tuple(level) for level in levels)
         if not self.levels:
             raise ValueError("poset needs at least one level")
@@ -78,9 +82,6 @@ class GradedPoset:
             raise ValueError("need exactly one cover map per consecutive level pair")
         self.family = family
         self.first_rank = first_rank
-        if level_labels is None:
-            level_labels = tuple(f"level {first_rank + p}" for p in range(len(self.levels)))
-        self.level_labels = tuple(level_labels)
 
         self._index = []
         for p, level in enumerate(self.levels):
@@ -404,7 +405,9 @@ def is_weakly_connected_pair(poset: GradedPoset, rank: int) -> bool:
 
 def _deletions(symbols: tuple[int, ...], relation: str):
     """Yield the one-symbol deletions of a sequence under the given order,
-    one yield per deletion (repeats encode multiplicity)."""
+    one yield per deletion (repeats encode multiplicity).  The internal kind
+    ``"order_pattern"`` yields the sequence's relative order instead: the one
+    permutation a pattern poset's helper element covers."""
     if relation == "prefix":
         yield symbols[:-1]
     elif relation == "subsequence":
@@ -416,36 +419,37 @@ def _deletions(symbols: tuple[int, ...], relation: str):
         else:
             yield symbols[1:]
             yield symbols[:-1]
+    elif relation == "order_pattern":
+        yield order_pattern(symbols)
     else:
         raise ValueError(f"unknown relation {relation!r}")
 
 
-def _cover_map(lower_level, upper_level, relation: str) -> dict:
-    index = {symbols_of(x): i for i, x in enumerate(lower_level)}
-    cov: dict[tuple[int, int], int] = {}
-    for j, w in enumerate(upper_level):
-        for lower_syms in _deletions(symbols_of(w), relation):
-            key = (index[lower_syms], j)
-            cov[key] = cov.get(key, 0) + 1
-    return cov
+def _cover_map(lower_keys, upper_keys, relation: str) -> Counter:
+    """Cover multiplicities between two consecutive levels given by their
+    elements' symbol tuples: ``(i, j) -> m`` when m of the upper key j's
+    deletions under ``relation`` are the lower key i."""
+    index = {key: i for i, key in enumerate(lower_keys)}
+    return Counter(
+        (index[lower], j)
+        for j, key in enumerate(upper_keys)
+        for lower in _deletions(key, relation)
+    )
 
 
 def build_string_poset(r: int, relation: str, max_level: int) -> GradedPoset:
-    """Strings over [1..r] of length 0..max_level under one of the three
+    """Strings over {0, .., r-1} of length 0..max_level under one of the three
     symbol-comparing orders; level 0 is the empty string."""
     if r < 1 or max_level < 0:
         raise ValueError("need r >= 1 and max_level >= 0")
     if relation not in STRING_RELATIONS:
         raise ValueError(f"relation must be one of {STRING_RELATIONS}")
     levels = [strings(r, l) for l in range(max_level + 1)]
-    covers = [_cover_map(levels[l], levels[l + 1], relation) for l in range(max_level)]
-    return GradedPoset(
-        levels,
-        covers,
-        family=f"string({relation}, r={r})",
-        first_rank=0,
-        level_labels=tuple(f"len {l}" for l in range(max_level + 1)),
-    )
+    covers = [
+        _cover_map(map(symbols_of, levels[l]), map(symbols_of, levels[l + 1]), relation)
+        for l in range(max_level)
+    ]
+    return GradedPoset(levels, covers, family=f"string({relation}, r={r})", first_rank=0)
 
 
 def build_partial_perm_poset(k: int, relation: str) -> GradedPoset:
@@ -456,14 +460,11 @@ def build_partial_perm_poset(k: int, relation: str) -> GradedPoset:
     if relation not in STRING_RELATIONS:
         raise ValueError(f"relation must be one of {STRING_RELATIONS}")
     levels = [partial_permutations(k, l) for l in range(1, k + 1)]
-    covers = [_cover_map(levels[p], levels[p + 1], relation) for p in range(k - 1)]
-    return GradedPoset(
-        levels,
-        covers,
-        family=f"partial_perm({relation}, k={k})",
-        first_rank=1,
-        level_labels=tuple(f"len {l}" for l in range(1, k + 1)),
-    )
+    covers = [
+        _cover_map(map(symbols_of, levels[p]), map(symbols_of, levels[p + 1]), relation)
+        for p in range(k - 1)
+    ]
+    return GradedPoset(levels, covers, family=f"partial_perm({relation}, k={k})", first_rank=1)
 
 
 def build_pattern_poset(k: int, relation: str) -> GradedPoset:
@@ -484,54 +485,26 @@ def build_pattern_poset(k: int, relation: str) -> GradedPoset:
     if relation not in PATTERN_RELATIONS:
         raise ValueError(f"relation must be one of {PATTERN_RELATIONS}")
     base = "subsequence" if relation == "pattern" else "substring"
-    levels: list[list[PartialPermutation]] = []
-    labels: list[str] = []
-    covers: list[dict] = []
-    for l in range(1, k + 1):
-        levels.append(full_permutations(l))
-        labels.append(f"perms of [{l}]")
-        if l == k:
-            break
-        mid = partial_permutations(l + 1, l)
-        # permutations of [l] -> helper level: cover the pattern of each helper
-        perm_index = {x: i for i, x in enumerate(levels[-1])}
-        cov_lower = {}
-        for j, tau in enumerate(mid):
-            key = (perm_index[pattern_of(tau)], j)
-            cov_lower[key] = cov_lower.get(key, 0) + 1
-        covers.append(cov_lower)
-        levels.append(mid)
-        labels.append(f"{l}-of-[{l + 1}]")
-        covers.append(_cover_map(mid, full_permutations(l + 1), base))
-    return GradedPoset(
-        levels,
-        covers,
-        family=f"perm_pattern({relation}, k={k})",
-        first_rank=0,
-        level_labels=tuple(labels),
-    )
+    perms = full_permutations(1)
+    levels, covers = [perms], []
+    for l in range(1, k):
+        helpers = partial_permutations(l + 1, l)
+        longer = full_permutations(l + 1)
+        covers.append(_cover_map(map(symbols_of, perms), map(symbols_of, helpers), "order_pattern"))
+        covers.append(_cover_map(map(symbols_of, helpers), map(symbols_of, longer), base))
+        levels += [helpers, longer]
+        perms = longer
+    return GradedPoset(levels, covers, family=f"perm_pattern({relation}, k={k})", first_rank=0)
 
 
 def build_subset_poset(n: int) -> GradedPoset:
-    """Subsets of [1..n] ordered by inclusion, levels by cardinality."""
+    """Subsets of [1..n] ordered by inclusion, levels by cardinality.
+
+    Inclusion is the subsequence order on the subsets' increasing
+    sequences, so the covers come from those tuples, one deletion each."""
     if n < 0:
         raise ValueError("need n >= 0")
-    levels = [
-        [frozenset(c) for c in itertools.combinations(range(1, n + 1), i)]
-        for i in range(n + 1)
-    ]
-    covers = []
-    for i in range(n):
-        index = {s: j for j, s in enumerate(levels[i])}
-        cov = {}
-        for j, s in enumerate(levels[i + 1]):
-            for x in sorted(s):
-                cov[(index[s - {x}], j)] = 1
-        covers.append(cov)
-    return GradedPoset(
-        levels,
-        covers,
-        family=f"subsets(n={n})",
-        first_rank=0,
-        level_labels=tuple(f"size {i}" for i in range(n + 1)),
-    )
+    keys = [list(itertools.combinations(range(1, n + 1), i)) for i in range(n + 1)]
+    levels = [[frozenset(c) for c in level] for level in keys]
+    covers = [_cover_map(keys[i], keys[i + 1], "subsequence") for i in range(n)]
+    return GradedPoset(levels, covers, family=f"subsets(n={n})", first_rank=0)

@@ -324,6 +324,16 @@ def test_sardinas_patterson_agrees_with_brute_force_beyond_size_3(code):
     assert is_uniquely_decodable(code) == brute_force_uniquely_decodable(code, bound)
 
 
+def test_brute_force_is_exact_only_up_to_its_output_bound():
+    # 0101·0000·1000·0111 == 010·1000·010·0001·11: the shortest ambiguity
+    # has 16 symbols, so a brute force bounded by 15 misses it
+    code = scode("010", "0101", "0000", "0111", "11", "1000", "0001")
+    assert encode(code, [2, 3, 6, 4]) == encode(code, [1, 6, 1, 7, 5])
+    assert not is_uniquely_decodable(code)
+    assert not brute_force_uniquely_decodable(code, max_total_length=16)
+    assert brute_force_uniquely_decodable(code, max_total_length=15)
+
+
 def test_uniquely_decodable_implies_kraft_at_most_one():
     words = [""]
     for l in (1, 2, 3):

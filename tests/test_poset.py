@@ -25,10 +25,11 @@ ALL_FAMILY_INSTANCES = (
 # ---------------------------------------------------------------------------
 # Oracles
 
-def oracle_insertions(lower, upper, r_symbols):
-    """Count (position, symbol) insertions turning lower into upper."""
+def oracle_insertions(lower, upper, r_symbols, positions=None):
+    """Count (position, symbol) insertions turning lower into upper, at the
+    given insertion positions (default: every position)."""
     count = 0
-    for p in range(len(lower) + 1):
+    for p in range(len(lower) + 1) if positions is None else positions:
         for s in r_symbols:
             if lower[:p] + (s,) + lower[p:] == upper:
                 count += 1
@@ -230,6 +231,69 @@ def test_subset_poset_edge_identity():
     pair = rep.pair(1)
     assert pair.up_degree == 2 and pair.down_degree == 2
     assert pair.up_degree * pair.lower_size == pair.down_degree * pair.upper_size == pair.edge_count
+
+
+# ---------------------------------------------------------------------------
+# Exact cover maps, multiplicities included, from each order's definition
+
+def insertion_positions(relation, length):
+    """Where one symbol may be inserted: at the end, anywhere, or at either end."""
+    return {"prefix": {length}, "subsequence": range(length + 1), "substring": {0, length}}[relation]
+
+
+def defined_covers(host, multiplicity):
+    """Every level pair's cover map, with ``multiplicity(p, lower, upper)``
+    evaluated on all pairs of elements of levels p and p+1."""
+    return [
+        {
+            (i, j): m
+            for i, x in enumerate(host.levels[p])
+            for j, y in enumerate(host.levels[p + 1])
+            if (m := multiplicity(p, x, y))
+        }
+        for p in range(host.num_levels - 1)
+    ]
+
+
+def symbol_insertions(relation, alphabet):
+    def multiplicity(p, x, y):
+        lower, upper = perm.symbols_of(x), perm.symbols_of(y)
+        return oracle_insertions(lower, upper, alphabet, insertion_positions(relation, len(lower)))
+    return multiplicity
+
+
+def pattern_covers(relation):
+    """Helper -> permutation: 1 iff the permutation is the helper's pattern.
+    Permutation -> helper: the positions whose deletion leaves the helper
+    (any position for the pattern order, first or last for substring-pattern)."""
+    def multiplicity(p, x, y):
+        if p % 2 == 0:
+            return int(perm.pattern_of(y) == x)
+        n = len(y)
+        positions = range(n) if relation == "pattern" else (0, n - 1)
+        return sum(y.entries[:q] + y.entries[q + 1 :] == x.entries for q in positions)
+    return multiplicity
+
+
+EXACT_COVER_CASES = (
+    [(build_subset_poset(n), lambda p, x, y: int(x < y)) for n in range(6)]
+    + [
+        (build_string_poset(r, rel, L), symbol_insertions(rel, range(r)))
+        for r in (1, 2, 3) for rel in poset.STRING_RELATIONS for L in range(4)
+    ]
+    + [
+        (build_partial_perm_poset(k, rel), symbol_insertions(rel, range(1, k + 1)))
+        for k in range(1, 5) for rel in poset.STRING_RELATIONS
+    ]
+    + [(build_pattern_poset(k, rel), pattern_covers(rel)) for k in range(1, 5) for rel in poset.PATTERN_RELATIONS]
+)
+
+
+@pytest.mark.parametrize(
+    "host, multiplicity", [pytest.param(*case, id=repr(case[0])) for case in EXACT_COVER_CASES]
+)
+def test_cover_maps_match_order_definitions(host, multiplicity):
+    assert list(host.covers) == defined_covers(host, multiplicity)
 
 
 # ---------------------------------------------------------------------------
