@@ -31,7 +31,6 @@ from .poset import (
     build_pattern_poset,
     build_string_poset,
     build_subset_poset,
-    is_weakly_connected_pair,
     lower_shadow,
     regularity_check,
     upper_shadow,

@@ -149,17 +149,23 @@ def _constant(kind: str, size: int, params) -> tuple[str, Fraction]:
 
 def _cmd_constants(args, parser) -> int:
     if args.codefile:
+        if any(v is not None for v in (args.params, args.r, args.k, args.kind)):
+            parser.error("a code file takes none of --params, --r, --k and --kind")
         code = _load_code(args.codefile)
         params = codes.parameter_sequence(code)
         kind, size = code.codomain.kind, code.codomain.size
     else:
         if args.params is None:
             parser.error("give a code file or --params")
+        if args.r is not None and (args.k is not None or args.kind is not None):
+            parser.error("--r (strings) excludes --k and --kind (permutations)")
+        if args.kind is not None and args.k is None:
+            parser.error("--kind needs --k")
         params = _parse_int_list(args.params)
         if args.r is not None:
             kind, size = "string", args.r
         elif args.k is not None:
-            kind = "partial_perm" if args.kind == "partial" else "perm_pattern"
+            kind = "perm_pattern" if args.kind == "full" else "partial_perm"
             size = args.k
         else:
             parser.error("--params needs --r (strings) or --k (permutations)")
@@ -232,6 +238,8 @@ def _cmd_regularity(args, parser) -> int:
 
 
 def _cmd_hasse(args, parser) -> int:
+    if args.max_vertices < 0:
+        parser.error("--max-vertices must be >= 0")
     host = _build_poset(args, parser)
     try:
         print(host.to_dot(max_vertices=args.max_vertices))
@@ -409,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="comma-separated counts a_0,a_1,...")
     p.add_argument("--r", type=int, help="alphabet size (string parameters)")
     p.add_argument("--k", type=int, help="universe size (permutation parameters)")
-    p.add_argument("--kind", choices=["partial", "full"], default="partial",
-                   help="which permutation constant to use with --k")
+    p.add_argument("--kind", choices=["partial", "full"],
+                   help="which permutation constant to use with --k (default partial)")
     p.add_argument("--decimal", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_constants)
@@ -420,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--decimal", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_constants, codefile=None, k=None, kind="partial")
+    p.set_defaults(func=_cmd_constants, codefile=None, k=None, kind=None)
 
     p = sub.add_parser("mcmillan", help="greedily build a prefix-free code with given parameters")
     p.add_argument("--r", type=int, required=True)

@@ -130,7 +130,7 @@ class ParameterSequence:
 
     def __post_init__(self):
         counts = tuple(self.counts)
-        if any(not isinstance(c, int) or c < 0 for c in counts):
+        if any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in counts):
             raise ValueError("parameter counts must be non-negative integers")
         while counts and counts[-1] == 0:
             counts = counts[:-1]
@@ -141,10 +141,6 @@ class ParameterSequence:
 
     def __iter__(self):
         return iter(self.counts)
-
-    @property
-    def max_length(self) -> int:
-        return len(self.counts) - 1 if self.counts else -1
 
     @property
     def total(self) -> int:

@@ -183,7 +183,7 @@ class LevelCounts:
 
     def __post_init__(self):
         counts = tuple(self.counts)
-        if any(not isinstance(c, int) or c < 0 for c in counts):
+        if any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in counts):
             raise ValueError("level counts must be non-negative integers")
         object.__setattr__(self, "counts", counts)
 
@@ -388,6 +388,8 @@ def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> S
     """
     if budget is None:
         budget = DEFAULT_SEARCH_BUDGET
+    elif budget < 0:
+        raise ValueError(f"search budget must be >= 0, not {budget}")
     dense = _dense_counts(poset, counts)
     order = [p for p in range(poset.num_levels - 1, -1, -1) if dense[p] > 0]
     if not order:

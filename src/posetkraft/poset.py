@@ -4,7 +4,10 @@ A poset here is a list of levels (rank classes) and, for each consecutive
 pair of levels, a multiset of directed cover edges.  Edge multiplicity counts
 the number of distinct single-symbol insertions/deletions that map one
 element to the other, so degree counts line up with the counting arguments
-that make the level-density inequalities work.
+that make the level-density inequalities work.  ``GradedPoset`` stores each
+edge once, in the down-adjacency of its upper element; its ``covers`` maps
+are rebuilt from those on every access, at O(edges) cost, so changing them
+changes nothing.
 
 Builders produce the concrete families of interest: strings under the
 prefix/subsequence/substring orders, partial permutations under the same
@@ -51,12 +54,11 @@ def format_poset_element(x) -> str:
 _AMBIGUOUS = -1  # name-table entry for a name that several elements share
 
 
-def _name_tables(level) -> tuple[dict, dict]:
-    """Indices of a level's elements by name and by name without ``@k``."""
+def _name_tables(names) -> tuple[dict, dict]:
+    """Indices of a level's element names by name and by name without ``@k``."""
     exact: dict[str, int] = {}
     bare: dict[str, int] = {}
-    for i, x in enumerate(level):
-        name = format_poset_element(x)
+    for i, name in enumerate(names):
         for table, key in ((exact, name), (bare, name.split("@")[0])):
             table[key] = _AMBIGUOUS if key in table else i
     return exact, bare
@@ -65,20 +67,24 @@ def _name_tables(level) -> tuple[dict, dict]:
 class GradedPoset:
     """Immutable level-indexed poset with a cover multigraph.
 
-    ``levels[p]`` holds the elements of the p-th level; ``covers[p]`` maps
-    ``(lower_index, upper_index) -> multiplicity`` between levels p and p+1.
-    Levels are addressed publicly by *rank* ``first_rank + p`` (partial
-    permutation posets start at rank 1, everything else at 0).  The
+    ``levels[p]`` holds the elements of the p-th level.  Each edge between
+    levels p and p+1 is stored once, as ``lower_index -> multiplicity`` in
+    the down-adjacency dict of its upper element.  ``covers[p]`` maps
+    ``(lower_index, upper_index) -> multiplicity``; it is rebuilt from the
+    adjacencies on every access, at O(edges) cost, and changing it changes
+    nothing.  Levels are addressed publicly by *rank* ``first_rank + p``
+    (partial permutation posets start at rank 1, everything else at 0).  The
     index-level methods (``down_closure``, ``pair_regularity``) take
-    positions ``p`` and element indices into ``levels[p]``.
+    positions ``p`` and element indices into ``levels[p]``.  Each level's
+    element names are formatted once, for the exports and ``resolve_element``.
     """
 
     def __init__(self, levels, covers, family="custom", first_rank=0):
         self.levels = tuple(tuple(level) for level in levels)
         if not self.levels:
             raise ValueError("poset needs at least one level")
-        self.covers = tuple(dict(c) for c in covers)
-        if len(self.covers) != len(self.levels) - 1:
+        covers = tuple(covers)
+        if len(covers) != len(self.levels) - 1:
             raise ValueError("need exactly one cover map per consecutive level pair")
         self.family = family
         self.first_rank = first_rank
@@ -92,27 +98,31 @@ class GradedPoset:
                 raise ValueError(f"level {first_rank + p} has duplicate elements")
             self._index.append(idx)
 
-        # neighbour indices per pair, indexed by element position; the
-        # multiplicities stay in ``covers``
-        self._up = []
+        # _down[p][hi]: lower index -> multiplicity, for the pair (p, p+1)
         self._down = []
-        for p, cov in enumerate(self.covers):
-            up = [[] for _ in self.levels[p]]
-            down = [[] for _ in self.levels[p + 1]]
-            for (lo, hi), mult in cov.items():
+        for p, cov in enumerate(covers):
+            down = [{} for _ in self.levels[p + 1]]
+            for (lo, hi), mult in dict(cov).items():
                 if not (0 <= lo < len(self.levels[p]) and 0 <= hi < len(self.levels[p + 1])):
                     raise ValueError(f"edge ({lo}, {hi}) out of range between levels {p} and {p + 1}")
                 if mult < 1:
                     raise ValueError("edge multiplicities must be >= 1")
-                up[lo].append(hi)
-                down[hi].append(lo)
-            self._up.append(up)
+                down[hi][lo] = mult
             self._down.append(down)
         # (lower pos, upper pos) -> (chain totals of lower elements, of upper
         # elements, audit)
         self._pair_audits: dict[tuple[int, int], tuple] = {}
-        # pos -> (index by name, index by name without "@k"), built on first use
-        self._names: dict[int, tuple[dict, dict]] = {}
+        # pos -> element names; pos -> (index by name, by name without "@k")
+        self._level_names: dict[int, tuple[str, ...]] = {}
+        self._name_index: dict[int, tuple[dict, dict]] = {}
+
+    @property
+    def covers(self) -> tuple[dict, ...]:
+        """Fresh ``(lower_index, upper_index) -> multiplicity`` maps, by upper index."""
+        return tuple(
+            {(lo, hi): mult for hi, lows in enumerate(down) for lo, mult in lows.items()}
+            for down in self._down
+        )
 
     # -- level addressing ---------------------------------------------------
 
@@ -136,9 +146,6 @@ class GradedPoset:
     def level(self, rank: int) -> tuple:
         return self.levels[self.position(rank)]
 
-    def level_size(self, rank: int) -> int:
-        return len(self.levels[self.position(rank)])
-
     def index_of(self, rank: int, element) -> int:
         p = self.position(rank)
         try:
@@ -154,10 +161,10 @@ class GradedPoset:
         unique.  Each level's names are indexed on first use, so a lookup
         costs O(1) after one O(|level|) pass."""
         p = self.position(rank)
-        names = self._names.get(p)
-        if names is None:
-            names = self._names[p] = _name_tables(self.levels[p])
-        exact, bare = names
+        tables = self._name_index.get(p)
+        if tables is None:
+            tables = self._name_index[p] = _name_tables(self._names(p))
+        exact, bare = tables
         text = text.strip()
         i = exact.get(text)
         if i is None:
@@ -165,6 +172,13 @@ class GradedPoset:
         if i is None or i == _AMBIGUOUS:
             raise ValueError(f"cannot resolve element {text!r} at level {rank}")
         return self.levels[p][i]
+
+    def _names(self, p: int) -> tuple[str, ...]:
+        """Names of the elements of level position p, formatted on first use."""
+        names = self._level_names.get(p)
+        if names is None:
+            names = self._level_names[p] = tuple(map(format_poset_element, self.levels[p]))
+        return names
 
     # -- degrees and shadows --------------------------------------------------
 
@@ -203,13 +217,14 @@ class GradedPoset:
         return {level[i] for i in self.down_closure(p, indices, p - 1)}
 
     def upper_shadow(self, rank: int, elements) -> set:
-        """Set of elements one level up covering some element of the input."""
+        """Set of elements one level up covering some element of the input,
+        found in one scan of the pair's down-adjacencies."""
         p = self.position(rank)
         indices = {self.index_of(rank, x) for x in elements}
         if p == len(self.levels) - 1:
             return set()
-        level, up = self.levels[p + 1], self._up[p]
-        return {level[hi] for i in indices for hi in up[i]}
+        level = self.levels[p + 1]
+        return {level[hi] for hi, lows in enumerate(self._down[p]) if not indices.isdisjoint(lows)}
 
     # -- order ----------------------------------------------------------------
 
@@ -228,15 +243,15 @@ class GradedPoset:
             up_totals = [1] * len(self.levels[hi])
             for q in range(hi - 1, lo - 1, -1):
                 below = [0] * len(self.levels[q])
-                for (a, b), mult in self.covers[q].items():
-                    below[a] += mult * up_totals[b]
+                for b, lows in enumerate(self._down[q]):
+                    for a, mult in lows.items():
+                        below[a] += mult * up_totals[b]
                 up_totals = below
             down_totals = [1] * len(self.levels[lo])
             for q in range(lo, hi):
-                above = [0] * len(self.levels[q + 1])
-                for (a, b), mult in self.covers[q].items():
-                    above[b] += mult * down_totals[a]
-                down_totals = above
+                down_totals = [
+                    sum(mult * down_totals[a] for a, mult in lows.items()) for lows in self._down[q]
+                ]
             report = LevelPairRegularity(
                 lower_rank=self.rank_of_position(lo),
                 upper_rank=self.rank_of_position(hi),
@@ -297,32 +312,30 @@ class GradedPoset:
                 "export a smaller instance or raise max_vertices"
             )
         lines = ["digraph hasse {", "  rankdir=BT;"]
-        for p, level in enumerate(self.levels):
-            nodes = "; ".join(
-                f'n{p}_{i} [label="{format_poset_element(x)}"]' for i, x in enumerate(level)
-            )
+        for p in range(len(self.levels)):
+            nodes = "; ".join(f'n{p}_{i} [label="{name}"]' for i, name in enumerate(self._names(p)))
             lines.append("  { rank=same; " + nodes + "; }")
-        for p, cov in enumerate(self.covers):
-            for (lo, hi) in sorted(cov):
-                mult = cov[(lo, hi)]
-                suffix = f' [label="{mult}"]' if mult > 1 else ""
-                lines.append(f"  n{p}_{lo} -> n{p + 1}_{hi}{suffix};")
+        for p, lo, hi, mult in self._edges():
+            suffix = f' [label="{mult}"]' if mult > 1 else ""
+            lines.append(f"  n{p}_{lo} -> n{p + 1}_{hi}{suffix};")
         lines.append("}")
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
         """Compact interchange form: element strings per level, edge triples."""
-        names = [[format_poset_element(x) for x in level] for level in self.levels]
-        edges = []
-        for p, cov in enumerate(self.covers):
-            for (lo, hi) in sorted(cov):
-                edges.append([names[p][lo], names[p + 1][hi], cov[(lo, hi)]])
+        names = [self._names(p) for p in range(len(self.levels))]
+        edges = [[names[p][lo], names[p + 1][hi], mult] for p, lo, hi, mult in self._edges()]
         return {
             "family": self.family,
             "first_rank": self.first_rank,
-            "levels": names,
+            "levels": [list(level_names) for level_names in names],
             "edges": edges,
         }
+
+    def _edges(self) -> list[tuple[int, int, int, int]]:
+        """Every edge as (lower position, lower index, upper index, multiplicity), sorted."""
+        return sorted((p, lo, hi, mult) for p, down in enumerate(self._down)
+                      for hi, lows in enumerate(down) for lo, mult in lows.items())
 
     def __repr__(self):
         sizes = ",".join(str(len(level)) for level in self.levels)
@@ -394,10 +407,6 @@ def lower_shadow(poset: GradedPoset, rank: int, elements) -> set:
 
 def upper_shadow(poset: GradedPoset, rank: int, elements) -> set:
     return poset.upper_shadow(rank, elements)
-
-
-def is_weakly_connected_pair(poset: GradedPoset, rank: int) -> bool:
-    return poset.is_weakly_connected_pair(rank)
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,38 @@ def test_constants_from_params(capsys):
     assert code == 0 and out.strip() == "P_full = 1/1"
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        ("--params", "1"),
+        ("--r", "5"),
+        ("--params", "1", "--r", "5"),
+        ("--k", "3"),
+        ("--kind", "full"),
+    ],
+)
+def test_constants_code_file_excludes_raw_options(tmp_path, capsys, options):
+    path = write_code(tmp_path, {"codomain": {"kind": "string", "r": 3}, "codewords": ["0", "1", "20"]})
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", path, *options])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ("--r", "2", "--k", "3"),
+        ("--r", "2", "--k", "3", "--kind", "full"),
+        ("--r", "2", "--kind", "partial"),
+        ("--kind", "full"),
+    ],
+)
+def test_constants_conflicting_raw_options(capsys, options):
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--params", "0,1", *options])
+    assert exc.value.code == 2
+
+
 def test_constants_from_code_file(tmp_path, capsys):
     path = write_code(tmp_path, {"codomain": {"kind": "partial_perm", "k": 3}, "codewords": ["1", "2", "12", "21"]})
     code, out, _ = run(capsys, "constants", path)
@@ -149,6 +181,12 @@ def test_hasse_vertex_cap(capsys):
     code, out, err = run(capsys, "hasse", "--subsets", "--n", "8", "--max-vertices", "10")
     assert code == 3
     assert "cap" in err
+
+
+def test_hasse_negative_vertex_cap_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["hasse", "--subsets", "--n", "2", "--max-vertices", "-1"])
+    assert exc.value.code == 2
 
 
 def test_poset_selector_usage_errors(capsys):
@@ -303,6 +341,21 @@ def test_antichain_search_budget_exit(capsys, monkeypatch):
     )
     assert code == 3
     assert "budget" in err or "assignments" in err
+
+
+def test_negative_budget_is_usage_error(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "antichain-search", "--str", "--r", "2", "--relation", "substring",
+            "--max-level", "2", "--counts", "0,1,2", "--budget", "-1",
+        ])
+    assert exc.value.code == 2
+    monkeypatch.setenv("POSET_KRAFT_BUDGET", "-4")
+    code, _, err = run(
+        capsys, "counterexample", "--str", "--r", "2", "--relation", "subsequence",
+        "--max-level", "2", "--level", "1",
+    )
+    assert code == 2 and "budget" in err
 
 
 def test_budget_flag_overrides_env(capsys, monkeypatch):

@@ -375,6 +375,12 @@ def test_search_respects_counts_and_validates():
         antichain_exists(P, (-1,))
     with pytest.raises(ValueError):
         antichain_exists(P, [0, 1.7, 0, 0])  # never truncated to a count of 1
+    with pytest.raises(ValueError):
+        antichain_exists(P, [0, True, 0, 0])  # a bool is not a count of 1
+    with pytest.raises(ValueError):
+        codes.ParameterSequence((0, True))
+    with pytest.raises(ValueError):
+        antichain_exists(P, (0, 1, 0, 0), budget=-1)
 
 
 def test_search_multi_level_backtracking():

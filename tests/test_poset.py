@@ -1,4 +1,6 @@
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
@@ -294,6 +296,24 @@ EXACT_COVER_CASES = (
 )
 def test_cover_maps_match_order_definitions(host, multiplicity):
     assert list(host.covers) == defined_covers(host, multiplicity)
+    # the derived covers rebuild the same poset, edge order included
+    clone = GradedPoset(host.levels, host.covers, host.family, host.first_rank)
+    assert clone.to_json_dict() == host.to_json_dict()
+    assert clone.to_dot() == host.to_dot()
+    assert [list(c.items()) for c in clone.covers] == [list(c.items()) for c in host.covers]
+
+
+def test_covers_is_a_fresh_view():
+    P, fresh = build_subset_poset(2), build_subset_poset(2)
+    covers = P.covers
+    covers[0][(0, 0)] = 5
+    del covers[1][(0, 0)]
+    assert P.covers == fresh.covers
+    assert P.pair_regularity(0) == fresh.pair_regularity(0)
+    assert P.to_json_dict() == fresh.to_json_dict()
+    assert P.down_closure(2, {0}, 1) == {0, 1}
+    with pytest.raises(AttributeError):
+        P.covers = covers
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +354,18 @@ def test_shadow_round_trip_contains_start():
             for x in P.level(rank):
                 up = P.upper_shadow(rank, [x])
                 assert x in P.lower_shadow(rank + 1, up)
+
+
+def test_upper_shadow_matches_covers():
+    rng = random.Random(6)
+    for P in ALL_FAMILY_INSTANCES:
+        covers = P.covers + ({},)  # nothing lies above the top level
+        for p, level in enumerate(P.levels):
+            for _ in range(3):
+                chosen = set(rng.sample(range(len(level)), rng.randint(0, len(level))))
+                expected = {P.levels[p + 1][hi] for lo, hi in covers[p] if lo in chosen}
+                shadow = P.upper_shadow(P.rank_of_position(p), [level[i] for i in chosen])
+                assert shadow == expected, (P, p, chosen)
 
 
 def test_shadow_rejects_foreign_and_mixed_level_input():
@@ -437,6 +469,23 @@ def test_format_poset_element():
     assert format_poset_element(PartialPermutation((1,), 2)) == "1@2"
     assert format_poset_element(PartialPermutation((1, 2), 2)) == "12"
     assert format_poset_element(Str((0, 1), 2)) == "01"
+
+
+def test_element_names_formatted_once_per_poset(monkeypatch):
+    P = build_partial_perm_poset(3, "subsequence")
+    calls = []
+
+    def counting_format(x):
+        calls.append(x)
+        return format_poset_element(x)
+
+    monkeypatch.setattr(poset, "format_poset_element", counting_format)
+    for _ in range(2):
+        P.to_json_dict()
+        P.to_dot()
+        assert P.resolve_element(1, "1") == PartialPermutation((1,), 3)
+        assert P.resolve_element(3, "231") == PartialPermutation((2, 3, 1), 3)
+    assert Counter(calls) == Counter(x for level in P.levels for x in level)
 
 
 def test_resolve_element_exact_then_bare_and_unique():
