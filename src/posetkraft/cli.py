@@ -138,15 +138,6 @@ def _cmd_check_free(args, parser) -> int:
     return EXIT_OK if result else EXIT_FAIL
 
 
-def _constant(kind: str, size: int, params) -> tuple[str, Fraction]:
-    """Label and value of the code constant for a codomain kind and size."""
-    if kind == "string":
-        return "K", codes.kraft_number(params, size)
-    if kind == "partial_perm":
-        return "P_partial", codes.partial_perm_constant(params, size)
-    return "P_full", codes.full_perm_constant(params, size)
-
-
 def _cmd_constants(args, parser) -> int:
     if args.codefile:
         if any(v is not None for v in (args.params, args.r, args.k, args.kind)):
@@ -169,11 +160,12 @@ def _cmd_constants(args, parser) -> int:
             size = args.k
         else:
             parser.error("--params needs --r (strings) or --k (permutations)")
-    label, value = _constant(kind, size, params)
+    codomain = codes.CODOMAINS[kind]
+    value = codomain.constant(params, size)
     if args.json:
-        print(json.dumps({label: _fmt_fraction(value)}))
+        print(json.dumps({codomain.label: _fmt_fraction(value)}))
     else:
-        print(f"{label} = {_fmt_fraction(value, args.decimal)}")
+        print(f"{codomain.label} = {_fmt_fraction(value, args.decimal)}")
     return EXIT_OK
 
 
@@ -339,11 +331,7 @@ def _cmd_counterexample(args, parser) -> int:
         else:
             print(f"rejected: {outcome.reason}")
         return EXIT_FAIL
-    try:
-        search = lym.antichain_exists(host, outcome.counts, budget=_search_budget(args))
-    except lym.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    search = lym.antichain_exists(host, outcome.counts, budget=_search_budget(args))
     params_by_rank = outcome.counts.by_rank(host)
     if args.json:
         payload = {
@@ -381,9 +369,6 @@ def _cmd_antichain_search(args, parser) -> int:
         outcome = lym.antichain_exists(host, counts, budget=_search_budget(args))
     except ValueError as exc:
         parser.error(str(exc))
-    except lym.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     print(json.dumps(outcome.to_json_dict()))
     return EXIT_OK if outcome.exists else EXIT_FAIL
 
@@ -489,6 +474,9 @@ def main(argv=None) -> int:
         # malformed files, unresolvable elements, relation/codomain mismatches
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except lym.BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -4,7 +4,10 @@ A code is an injective assignment of codewords to source symbols 1..n; only
 the codeword list is stored.  Three codomains are supported: strings over a
 digit alphabet of size r, partial permutations over [1..k], and full
 permutations of every size up to k (the codomain where the pattern relations
-make sense).
+make sense).  ``CODOMAINS`` is the one table of them, keyed by codomain
+kind: the size key of the JSON form, the codeword parser and membership
+test, the orders freeness is decided under, and the label and function of
+the code constant.  The orders themselves live in ``perm.ORDERS``.
 
 All length-density constants (Kraft number and the two permutation
 constants) are exact rationals; no floating point is ever compared against 1.
@@ -17,23 +20,20 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .perm import (
+    CODE_RELATIONS,
+    ORDERS,
+    STRING_RELATIONS,
     PartialPermutation,
     Str,
+    are_ints,
     format_element,
-    is_pattern_in,
-    is_prefix,
-    is_subsequence,
-    is_substring,
-    is_substring_pattern_in,
     parse_partial_permutation,
     parse_str,
     symbols_of,
 )
-
-CODE_RELATIONS = ("prefix", "subsequence", "substring", "pattern", "substring_pattern")
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,9 @@ class Codomain:
     size: int
 
     def __post_init__(self):
-        if self.kind not in ("string", "partial_perm", "perm_pattern"):
+        if not isinstance(self.kind, str) or self.kind not in CODOMAINS:
             raise ValueError(f"unknown codomain kind {self.kind!r}")
-        if not isinstance(self.size, int) or self.size < 1:
+        if not are_ints((self.size,)) or self.size < 1:
             raise ValueError("codomain size must be an integer >= 1")
 
 
@@ -61,62 +61,55 @@ class Code:
         object.__setattr__(self, "codewords", tuple(self.codewords))
         if len(set(self.codewords)) != len(self.codewords):
             raise ValueError("codewords must be distinct (codes are injective)")
-        kind, size = self.codomain.kind, self.codomain.size
+        kind, size = CODOMAINS[self.codomain.kind], self.codomain.size
         for w in self.codewords:
-            if kind == "string":
-                if not isinstance(w, Str) or w.universe != size:
-                    raise ValueError(f"{w!r} is not a string over a {size}-digit alphabet")
-            elif kind == "partial_perm":
-                if not isinstance(w, PartialPermutation) or w.universe != size:
-                    raise ValueError(f"{w!r} is not a partial permutation over [1..{size}]")
-            else:  # perm_pattern: full permutations of any size up to k
-                if (
-                    not isinstance(w, PartialPermutation)
-                    or not w.is_full_permutation
-                    or len(w) > size
-                ):
-                    raise ValueError(f"{w!r} is not a full permutation of size <= {size}")
+            if not kind.holds(w, size):
+                raise ValueError(f"{w!r} is not {kind.members.format(size)}")
 
     def __len__(self) -> int:
         return len(self.codewords)
 
     @classmethod
     def of_strings(cls, r: int, texts: Sequence[str]) -> "Code":
-        return cls(Codomain("string", r), tuple(parse_str(t, r) for t in texts))
+        return _parse_code(Codomain("string", r), texts)
 
     @classmethod
     def of_partial_perms(cls, k: int, texts: Sequence[str]) -> "Code":
-        return cls(Codomain("partial_perm", k), tuple(parse_partial_permutation(t, k) for t in texts))
+        return _parse_code(Codomain("partial_perm", k), texts)
 
     @classmethod
     def of_full_perms(cls, k: int, texts: Sequence[str]) -> "Code":
-        return cls(Codomain("perm_pattern", k), tuple(parse_partial_permutation(t) for t in texts))
+        return _parse_code(Codomain("perm_pattern", k), texts)
+
+
+def _parse_code(codomain: Codomain, texts: Sequence[str]) -> Code:
+    return Code(codomain, tuple(CODOMAINS[codomain.kind].parse(t, codomain.size) for t in texts))
 
 
 def code_to_json_dict(code: Code) -> dict:
     dom = code.codomain
-    if dom.kind == "string":
-        dom_json = {"kind": "string", "r": dom.size}
-    else:
-        dom_json = {"kind": dom.kind, "k": dom.size}
+    dom_json = {"kind": dom.kind, CODOMAINS[dom.kind].size_key: dom.size}
     return {"codomain": dom_json, "codewords": [format_element(w) for w in code.codewords]}
+
+
+def _required(obj: dict, key: str, where: str):
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r} key")
+    return obj[key]
 
 
 def code_from_json_dict(data: dict) -> Code:
     if not isinstance(data, dict) or not isinstance(data.get("codomain"), dict):
         raise ValueError('a code file holds {"codomain": {...}, "codewords": [...]}')
     dom = data["codomain"]
-    kind = dom["kind"]
-    texts = data["codewords"]
+    kind = _required(dom, "kind", "codomain")
+    if not isinstance(kind, str) or kind not in CODOMAINS:
+        raise ValueError(f"unknown codomain kind {kind!r}")
+    size = _required(dom, CODOMAINS[kind].size_key, "codomain")
+    texts = _required(data, "codewords", "code file")
     if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
         raise ValueError("codewords must be a list of element strings")
-    if kind == "string":
-        return Code.of_strings(dom["r"], texts)
-    if kind == "partial_perm":
-        return Code.of_partial_perms(dom["k"], texts)
-    if kind == "perm_pattern":
-        return Code.of_full_perms(dom["k"], texts)
-    raise ValueError(f"unknown codomain kind {kind!r}")
+    return _parse_code(Codomain(kind, size), texts)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +123,7 @@ class ParameterSequence:
 
     def __post_init__(self):
         counts = tuple(self.counts)
-        if any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in counts):
+        if not are_ints(counts) or any(c < 0 for c in counts):
             raise ValueError("parameter counts must be non-negative integers")
         while counts and counts[-1] == 0:
             counts = counts[:-1]
@@ -195,6 +188,39 @@ def full_perm_constant(params, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# The codomain table
+
+class CodomainKind(NamedTuple):
+    """Everything that differs between the codomain kinds."""
+
+    size_key: str  # "r" or "k" in the JSON form
+    parse: Callable  # (codeword text, size) -> codeword
+    holds: Callable  # (codeword, size) -> membership
+    members: str  # what the members are, formatted with the size
+    orders: tuple[str, ...]  # the orders is_free accepts
+    label: str  # the code constant's label
+    constant: Callable  # (parameters, size) -> the code constant
+
+
+CODOMAINS = {
+    "string": CodomainKind(
+        "r", parse_str, lambda w, r: isinstance(w, Str) and w.universe == r,
+        "a string over a {}-digit alphabet", STRING_RELATIONS, "K", kraft_number,
+    ),
+    "partial_perm": CodomainKind(
+        "k", parse_partial_permutation,
+        lambda w, k: isinstance(w, PartialPermutation) and w.universe == k,
+        "a partial permutation over [1..{}]", STRING_RELATIONS, "P_partial", partial_perm_constant,
+    ),
+    "perm_pattern": CodomainKind(
+        "k", lambda text, k: parse_partial_permutation(text),
+        lambda w, k: isinstance(w, PartialPermutation) and w.is_full_permutation and len(w) <= k,
+        "a full permutation of size <= {}", CODE_RELATIONS, "P_full", full_perm_constant,
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
 # Freeness
 
 @dataclass(frozen=True)
@@ -206,40 +232,13 @@ class FreenessResult:
         return self.free
 
 
-_SYMBOL_RELATIONS = {
-    "prefix": is_prefix,
-    "subsequence": is_subsequence,
-    "substring": is_substring,
-}
-
-_PATTERN_RELATIONS = {
-    "pattern": is_pattern_in,
-    "substring_pattern": is_substring_pattern_in,
-}
-
-
-def _comparable_views(code: Code, relation: str):
-    """Codewords as objects the chosen relation can compare pairwise."""
-    kind, size = code.codomain.kind, code.codomain.size
-    if relation in _PATTERN_RELATIONS:
-        if kind != "perm_pattern":
-            raise ValueError(f"relation {relation!r} needs a perm_pattern codomain, not {kind!r}")
-        return code.codewords
-    if relation not in _SYMBOL_RELATIONS:
-        raise ValueError(f"unknown relation {relation!r}")
-    if kind == "perm_pattern":
-        # codewords have different universes; the symbol relations apply to
-        # them viewed as strings over [1..k] (alphabet padded by one so the
-        # 1-based entries fit the digit string type)
-        return tuple(Str(w.entries, size + 1) for w in code.codewords)
-    return code.codewords
-
-
 def is_free(code: Code, relation: str) -> FreenessResult:
     """True iff no codeword sits inside a different codeword under the relation.
 
-    On failure the witness pair is (inner, outer) for the least offending
-    (inner index, outer index) pair in codeword order.
+    Codewords compare as symbol tuples under the order's ``perm.ORDERS``
+    test, so full permutations of any sizes compare as words over [1..k]
+    under the symbol orders.  On failure the witness pair is (inner, outer)
+    for the least offending (inner index, outer index) pair in codeword order.
 
     Under all five orders a word sits only inside words at least as long,
     and inside one of the same length only when the two are equal; codewords
@@ -251,14 +250,19 @@ def is_free(code: Code, relation: str) -> FreenessResult:
     code.  Subsequence and the pattern orders test each pair of a shorter
     and a longer word, at most n^2 pair tests.
     """
-    views = _comparable_views(code, relation)
-    lengths = [len(v) for v in views]
+    kind = code.codomain.kind
+    if relation not in ORDERS:
+        raise ValueError(f"unknown relation {relation!r}")
+    if relation not in CODOMAINS[kind].orders:
+        homes = " or ".join(name for name, c in CODOMAINS.items() if relation in c.orders)
+        raise ValueError(f"relation {relation!r} needs a {homes} codomain, not {kind!r}")
+    words = [symbols_of(w) for w in code.codewords]
+    lengths = [len(w) for w in words]
     witness = None
     if relation in ("prefix", "substring"):
-        index = {symbols_of(v): i for i, v in enumerate(views)}
+        index = {w: i for i, w in enumerate(words)}
         shorter = sorted(set(lengths))
-        for j, v in enumerate(views):
-            outer = symbols_of(v)
+        for j, outer in enumerate(words):
             for m in shorter:
                 if m >= len(outer):
                     break
@@ -268,10 +272,10 @@ def is_free(code: Code, relation: str) -> FreenessResult:
                     if i is not None and (witness is None or (i, j) < witness):
                         witness = (i, j)
     else:
-        rel = _PATTERN_RELATIONS.get(relation) or _SYMBOL_RELATIONS[relation]
+        contains = ORDERS[relation].contains
         longer = {m: [j for j, l in enumerate(lengths) if l > m] for m in set(lengths)}
         witness = next(
-            ((i, j) for i, a in enumerate(views) for j in longer[lengths[i]] if rel(a, views[j])),
+            ((i, j) for i, a in enumerate(words) for j in longer[lengths[i]] if contains(a, words[j])),
             None,
         )
     if witness is None:

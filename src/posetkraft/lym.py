@@ -19,7 +19,7 @@ from random import Random
 from typing import Iterable, Mapping
 
 from .codes import Code, Codomain, as_parameter_sequence
-from .perm import Str
+from .perm import Str, are_ints
 from .poset import GradedPoset, format_poset_element
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -183,7 +183,7 @@ class LevelCounts:
 
     def __post_init__(self):
         counts = tuple(self.counts)
-        if any(not isinstance(c, int) or isinstance(c, bool) or c < 0 for c in counts):
+        if not are_ints(counts) or any(c < 0 for c in counts):
             raise ValueError("level counts must be non-negative integers")
         object.__setattr__(self, "counts", counts)
 
@@ -468,7 +468,7 @@ def antichain_from_json_dict(poset: GradedPoset, data: dict) -> Antichain:
         if not (
             isinstance(entry, list)
             and len(entry) == 2
-            and isinstance(entry[0], int)
+            and are_ints(entry[:1])
             and isinstance(entry[1], str)
         ):
             raise ValueError(f"antichain entries must be [level, element] pairs, not {entry!r}")

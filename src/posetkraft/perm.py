@@ -9,13 +9,25 @@ objects, and the symbol-comparing relations refuse to mix universes.
 Five relations are provided: prefix, subsequence, substring (these compare
 symbols and require equal universes) and pattern / substring-pattern (these
 compare relative order only, so the left side must be a full permutation).
+``ORDERS`` is the one table of them: it maps each order's name to its
+containment test on symbol tuples and, for a pattern order, to the symbol
+order whose sub-words it compares by relative order.  The predicates below, the poset
+builders and ``codes.is_free`` all read it; ``CODE_RELATIONS`` lists its
+names, ``STRING_RELATIONS`` and ``PATTERN_RELATIONS`` the two halves.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
+
+
+def are_ints(values) -> bool:
+    """True when every value is a plain ``int`` (no ``bool``, float or
+    string): the one check for the sizes, counts, ranks and multiplicities
+    a caller or a file supplies.  It runs at C speed over many values."""
+    return set(map(type, values)) <= {int}
 
 
 @dataclass(frozen=True)
@@ -80,13 +92,6 @@ def symbols_of(x: Element) -> tuple[int, ...]:
     return x.symbols if isinstance(x, Str) else x.entries
 
 
-def _check_same_kind(t: Element, u: Element) -> None:
-    if type(t) is not type(u):
-        raise TypeError(f"cannot relate {type(t).__name__} to {type(u).__name__}")
-    if t.universe != u.universe:
-        raise ValueError(f"universe mismatch: {t.universe} vs {u.universe}")
-
-
 def pattern_of(tau: PartialPermutation) -> PartialPermutation:
     """The full permutation recording the relative order of tau's entries.
 
@@ -96,31 +101,6 @@ def pattern_of(tau: PartialPermutation) -> PartialPermutation:
     return PartialPermutation(order_pattern(tau.entries), len(tau.entries))
 
 
-def is_prefix(t: Element, u: Element, proper: bool = False) -> bool:
-    """True iff u = t followed by a suffix (required nonempty when proper)."""
-    _check_same_kind(t, u)
-    ts, us = symbols_of(t), symbols_of(u)
-    if proper and len(ts) == len(us):
-        return False
-    return len(ts) <= len(us) and us[: len(ts)] == ts
-
-
-def is_subsequence(sigma: Element, tau: Element) -> bool:
-    """True iff sigma's symbols appear in tau in order, not necessarily adjacent."""
-    _check_same_kind(sigma, tau)
-    ss, ts = symbols_of(sigma), symbols_of(tau)
-    it = iter(ts)  # each membership test consumes tau up to the match
-    return all(s in it for s in ss)
-
-
-def is_substring(sigma: Element, tau: Element) -> bool:
-    """True iff sigma occurs in tau as a consecutive block."""
-    _check_same_kind(sigma, tau)
-    ss, ts = symbols_of(sigma), symbols_of(tau)
-    m, l = len(ss), len(ts)
-    return any(ts[n : n + m] == ss for n in range(l - m + 1))
-
-
 def order_pattern(seq: Sequence[int]) -> tuple[int, ...]:
     """The ranks of seq's distinct entries among themselves, in seq's order:
     ``order_pattern((5, 2, 7)) == (2, 1, 3)``."""
@@ -128,9 +108,68 @@ def order_pattern(seq: Sequence[int]) -> tuple[int, ...]:
     return tuple(order.index(e) + 1 for e in seq)
 
 
-def _require_full_permutation(sigma: PartialPermutation) -> None:
+# ---------------------------------------------------------------------------
+# The order table.  Each test takes the inner, then the outer symbol tuple;
+# a pattern order compares the relative orders of its base order's sub-words.
+
+def _blocks(ts: tuple, m: int):
+    return (ts[n : n + m] for n in range(len(ts) - m + 1))
+
+
+def _subsequence_in(ss: tuple, ts: tuple) -> bool:
+    it = iter(ts)  # each membership test consumes ts up to the match
+    return all(s in it for s in ss)
+
+
+class Order(NamedTuple):
+    """An order's test on (inner, outer) symbol tuples; a pattern order's base."""
+
+    contains: Callable[[tuple, tuple], bool]
+    base: str | None = None
+
+
+ORDERS = {
+    "prefix": Order(lambda ss, ts: ts[: len(ss)] == ss),
+    "subsequence": Order(_subsequence_in),
+    "substring": Order(lambda ss, ts: ss in _blocks(ts, len(ss))),
+    "pattern": Order(
+        lambda ss, ts: ss in map(order_pattern, itertools.combinations(ts, len(ss))), "subsequence"),
+    "substring_pattern": Order(lambda ss, ts: ss in map(order_pattern, _blocks(ts, len(ss))), "substring"),
+}
+CODE_RELATIONS = tuple(ORDERS)
+STRING_RELATIONS = tuple(name for name, o in ORDERS.items() if o.base is None)
+PATTERN_RELATIONS = tuple(name for name, o in ORDERS.items() if o.base is not None)
+
+
+def _related(relation: str, t: Element, u: Element) -> bool:
+    """A symbol order's test, on two elements of one type and universe."""
+    if type(t) is not type(u):
+        raise TypeError(f"cannot relate {type(t).__name__} to {type(u).__name__}")
+    if t.universe != u.universe:
+        raise ValueError(f"universe mismatch: {t.universe} vs {u.universe}")
+    return ORDERS[relation].contains(symbols_of(t), symbols_of(u))
+
+
+def is_prefix(t: Element, u: Element, proper: bool = False) -> bool:
+    """True iff u = t followed by a suffix (required nonempty when proper)."""
+    return _related("prefix", t, u) and not (proper and len(t) == len(u))
+
+
+def is_subsequence(sigma: Element, tau: Element) -> bool:
+    """True iff sigma's symbols appear in tau in order, not necessarily adjacent."""
+    return _related("subsequence", sigma, tau)
+
+
+def is_substring(sigma: Element, tau: Element) -> bool:
+    """True iff sigma occurs in tau as a consecutive block."""
+    return _related("substring", sigma, tau)
+
+
+def _contains_pattern(relation: str, sigma: PartialPermutation, tau: PartialPermutation) -> bool:
+    """A pattern order's test; sigma must be a full permutation."""
     if not isinstance(sigma, PartialPermutation) or not sigma.is_full_permutation:
         raise ValueError(f"{sigma} is not a full permutation")
+    return len(sigma) <= len(tau) and ORDERS[relation].contains(sigma.entries, tau.entries)
 
 
 def is_pattern_in(sigma: PartialPermutation, tau: PartialPermutation) -> bool:
@@ -139,28 +178,12 @@ def is_pattern_in(sigma: PartialPermutation, tau: PartialPermutation) -> bool:
     sigma must be a full permutation; universes need not match since only
     relative order is compared.
     """
-    _require_full_permutation(sigma)
-    m = len(sigma)
-    if m > len(tau):
-        return False
-    target = sigma.entries
-    return any(
-        order_pattern(sub) == target
-        for sub in itertools.combinations(tau.entries, m)
-    )
+    return _contains_pattern("pattern", sigma, tau)
 
 
 def is_substring_pattern_in(sigma: PartialPermutation, tau: PartialPermutation) -> bool:
     """True iff sigma is the relative order of some consecutive block of tau."""
-    _require_full_permutation(sigma)
-    m = len(sigma)
-    if m > len(tau):
-        return False
-    target = sigma.entries
-    return any(
-        order_pattern(tau.entries[n : n + m]) == target
-        for n in range(len(tau) - m + 1)
-    )
+    return _contains_pattern("substring_pattern", sigma, tau)
 
 
 # ---------------------------------------------------------------------------

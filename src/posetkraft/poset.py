@@ -26,7 +26,12 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .perm import (
+    ORDERS,
+    PATTERN_RELATIONS,
+    STRING_RELATIONS,
     PartialPermutation,
+    Str,
+    are_ints,
     format_element,
     full_permutations,
     order_pattern,
@@ -35,20 +40,20 @@ from .perm import (
     symbols_of,
 )
 
-STRING_RELATIONS = ("prefix", "subsequence", "substring")
-PATTERN_RELATIONS = ("pattern", "substring_pattern")
-
 
 def format_poset_element(x) -> str:
     """Render a poset element; partial permutations carry their universe when
-    it is not implied by their length, subsets use set syntax."""
+    it is not implied by their length, subsets use set syntax, and elements
+    of any other type (those of custom posets) print as ``str(x)``."""
     if isinstance(x, frozenset):
         if not x:
             return "∅"
         return "{" + ",".join(str(v) for v in sorted(x)) + "}"
     if isinstance(x, PartialPermutation):
         return format_element(x, with_universe=len(x) != x.universe)
-    return format_element(x)
+    if isinstance(x, Str):
+        return format_element(x)
+    return str(x)
 
 
 _AMBIGUOUS = -1  # name-table entry for a name that several elements share
@@ -102,8 +107,12 @@ class GradedPoset:
         self._down = []
         for p, cov in enumerate(covers):
             down = [{} for _ in self.levels[p + 1]]
-            for (lo, hi), mult in dict(cov).items():
-                if not (0 <= lo < len(self.levels[p]) and 0 <= hi < len(self.levels[p + 1])):
+            cov = dict(cov)
+            if not are_ints(cov.values()):
+                raise ValueError("edge multiplicities must be integers")
+            n_lo, n_hi = len(self.levels[p]), len(down)
+            for (lo, hi), mult in cov.items():
+                if not (0 <= lo < n_lo and 0 <= hi < n_hi):
                     raise ValueError(f"edge ({lo}, {hi}) out of range between levels {p} and {p + 1}")
                 if mult < 1:
                     raise ValueError("edge multiplicities must be >= 1")
@@ -493,7 +502,7 @@ def build_pattern_poset(k: int, relation: str) -> GradedPoset:
         raise ValueError("need k >= 1")
     if relation not in PATTERN_RELATIONS:
         raise ValueError(f"relation must be one of {PATTERN_RELATIONS}")
-    base = "subsequence" if relation == "pattern" else "substring"
+    base = ORDERS[relation].base
     perms = full_permutations(1)
     levels, covers = [perms], []
     for l in range(1, k):

@@ -254,6 +254,9 @@ def test_input_errors_exit_as_usage_errors(tmp_path, capsys):
         (["lym", "--subsets", "--n", "2", "--antichain", "INPUT"], {"antichain": [1]}),
         (["lym", "--subsets", "--n", "2", "--antichain", "INPUT"], [[1, "{1}"]]),
         (["local-lym", "--subsets", "--n", "2", "--level", "1", "--set", "INPUT"], [1]),
+        (["constants", "INPUT"], {"codomain": {"kind": "string", "r": True}, "codewords": ["0"]}),
+        (["constants", "INPUT"], {"codomain": {"kind": "partial_perm", "k": True}, "codewords": ["1"]}),
+        (["lym", "--subsets", "--n", "2", "--antichain", "INPUT"], {"antichain": [[True, "{1}"]]}),
     ],
 )
 def test_malformed_json_exits_as_usage_error(tmp_path, capsys, argv, payload):

@@ -47,6 +47,9 @@ def test_code_rejects_duplicates_and_foreign_words():
         Code(Codomain("perm_pattern", 3), (PartialPermutation((1, 3), 3),))
     with pytest.raises(ValueError):
         Codomain("word", 2)
+    for kind in ("string", "partial_perm", "perm_pattern"):
+        with pytest.raises(ValueError, match="integer"):
+            Codomain(kind, True)
 
 
 def test_code_json_round_trip():
@@ -60,6 +63,20 @@ def test_code_json_round_trip():
         assert code_from_json_dict(json.loads(json.dumps(data))) == code
     data = code_to_json_dict(scode("0", "10", "11"))
     assert data == {"codomain": {"kind": "string", "r": 2}, "codewords": ["0", "10", "11"]}
+
+
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"codomain": {"kind": "string"}, "codewords": ["0"]}, "'r'"),
+        ({"codomain": {"kind": "perm_pattern", "r": 2}, "codewords": ["1"]}, "'k'"),
+        ({"codomain": {"r": 2}, "codewords": ["0"]}, "'kind'"),
+        ({"codomain": {"kind": "string", "r": 2}}, "'codewords'"),
+    ],
+)
+def test_code_file_missing_key_is_named(data, key):
+    with pytest.raises(ValueError, match=key):
+        code_from_json_dict(data)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from posetkraft import perm
+from posetkraft import codes, perm, poset
+from posetkraft.codes import Code
 from posetkraft.perm import PartialPermutation, Str
 
 
@@ -155,6 +156,41 @@ def test_string_relations_with_repeats():
     assert not perm.is_substring(a, b)
     assert perm.is_prefix(Str((0,), 2), b)
     assert perm.is_subsequence(Str((), 2), b)  # empty string sits inside everything
+
+
+SYMBOL_ORDERS = {"prefix", "subsequence", "substring"}
+PATTERN_ORDERS = {"pattern", "substring_pattern"}
+ENTRY_POINTS = {
+    "is_free on strings": (lambda rel: codes.is_free(Code.of_strings(2, ["0", "01"]), rel), SYMBOL_ORDERS),
+    "is_free on partial perms": (
+        lambda rel: codes.is_free(Code.of_partial_perms(3, ["1", "12"]), rel), SYMBOL_ORDERS),
+    "is_free on full perms": (
+        lambda rel: codes.is_free(Code.of_full_perms(3, ["1", "12"]), rel), SYMBOL_ORDERS | PATTERN_ORDERS),
+    "string poset": (lambda rel: poset.build_string_poset(2, rel, 2), SYMBOL_ORDERS),
+    "partial perm poset": (lambda rel: poset.build_partial_perm_poset(3, rel), SYMBOL_ORDERS),
+    "pattern poset": (lambda rel: poset.build_pattern_poset(3, rel), PATTERN_ORDERS),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "name", sorted(SYMBOL_ORDERS | PATTERN_ORDERS) + ["substring-pattern", "Prefix", "bogus", ""]
+)
+def test_order_names_each_entry_point_accepts(entry, name):
+    call, accepted = ENTRY_POINTS[entry]
+    if name in accepted:
+        call(name)
+    else:
+        with pytest.raises(ValueError):
+            call(name)
+
+
+def test_relation_name_lists_are_the_order_table():
+    assert perm.CODE_RELATIONS == tuple(perm.ORDERS)
+    assert perm.CODE_RELATIONS == ("prefix", "subsequence", "substring", "pattern", "substring_pattern")
+    assert poset.STRING_RELATIONS is perm.STRING_RELATIONS == perm.CODE_RELATIONS[:3]
+    assert poset.PATTERN_RELATIONS is perm.PATTERN_RELATIONS == perm.CODE_RELATIONS[3:]
+    assert codes.CODE_RELATIONS is perm.CODE_RELATIONS
 
 
 # ---------------------------------------------------------------------------

@@ -374,6 +374,8 @@ def test_shadow_rejects_foreign_and_mixed_level_input():
         P.lower_shadow(1, [frozenset({1, 2})])  # element of level 2, not 1
     with pytest.raises(ValueError):
         P.lower_shadow(1, [frozenset({9})])
+    with pytest.raises(ValueError, match="5 is not an element"):
+        P.lower_shadow(1, [5])  # not even a subset
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +471,17 @@ def test_format_poset_element():
     assert format_poset_element(PartialPermutation((1,), 2)) == "1@2"
     assert format_poset_element(PartialPermutation((1, 2), 2)) == "12"
     assert format_poset_element(Str((0, 1), 2)) == "01"
+    assert format_poset_element("a") == "a"
+    assert format_poset_element(5) == "5"
+
+
+def test_custom_poset_exports_and_resolves_names():
+    P = GradedPoset([["a"], ["b", "c"]], [{(0, 0): 1, (0, 1): 1}])
+    data = P.to_json_dict()
+    assert data["levels"] == [["a"], ["b", "c"]]
+    assert data["edges"] == [["a", "b", 1], ["a", "c", 1]]
+    assert P.resolve_element(1, "c") == "c"
+    assert 'n1_1 [label="c"]' in P.to_dot()
 
 
 def test_element_names_formatted_once_per_poset(monkeypatch):
@@ -521,5 +534,8 @@ def test_poset_constructor_validation():
         GradedPoset([["a"], ["b"]], [{(0, 5): 1}])
     with pytest.raises(ValueError):
         GradedPoset([["a"], ["b"]], [{(0, 0): 0}])
+    for mult in (1.5, True):
+        with pytest.raises(ValueError, match="integers"):
+            GradedPoset([["a"], ["b"]], [{(0, 0): mult}])
     with pytest.raises(ValueError):
         GradedPoset([["a"], []], [{}])
