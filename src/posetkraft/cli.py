@@ -59,24 +59,33 @@ def _add_poset_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-level", type=int, help="top string length for --str")
 
 
+# Each family's builder, named so that it is looked up in ``poset`` at call
+# time, and the options it takes, in the builder's argument order.  A family
+# needs all of its options and takes no other family's.
+_FAMILIES = {
+    "str": ("build_string_poset", ("r", "relation", "max_level")),
+    "perm": ("build_partial_perm_poset", ("k", "relation")),
+    "pattern": ("build_pattern_poset", ("k", "relation")),
+    "subsets": ("build_subset_poset", ("n",)),
+}
+
+
+def _flags(dests) -> list[str]:
+    return ["--" + d.replace("_", "-") for d in dests]
+
+
 def _build_poset(args, parser: argparse.ArgumentParser) -> poset.GradedPoset:
-    relation = _normalize_relation(args.relation) if args.relation else None
+    family = next(f for f in _FAMILIES if getattr(args, f))
+    builder, takes = _FAMILIES[family]
+    args.relation = _normalize_relation(args.relation) if args.relation else None
+    if any(getattr(args, d) is None for d in takes):
+        *rest, last = _flags(takes)
+        parser.error(f"--{family} needs {', '.join(rest) + ' and ' if rest else ''}{last}")
+    stray = {d for _, ds in _FAMILIES.values() for d in ds if getattr(args, d) is not None} - set(takes)
+    if stray:
+        parser.error(f"--{family} takes no {', '.join(_flags(sorted(stray)))}")
     try:
-        if args.str:
-            if args.r is None or relation is None or args.max_level is None:
-                parser.error("--str needs --r, --relation and --max-level")
-            return poset.build_string_poset(args.r, relation, args.max_level)
-        if args.perm:
-            if args.k is None or relation is None:
-                parser.error("--perm needs --k and --relation")
-            return poset.build_partial_perm_poset(args.k, relation)
-        if args.pattern:
-            if args.k is None or relation is None:
-                parser.error("--pattern needs --k and --relation")
-            return poset.build_pattern_poset(args.k, relation)
-        if args.n is None:
-            parser.error("--subsets needs --n")
-        return poset.build_subset_poset(args.n)
+        return getattr(poset, builder)(*(getattr(args, d) for d in takes))
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -102,16 +111,18 @@ def _cmd_enumerate(args, parser) -> int:
     if args.str:
         if args.r is None or args.l is None:
             parser.error("--str needs --r and --l")
+        if args.k is not None:
+            parser.error("--str takes no --k")
         elements = perm.enumerate_elements("str", args.r, args.l)
-    elif args.perm:
+    else:
         if args.k is None:
             parser.error("--perm needs --k")
+        if args.r is not None:
+            parser.error("--perm takes no --r")
         try:
             elements = perm.enumerate_elements(args.perm, args.k, args.l)
         except ValueError as exc:
             parser.error(str(exc))
-    else:
-        parser.error("choose --perm T, --perm S or --str")
     for x in elements:
         print(perm.format_element(x))
     print(f"# count: {len(elements)}")

@@ -242,13 +242,14 @@ def is_free(code: Code, relation: str) -> FreenessResult:
 
     Under all five orders a word sits only inside words at least as long,
     and inside one of the same length only when the two are equal; codewords
-    are distinct, so only strictly shorter inner words are tried.  For prefix
-    and substring, each word's prefixes or blocks at the codeword lengths
-    below its own are looked up in one table of the codewords: O(sum of L*D)
-    symbols hashed for prefix and O(sum of L^2*D) for substring, with D
-    distinct codeword lengths, so O(sum of L) for prefix on a fixed-length
-    code.  Subsequence and the pattern orders test each pair of a shorter
-    and a longer word, at most n^2 pair tests.
+    are distinct, so only strictly shorter inner words are tried.  When the
+    order's entry gives ``blocks`` (prefix and substring), each word's blocks
+    at the codeword lengths below its own are looked up in one table of the
+    codewords: O(sum of L*D) symbols hashed for prefix and O(sum of L^2*D)
+    for substring, with D distinct codeword lengths, so O(sum of L) for
+    prefix on a fixed-length code.  The other orders (subsequence and the
+    pattern orders) test each pair of a shorter and a longer word, at most
+    n^2 pair tests.
     """
     kind = code.codomain.kind
     if relation not in ORDERS:
@@ -259,16 +260,16 @@ def is_free(code: Code, relation: str) -> FreenessResult:
     words = [symbols_of(w) for w in code.codewords]
     lengths = [len(w) for w in words]
     witness = None
-    if relation in ("prefix", "substring"):
+    blocks = ORDERS[relation].blocks
+    if blocks:
         index = {w: i for i, w in enumerate(words)}
         shorter = sorted(set(lengths))
         for j, outer in enumerate(words):
             for m in shorter:
                 if m >= len(outer):
                     break
-                offsets = range(1) if relation == "prefix" else range(len(outer) - m + 1)
-                for n in offsets:
-                    i = index.get(outer[n : n + m])
+                for block in blocks(outer, m):
+                    i = index.get(block)
                     if i is not None and (witness is None or (i, j) < witness):
                         witness = (i, j)
     else:

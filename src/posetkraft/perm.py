@@ -10,17 +10,19 @@ Five relations are provided: prefix, subsequence, substring (these compare
 symbols and require equal universes) and pattern / substring-pattern (these
 compare relative order only, so the left side must be a full permutation).
 ``ORDERS`` is the one table of them: it maps each order's name to its
-containment test on symbol tuples and, for a pattern order, to the symbol
-order whose sub-words it compares by relative order.  The predicates below, the poset
-builders and ``codes.is_free`` all read it; ``CODE_RELATIONS`` lists its
-names, ``STRING_RELATIONS`` and ``PATTERN_RELATIONS`` the two halves.
+containment test on symbol tuples; for a symbol order, to its cover step
+(the one-shorter words a word covers) and, for prefix and substring, to the
+blocks that freeness looks up; and for a pattern order, to the symbol order
+whose sub-words it compares by relative order.  The predicates below, the
+poset builders and ``codes.is_free`` all read it; ``CODE_RELATIONS`` lists
+its names, ``STRING_RELATIONS`` and ``PATTERN_RELATIONS`` the two halves.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 
 def are_ints(values) -> bool:
@@ -39,11 +41,11 @@ class Str:
     universe: int
 
     def __post_init__(self):
-        if self.universe < 1:
-            raise ValueError("universe size must be >= 1")
+        if type(self.universe) is not int or self.universe < 1:
+            raise ValueError("universe size must be an integer >= 1")
         object.__setattr__(self, "symbols", tuple(self.symbols))
         for s in self.symbols:
-            if not (isinstance(s, int) and 0 <= s < self.universe):
+            if not (type(s) is int and 0 <= s < self.universe):
                 raise ValueError(f"symbol {s!r} outside 0..{self.universe - 1}")
 
     def __len__(self) -> int:
@@ -61,15 +63,15 @@ class PartialPermutation:
     universe: int
 
     def __post_init__(self):
-        if self.universe < 1:
-            raise ValueError("universe size must be >= 1")
+        if type(self.universe) is not int or self.universe < 1:
+            raise ValueError("universe size must be an integer >= 1")
         object.__setattr__(self, "entries", tuple(self.entries))
         if not self.entries:
             raise ValueError("empty partial permutation")
         if len(set(self.entries)) != len(self.entries):
             raise ValueError(f"entries {self.entries} are not distinct")
         for s in self.entries:
-            if not (isinstance(s, int) and 1 <= s <= self.universe):
+            if not (type(s) is int and 1 <= s <= self.universe):
                 raise ValueError(f"entry {s!r} outside [1, {self.universe}]")
 
     def __len__(self) -> int:
@@ -122,19 +124,26 @@ def _subsequence_in(ss: tuple, ts: tuple) -> bool:
 
 
 class Order(NamedTuple):
-    """An order's test on (inner, outer) symbol tuples; a pattern order's base."""
+    """An order's test on (inner, outer) symbol tuples; for a symbol order,
+    the one-shorter words a word covers (one per deletion, so a repeat is a
+    multiplicity) and, for prefix and substring, the length-m words inside a
+    word, which freeness looks up; for a pattern order, its base order."""
 
     contains: Callable[[tuple, tuple], bool]
+    deletions: Callable[[tuple], Iterable[tuple]] | None = None
+    blocks: Callable[[tuple, int], Iterable[tuple]] | None = None
     base: str | None = None
 
 
 ORDERS = {
-    "prefix": Order(lambda ss, ts: ts[: len(ss)] == ss),
-    "subsequence": Order(_subsequence_in),
-    "substring": Order(lambda ss, ts: ss in _blocks(ts, len(ss))),
-    "pattern": Order(
-        lambda ss, ts: ss in map(order_pattern, itertools.combinations(ts, len(ss))), "subsequence"),
-    "substring_pattern": Order(lambda ss, ts: ss in map(order_pattern, _blocks(ts, len(ss))), "substring"),
+    "prefix": Order(lambda ss, ts: ts[: len(ss)] == ss, lambda ts: (ts[:-1],), lambda ts, m: (ts[:m],)),
+    "subsequence": Order(_subsequence_in, lambda ts: (ts[:p] + ts[p + 1 :] for p in range(len(ts)))),
+    "substring": Order(lambda ss, ts: ss in _blocks(ts, len(ss)),
+                       lambda ts: (ts[1:], ts[:-1]) if len(ts) > 1 else ((),), _blocks),
+    "pattern": Order(lambda ss, ts: ss in map(order_pattern, itertools.combinations(ts, len(ss))),
+                     base="subsequence"),
+    "substring_pattern": Order(lambda ss, ts: ss in map(order_pattern, _blocks(ts, len(ss))),
+                               base="substring"),
 }
 CODE_RELATIONS = tuple(ORDERS)
 STRING_RELATIONS = tuple(name for name, o in ORDERS.items() if o.base is None)
@@ -169,6 +178,8 @@ def _contains_pattern(relation: str, sigma: PartialPermutation, tau: PartialPerm
     """A pattern order's test; sigma must be a full permutation."""
     if not isinstance(sigma, PartialPermutation) or not sigma.is_full_permutation:
         raise ValueError(f"{sigma} is not a full permutation")
+    if not isinstance(tau, PartialPermutation):
+        raise TypeError(f"cannot relate {type(sigma).__name__} to {type(tau).__name__}")
     return len(sigma) <= len(tau) and ORDERS[relation].contains(sigma.entries, tau.entries)
 
 
@@ -227,6 +238,8 @@ def enumerate_elements(kind: str, k: int, l: int | None = None) -> list[Element]
 
     With l=None the permutation kinds return the whole union over lengths.
     """
+    if kind in ("T", "S") and k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     if kind == "T":
         if l is None:
             return list(all_partial_permutations(k))

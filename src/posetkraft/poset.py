@@ -16,7 +16,9 @@ orders (realized with interleaved helper levels so every consecutive pair is
 biregular), and subsets of [n] ordered by inclusion, which is the
 subsequence order on their increasing sequences.  One routine,
 ``_cover_map``, computes the covers of every family from the elements'
-symbol tuples.
+symbol tuples and a cover step: the order's ``deletions`` from its
+``perm.ORDERS`` entry, which also gives its containment test and, for
+prefix and substring, the blocks that freeness looks up.
 """
 
 from __future__ import annotations
@@ -421,38 +423,12 @@ def upper_shadow(poset: GradedPoset, rank: int, elements) -> set:
 # ---------------------------------------------------------------------------
 # Builders
 
-def _deletions(symbols: tuple[int, ...], relation: str):
-    """Yield the one-symbol deletions of a sequence under the given order,
-    one yield per deletion (repeats encode multiplicity).  The internal kind
-    ``"order_pattern"`` yields the sequence's relative order instead: the one
-    permutation a pattern poset's helper element covers."""
-    if relation == "prefix":
-        yield symbols[:-1]
-    elif relation == "subsequence":
-        for p in range(len(symbols)):
-            yield symbols[:p] + symbols[p + 1 :]
-    elif relation == "substring":
-        if len(symbols) == 1:
-            yield ()
-        else:
-            yield symbols[1:]
-            yield symbols[:-1]
-    elif relation == "order_pattern":
-        yield order_pattern(symbols)
-    else:
-        raise ValueError(f"unknown relation {relation!r}")
-
-
-def _cover_map(lower_keys, upper_keys, relation: str) -> Counter:
+def _cover_map(lower_keys, upper_keys, deletions) -> Counter:
     """Cover multiplicities between two consecutive levels given by their
-    elements' symbol tuples: ``(i, j) -> m`` when m of the upper key j's
-    deletions under ``relation`` are the lower key i."""
+    elements' symbol tuples: ``(i, j) -> m`` when m of the words that
+    ``deletions`` gives for the upper key j are the lower key i."""
     index = {key: i for i, key in enumerate(lower_keys)}
-    return Counter(
-        (index[lower], j)
-        for j, key in enumerate(upper_keys)
-        for lower in _deletions(key, relation)
-    )
+    return Counter((index[lower], j) for j, key in enumerate(upper_keys) for lower in deletions(key))
 
 
 def build_string_poset(r: int, relation: str, max_level: int) -> GradedPoset:
@@ -462,9 +438,10 @@ def build_string_poset(r: int, relation: str, max_level: int) -> GradedPoset:
         raise ValueError("need r >= 1 and max_level >= 0")
     if relation not in STRING_RELATIONS:
         raise ValueError(f"relation must be one of {STRING_RELATIONS}")
+    deletions = ORDERS[relation].deletions
     levels = [strings(r, l) for l in range(max_level + 1)]
     covers = [
-        _cover_map(map(symbols_of, levels[l]), map(symbols_of, levels[l + 1]), relation)
+        _cover_map(map(symbols_of, levels[l]), map(symbols_of, levels[l + 1]), deletions)
         for l in range(max_level)
     ]
     return GradedPoset(levels, covers, family=f"string({relation}, r={r})", first_rank=0)
@@ -477,9 +454,10 @@ def build_partial_perm_poset(k: int, relation: str) -> GradedPoset:
         raise ValueError("need k >= 1")
     if relation not in STRING_RELATIONS:
         raise ValueError(f"relation must be one of {STRING_RELATIONS}")
+    deletions = ORDERS[relation].deletions
     levels = [partial_permutations(k, l) for l in range(1, k + 1)]
     covers = [
-        _cover_map(map(symbols_of, levels[p]), map(symbols_of, levels[p + 1]), relation)
+        _cover_map(map(symbols_of, levels[p]), map(symbols_of, levels[p + 1]), deletions)
         for p in range(k - 1)
     ]
     return GradedPoset(levels, covers, family=f"partial_perm({relation}, k={k})", first_rank=1)
@@ -502,14 +480,15 @@ def build_pattern_poset(k: int, relation: str) -> GradedPoset:
         raise ValueError("need k >= 1")
     if relation not in PATTERN_RELATIONS:
         raise ValueError(f"relation must be one of {PATTERN_RELATIONS}")
-    base = ORDERS[relation].base
+    deletions = ORDERS[ORDERS[relation].base].deletions
     perms = full_permutations(1)
     levels, covers = [perms], []
     for l in range(1, k):
         helpers = partial_permutations(l + 1, l)
         longer = full_permutations(l + 1)
-        covers.append(_cover_map(map(symbols_of, perms), map(symbols_of, helpers), "order_pattern"))
-        covers.append(_cover_map(map(symbols_of, helpers), map(symbols_of, longer), base))
+        covers.append(_cover_map(map(symbols_of, perms), map(symbols_of, helpers),
+                                 lambda key: (order_pattern(key),)))
+        covers.append(_cover_map(map(symbols_of, helpers), map(symbols_of, longer), deletions))
         levels += [helpers, longer]
         perms = longer
     return GradedPoset(levels, covers, family=f"perm_pattern({relation}, k={k})", first_rank=0)
@@ -524,5 +503,5 @@ def build_subset_poset(n: int) -> GradedPoset:
         raise ValueError("need n >= 0")
     keys = [list(itertools.combinations(range(1, n + 1), i)) for i in range(n + 1)]
     levels = [[frozenset(c) for c in level] for level in keys]
-    covers = [_cover_map(keys[i], keys[i + 1], "subsequence") for i in range(n)]
+    covers = [_cover_map(keys[i], keys[i + 1], ORDERS["subsequence"].deletions) for i in range(n)]
     return GradedPoset(levels, covers, family=f"subsets(n={n})", first_rank=0)

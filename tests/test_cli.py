@@ -11,6 +11,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def usage_error(capsys, *argv):
+    """The last stderr line of a command that must exit 2 with no stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    return out.err.splitlines()[-1]
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 
@@ -43,6 +52,14 @@ def test_enumerate_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--perm", "T", "--k", "3", "--l", "9"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--perm", "T", "--k", "-3"], "need k >= 1, got k=-3"),
+    (["--perm", "S", "--k", "0"], "need k >= 1, got k=0"),
+])
+def test_enumerate_nonpositive_k_is_usage_error(capsys, argv, message):
+    assert usage_error(capsys, "enumerate", *argv) == f"posetkraft: error: {message}"
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +218,37 @@ def test_poset_selector_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["regularity", "--str", "--r", "2", "--relation", "prefix"], "--str needs --r, --relation and --max-level"),
+    (["regularity", "--perm", "--k", "3"], "--perm needs --k and --relation"),
+    (["regularity", "--pattern", "--relation", "pattern"], "--pattern needs --k and --relation"),
+    (["regularity", "--subsets"], "--subsets needs --n"),
+    (["enumerate", "--str", "--r", "2"], "--str needs --r and --l"),
+    (["constants"], "give a code file or --params"),
+    (["constants", "--params", "0,1"], "--params needs --r (strings) or --k (permutations)"),
+    (["local-lym", "--subsets", "--n", "2", "--level", "1"], "give --elements or --set"),
+    (["local-lym", "--subsets", "--n", "2", "--level", "1", "--elements", "{3}"],
+     "cannot resolve element '{3}' at level 1"),
+])
+def test_usage_errors_say_what_is_missing(capsys, argv, message):
+    assert usage_error(capsys, *argv) == f"posetkraft: error: {message}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["regularity", "--subsets", "--n", "2", "--r", "9", "--relation", "prefix"],
+     "--subsets takes no --r, --relation"),
+    (["regularity", "--perm", "--k", "2", "--relation", "prefix", "--max-level", "7", "--n", "4"],
+     "--perm takes no --max-level, --n"),
+    (["hasse", "--pattern", "--k", "2", "--relation", "pattern", "--r", "2"], "--pattern takes no --r"),
+    (["antichain-search", "--str", "--r", "2", "--relation", "prefix", "--max-level", "1", "--k", "3",
+      "--counts", "0,1"], "--str takes no --k"),
+    (["enumerate", "--str", "--r", "2", "--l", "1", "--k", "9"], "--str takes no --k"),
+    (["enumerate", "--perm", "T", "--k", "2", "--r", "2"], "--perm takes no --r"),
+])
+def test_stray_options_are_usage_errors(capsys, argv, message):
+    assert usage_error(capsys, *argv) == f"posetkraft: error: {message}"
+
+
 # ---------------------------------------------------------------------------
 # lym / local-lym
 
@@ -265,6 +313,37 @@ def test_malformed_json_exits_as_usage_error(tmp_path, capsys, argv, payload):
     code, _, err = run(capsys, *(str(path) if a == "INPUT" else a for a in argv))
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, payload, exit_code, stdout",
+    [
+        (["check-free", "INPUT", "--relation", "prefix", "--json"],
+         {"codomain": {"kind": "string", "r": 2}, "codewords": ["0", "10", "11"]},
+         0, '{"relation": "prefix", "free": true}'),
+        (["check-free", "INPUT", "--relation", "pattern", "--json"],
+         {"codomain": {"kind": "perm_pattern", "k": 2}, "codewords": ["1", "21"]},
+         1, '{"relation": "pattern", "free": false, "witness": ["1", "21"]}'),
+        (["mcmillan", "--r", "2", "--params", "0,3", "--json"], None,
+         1, '{"feasible": false, "failed_level": 1}'),
+        (["mcmillan", "--r", "2", "--params", "0,1,2", "--json"], None,
+         0, '{"codomain": {"kind": "string", "r": 2}, "codewords": ["0", "10", "11"]}'),
+        (["lym", "--subsets", "--n", "2", "--antichain", "INPUT", "--json"],
+         {"antichain": [[0, "∅"], [1, "{1}"]]},
+         1, '{"lym_number": "3/2", "antichain": false, "witness": [[0, "\\u2205"], [1, "{1}"]]}'),
+        (["local-lym", "--str", "--r", "2", "--relation", "subsequence", "--max-level", "2",
+          "--level", "2", "--elements", "00", "--json"], None,
+         0, '{"lhs": "1/2", "rhs": "1/4", "holds": true}'),
+        (["counterexample", "--str", "--r", "2", "--relation", "prefix", "--max-level", "2",
+          "--level", "1", "--json"], None,
+         1, '{"accepted": false, "reason": "down-degree not > 1"}'),
+    ],
+)
+def test_json_outputs_are_pinned(tmp_path, capsys, argv, payload, exit_code, stdout):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, *(str(path) if a == "INPUT" else a for a in argv))
+    assert (code, out) == (exit_code, stdout + "\n")
 
 
 def test_local_lym_subset_elements_split(capsys):

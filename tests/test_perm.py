@@ -65,6 +65,19 @@ def test_str_validation_and_empty():
     assert Str((0, 1, 1), 2).symbols == (0, 1, 1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Str((True, 0), 2),
+    lambda: Str((), True),
+    lambda: Str((0,), 2.5),
+    lambda: PartialPermutation((1,), True),
+    lambda: PartialPermutation((2, True), 2),
+    lambda: PartialPermutation((1,), 1.5),
+])
+def test_elements_refuse_bool_and_float(make):
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_universe_is_part_of_identity():
     assert pp("253", 6) != pp("253", 5)
     with pytest.raises(ValueError):
@@ -126,6 +139,13 @@ def test_pattern_in_examples():
     assert not perm.is_pattern_in(pp("21"), pp("12"))
     with pytest.raises(ValueError):
         perm.is_pattern_in(pp("25", 6), pp("2513", 6))  # not a full permutation
+
+
+@pytest.mark.parametrize("contains", [perm.is_pattern_in, perm.is_substring_pattern_in])
+@pytest.mark.parametrize("sigma", ["1", "12"])
+def test_pattern_orders_refuse_a_tau_of_another_kind(contains, sigma):
+    with pytest.raises(TypeError, match="cannot relate PartialPermutation to Str"):
+        contains(pp(sigma), Str((0,), 2))
 
 
 def test_substring_pattern_examples():
@@ -287,6 +307,12 @@ def test_enumerate_dispatcher():
         perm.enumerate_elements("S", 3, 4)
     with pytest.raises(ValueError):
         perm.enumerate_elements("T", 3, 0)
+
+
+@pytest.mark.parametrize("kind, k", [("T", -3), ("T", 0), ("S", 0), ("S", -1)])
+def test_enumerate_needs_positive_k(kind, k):
+    with pytest.raises(ValueError, match="need k >= 1"):
+        perm.enumerate_elements(kind, k)
 
 
 # ---------------------------------------------------------------------------
