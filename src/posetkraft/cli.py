@@ -113,16 +113,17 @@ def _cmd_enumerate(args, parser) -> int:
             parser.error("--str needs --r and --l")
         if args.k is not None:
             parser.error("--str takes no --k")
-        elements = perm.enumerate_elements("str", args.r, args.l)
+        kind, size = "str", args.r
     else:
         if args.k is None:
             parser.error("--perm needs --k")
         if args.r is not None:
             parser.error("--perm takes no --r")
-        try:
-            elements = perm.enumerate_elements(args.perm, args.k, args.l)
-        except ValueError as exc:
-            parser.error(str(exc))
+        kind, size = args.perm, args.k
+    try:
+        elements = perm.enumerate_elements(kind, size, args.l)
+    except ValueError as exc:
+        parser.error(str(exc))
     for x in elements:
         print(perm.format_element(x))
     print(f"# count: {len(elements)}")
@@ -355,7 +356,7 @@ def _cmd_counterexample(args, parser) -> int:
             "lym_sum": _fmt_fraction(outcome.lym_sum),
             "search": search.to_json_dict(),
         }
-        print(json.dumps(payload, default=str))
+        print(json.dumps(payload))
     else:
         print(
             f"levels ({outcome.lower_rank},{outcome.upper_rank}): "
@@ -440,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hasse", help="emit the Hasse diagram as DOT")
     _add_poset_args(p)
-    p.add_argument("--max-vertices", type=int, default=5000)
+    p.add_argument("--max-vertices", type=int, default=poset.DEFAULT_MAX_VERTICES)
     p.set_defaults(func=_cmd_hasse)
 
     p = sub.add_parser("lym", help="LYM number and antichain verdict for an antichain file")

@@ -32,6 +32,7 @@ from .perm import (
     format_element,
     parse_partial_permutation,
     parse_str,
+    require_ints,
     symbols_of,
 )
 
@@ -158,6 +159,7 @@ def parameter_sequence(code: Code) -> ParameterSequence:
 
 def kraft_number(params, r: int) -> Fraction:
     """Sum of codeword-length densities a_i / r^i, exact."""
+    require_ints(r)
     if r < 1:
         raise ValueError("need r >= 1")
     seq = as_parameter_sequence(params)
@@ -165,6 +167,7 @@ def kraft_number(params, r: int) -> Fraction:
 
 
 def _check_perm_support(seq: ParameterSequence, k: int) -> None:
+    require_ints(k)
     if seq[0] != 0 or any(seq[j] for j in range(k + 1, len(seq.counts))):
         raise ValueError(f"parameter support must lie within lengths 1..{k}")
 

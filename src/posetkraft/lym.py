@@ -19,7 +19,7 @@ from random import Random
 from typing import Iterable, Mapping
 
 from .codes import Code, Codomain, as_parameter_sequence
-from .perm import Str, are_ints
+from .perm import Str, are_ints, require_ints
 from .poset import GradedPoset, format_poset_element
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -50,19 +50,24 @@ class Antichain:
         return iter(self.members)
 
 
-def _member_list(antichain_or_members) -> list[tuple[int, object]]:
-    if isinstance(antichain_or_members, Antichain):
-        return list(antichain_or_members.members)
-    return list(antichain_or_members)
-
-
 def _members_by_position(poset: GradedPoset, members) -> dict[int, list[int]]:
     """Group member element indices by level position; raises on foreign
     elements or wrong level claims."""
     by_pos: dict[int, list[int]] = {}
-    for rank, element in _member_list(members):
+    for rank, element in members:
         by_pos.setdefault(poset.position(rank), []).append(poset.index_of(rank, element))
     return {p: sorted(set(idx)) for p, idx in sorted(by_pos.items())}
+
+
+def _members_from_indices(poset: GradedPoset, chosen: Mapping[int, Iterable[int]]) -> Antichain:
+    """The antichain of the elements at the given indices, by level position."""
+    return Antichain(
+        frozenset(
+            (poset.rank_of_position(p), poset.levels[p][i])
+            for p, idx in chosen.items()
+            for i in idx
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -116,17 +121,21 @@ class LocalLym:
         return self.holds
 
 
+def _require_biregular(poset: GradedPoset, pos: int) -> None:
+    reg = poset.pair_regularity(pos)
+    if not reg.is_biregular:
+        raise ValueError(
+            f"level pair ({reg.lower_rank}, {reg.upper_rank}) is not biregular"
+        )
+
+
 def local_lym_check(poset: GradedPoset, rank: int, elements) -> LocalLym:
     """Compare the density of a same-rank set with the density of its lower
     shadow; for a biregular pair the shadow is always at least as dense."""
     p = poset.position(rank)
     if p == 0:
         raise ValueError(f"rank {rank} is the bottom level; no pair below it")
-    reg = poset.pair_regularity(p - 1)
-    if not reg.is_biregular:
-        raise ValueError(
-            f"level pair ({reg.lower_rank}, {reg.upper_rank}) is not biregular"
-        )
+    _require_biregular(poset, p - 1)
     indices = {poset.index_of(rank, x) for x in elements}
     if not indices:
         raise ValueError("need a nonempty set of elements")
@@ -139,10 +148,13 @@ def local_lym_check(poset: GradedPoset, rank: int, elements) -> LocalLym:
 def reduce_top_level(poset: GradedPoset, antichain) -> Antichain:
     """Replace the top-rank members of an antichain by their lower shadow.
 
-    The result is again an antichain whose LYM number has not decreased;
-    both facts are verified and a violation raises InternalInvariantError.
+    The result is again an antichain and, when the top level and the one
+    below it form a biregular pair, its LYM number has not decreased.  Both
+    facts are verified.  A lower LYM number on a pair that is not biregular
+    raises ValueError, since the bound needs a biregular pair; any other
+    violation is a bug and raises InternalInvariantError.
     """
-    members = _member_list(antichain)
+    members = list(antichain)
     if not members:
         raise ValueError("antichain is empty")
     check = is_antichain(poset, members)
@@ -152,21 +164,14 @@ def reduce_top_level(poset: GradedPoset, antichain) -> Antichain:
     top = max(by_pos)
     if top == 0:
         raise ValueError("top members already sit at the bottom level")
-    shadow = poset.down_closure(top, by_pos[top], top - 1)
-    new_members = {
-        (poset.rank_of_position(p), poset.levels[p][i])
-        for p, idx in by_pos.items()
-        if p != top
-        for i in idx
-    }
-    new_members.update(
-        (poset.rank_of_position(top - 1), poset.levels[top - 1][i]) for i in shadow
-    )
-    reduced = Antichain(frozenset(new_members))
+    shadow = poset.down_closure(top, by_pos.pop(top), top - 1)
+    by_pos[top - 1] = shadow.union(by_pos.get(top - 1, ()))
+    reduced = _members_from_indices(poset, by_pos)
     recheck = is_antichain(poset, reduced)
     if not recheck:
         raise InternalInvariantError(f"reduction broke the antichain: {recheck.witness}")
     if lym_number(poset, reduced) < lym_number(poset, members):
+        _require_biregular(poset, top - 1)
         raise InternalInvariantError("reduction decreased the LYM number")
     return reduced
 
@@ -250,6 +255,7 @@ def mcmillan_construct(r: int, params) -> McMillanResult:
     Kallick, 1964): O(sum of a_l * l) work and memory, however long the
     longest codeword.
     """
+    require_ints(r)
     if r < 1:
         raise ValueError("need r >= 1")
     seq = as_parameter_sequence(params)
@@ -360,16 +366,6 @@ class SearchOutcome:
         return {"exists": False, "search_nodes": self.nodes}
 
 
-def _members_from_indices(poset: GradedPoset, chosen: Mapping[int, Iterable[int]]) -> Antichain:
-    return Antichain(
-        frozenset(
-            (poset.rank_of_position(p), poset.levels[p][i])
-            for p, idx in chosen.items()
-            for i in idx
-        )
-    )
-
-
 def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> SearchOutcome:
     """Exhaustively decide whether an antichain with the given per-level
     sizes exists.
@@ -388,7 +384,8 @@ def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> S
     """
     if budget is None:
         budget = DEFAULT_SEARCH_BUDGET
-    elif budget < 0:
+    require_ints(budget)
+    if budget < 0:
         raise ValueError(f"search budget must be >= 0, not {budget}")
     dense = _dense_counts(poset, counts)
     order = [p for p in range(poset.num_levels - 1, -1, -1) if dense[p] > 0]
@@ -433,18 +430,17 @@ def sample_antichain(poset: GradedPoset, rng: Random) -> Antichain:
     antichain by keeping, top level first and in lexicographic order, only
     elements incomparable with everything already kept."""
     density = 1.0 / (2 * poset.num_levels)
-    members: set[tuple[int, object]] = set()
+    chosen: dict[int, list[int]] = {}
     blocked: set[int] = set()
     for p in range(poset.num_levels - 1, -1, -1):
-        picks = [
+        picks = chosen[p] = [
             i
             for i in range(len(poset.levels[p]))
             if rng.random() < density and i not in blocked
         ]
-        members.update((poset.rank_of_position(p), poset.levels[p][i]) for i in picks)
         if p > 0:
             blocked = poset.down_closure(p, blocked.union(picks), p - 1)
-    return Antichain(frozenset(members))
+    return _members_from_indices(poset, chosen)
 
 
 # ---------------------------------------------------------------------------

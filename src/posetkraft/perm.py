@@ -32,6 +32,14 @@ def are_ints(values) -> bool:
     return set(map(type, values)) <= {int}
 
 
+def require_ints(*values) -> None:
+    """Raise ValueError unless every value is a plain ``int``: the check,
+    made once per call, for the sizes and budgets a caller passes."""
+    if not are_ints(values):
+        bad = next(v for v in values if type(v) is not int)
+        raise ValueError(f"need a plain int, not {bad!r} ({type(bad).__name__})")
+
+
 @dataclass(frozen=True)
 class Str:
     """A string over the digit alphabet {0, .., universe-1}; symbols may
@@ -202,6 +210,7 @@ def is_substring_pattern_in(sigma: PartialPermutation, tau: PartialPermutation) 
 
 def strings(r: int, l: int) -> list[Str]:
     """All strings of length l over {0, .., r-1}, lexicographically."""
+    require_ints(r, l)
     if r < 1 or l < 0:
         raise ValueError("need r >= 1 and l >= 0")
     return [Str(p, r) for p in itertools.product(range(r), repeat=l)]
@@ -209,6 +218,7 @@ def strings(r: int, l: int) -> list[Str]:
 
 def partial_permutations(k: int, l: int) -> list[PartialPermutation]:
     """All injective length-l sequences over [1..k], lexicographically."""
+    require_ints(k, l)
     if not 1 <= l <= k:
         raise ValueError(f"need 1 <= l <= k, got l={l}, k={k}")
     return [PartialPermutation(p, k) for p in itertools.permutations(range(1, k + 1), l)]
@@ -238,6 +248,7 @@ def enumerate_elements(kind: str, k: int, l: int | None = None) -> list[Element]
 
     With l=None the permutation kinds return the whole union over lengths.
     """
+    require_ints(k)
     if kind in ("T", "S") and k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
     if kind == "T":

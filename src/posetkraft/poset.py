@@ -38,9 +38,12 @@ from .perm import (
     full_permutations,
     order_pattern,
     partial_permutations,
+    require_ints,
     strings,
     symbols_of,
 )
+
+DEFAULT_MAX_VERTICES = 5000  # the vertex cap of a DOT export
 
 
 def format_poset_element(x) -> str:
@@ -114,6 +117,8 @@ class GradedPoset:
                 raise ValueError("edge multiplicities must be integers")
             n_lo, n_hi = len(self.levels[p]), len(down)
             for (lo, hi), mult in cov.items():
+                if type(lo) is not int or type(hi) is not int:
+                    raise ValueError(f"edge endpoints must be integers, not ({lo!r}, {hi!r})")
                 if not (0 <= lo < n_lo and 0 <= hi < n_hi):
                     raise ValueError(f"edge ({lo}, {hi}) out of range between levels {p} and {p + 1}")
                 if mult < 1:
@@ -314,7 +319,7 @@ class GradedPoset:
 
     # -- export -------------------------------------------------------------------
 
-    def to_dot(self, max_vertices: int = 5000) -> str:
+    def to_dot(self, max_vertices: int = DEFAULT_MAX_VERTICES) -> str:
         """DOT digraph with one pinned rank per level and multiplicity labels."""
         total = sum(len(level) for level in self.levels)
         if total > max_vertices:
@@ -434,6 +439,7 @@ def _cover_map(lower_keys, upper_keys, deletions) -> Counter:
 def build_string_poset(r: int, relation: str, max_level: int) -> GradedPoset:
     """Strings over {0, .., r-1} of length 0..max_level under one of the three
     symbol-comparing orders; level 0 is the empty string."""
+    require_ints(r, max_level)
     if r < 1 or max_level < 0:
         raise ValueError("need r >= 1 and max_level >= 0")
     if relation not in STRING_RELATIONS:
@@ -450,6 +456,7 @@ def build_string_poset(r: int, relation: str, max_level: int) -> GradedPoset:
 def build_partial_perm_poset(k: int, relation: str) -> GradedPoset:
     """Partial permutations over [1..k], levels by length 1..k, under one of
     the three symbol-comparing orders."""
+    require_ints(k)
     if k < 1:
         raise ValueError("need k >= 1")
     if relation not in STRING_RELATIONS:
@@ -476,6 +483,7 @@ def build_pattern_poset(k: int, relation: str) -> GradedPoset:
     reachability between the permutation levels coincides with the direct
     pattern / substring-pattern relations.
     """
+    require_ints(k)
     if k < 1:
         raise ValueError("need k >= 1")
     if relation not in PATTERN_RELATIONS:
@@ -499,6 +507,7 @@ def build_subset_poset(n: int) -> GradedPoset:
 
     Inclusion is the subsequence order on the subsets' increasing
     sequences, so the covers come from those tuples, one deletion each."""
+    require_ints(n)
     if n < 0:
         raise ValueError("need n >= 0")
     keys = [list(itertools.combinations(range(1, n + 1), i)) for i in range(n + 1)]

@@ -57,6 +57,7 @@ def test_enumerate_usage_error(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--perm", "T", "--k", "-3"], "need k >= 1, got k=-3"),
     (["--perm", "S", "--k", "0"], "need k >= 1, got k=0"),
+    (["--str", "--r", "0", "--l", "1"], "need r >= 1 and l >= 0"),
 ])
 def test_enumerate_nonpositive_k_is_usage_error(capsys, argv, message):
     assert usage_error(capsys, "enumerate", *argv) == f"posetkraft: error: {message}"
@@ -305,6 +306,7 @@ def test_input_errors_exit_as_usage_errors(tmp_path, capsys):
         (["constants", "INPUT"], {"codomain": {"kind": "string", "r": True}, "codewords": ["0"]}),
         (["constants", "INPUT"], {"codomain": {"kind": "partial_perm", "k": True}, "codewords": ["1"]}),
         (["lym", "--subsets", "--n", "2", "--antichain", "INPUT"], {"antichain": [[True, "{1}"]]}),
+        (["check-free", "INPUT", "--relation", "prefix"], {"codomain": {"kind": "octal", "r": 2}, "codewords": []}),
     ],
 )
 def test_malformed_json_exits_as_usage_error(tmp_path, capsys, argv, payload):
@@ -337,6 +339,10 @@ def test_malformed_json_exits_as_usage_error(tmp_path, capsys, argv, payload):
         (["counterexample", "--str", "--r", "2", "--relation", "prefix", "--max-level", "2",
           "--level", "1", "--json"], None,
          1, '{"accepted": false, "reason": "down-degree not > 1"}'),
+        (["counterexample", "--str", "--r", "1", "--relation", "prefix", "--max-level", "2",
+          "--level", "0"], None,
+         1, "rejected: up-degree not > 1"),
+        (["kraft", "--r", "2", "--params", ""], None, 0, "K = 0/1"),
     ],
 )
 def test_json_outputs_are_pinned(tmp_path, capsys, argv, payload, exit_code, stdout):

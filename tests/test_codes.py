@@ -72,6 +72,7 @@ def test_code_json_round_trip():
         ({"codomain": {"kind": "perm_pattern", "r": 2}, "codewords": ["1"]}, "'k'"),
         ({"codomain": {"r": 2}, "codewords": ["0"]}, "'kind'"),
         ({"codomain": {"kind": "string", "r": 2}}, "'codewords'"),
+        ({"codomain": {"kind": "octal", "r": 2}, "codewords": []}, "unknown codomain kind 'octal'"),
     ],
 )
 def test_code_file_missing_key_is_named(data, key):
@@ -305,6 +306,9 @@ def test_unique_decodability_classic_non_prefix_example():
     assert not is_free(code, "prefix")
     assert is_uniquely_decodable(code)
     assert brute_force_uniquely_decodable(code)
+    assert brute_force_uniquely_decodable(Code(Codomain("string", 2), ()))
+    with pytest.raises(ValueError, match="string codomains"):
+        brute_force_uniquely_decodable(Code.of_partial_perms(2, ["1"]))
 
 
 def test_sardinas_patterson_agrees_with_brute_force_exhaustively():

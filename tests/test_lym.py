@@ -153,6 +153,15 @@ def test_reduce_top_level_preconditions():
         reduce_top_level(P, [(0, fs()), (1, fs(1))])  # not an antichain
 
 
+def test_reduce_top_level_on_a_pair_that_is_not_biregular():
+    # x covers a; y covers a, b and c
+    P = GradedPoset([["a", "b", "c"], ["x", "y"]], [{(0, 0): 1, (0, 1): 1, (1, 1): 1, (2, 1): 1}])
+    with pytest.raises(ValueError, match=r"level pair \(0, 1\) is not biregular"):
+        reduce_top_level(P, [(1, "x")])
+    # the LYM number rises from 1/2 to 1
+    assert reduce_top_level(P, [(1, "y")]).members == fs((0, "a"), (0, "b"), (0, "c"))
+
+
 def test_reduce_keeps_lower_members():
     P = build_subset_poset(3)
     start = [(1, fs(1)), (2, fs(2, 3))]
@@ -208,6 +217,8 @@ def test_mcmillan_r1_and_empty():
     assert [w.symbols for w in res.code.codewords] == [(0,)]
     res = mcmillan_construct(1, (0, 1, 1))
     assert res.failed_level == 2
+    with pytest.raises(ValueError, match="need r >= 1"):
+        mcmillan_construct(0, [1])
 
 
 def frontier_greedy(r, counts):
@@ -381,6 +392,8 @@ def test_search_respects_counts_and_validates():
         codes.ParameterSequence((0, True))
     with pytest.raises(ValueError):
         antichain_exists(P, (0, 1, 0, 0), budget=-1)
+    # zeros past the top level are dropped
+    assert antichain_exists(build_subset_poset(1), [0, 1, 0, 0])
 
 
 def test_search_multi_level_backtracking():
@@ -484,6 +497,27 @@ def test_search_budget_exceeded():
     with pytest.raises(BudgetExceededError):
         # success takes three assignments (one per populated level)
         antichain_exists(build_subset_poset(5), {1: 1, 2: 1, 3: 1}, budget=2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: build_subset_poset(True),
+    lambda: build_subset_poset(2.0),
+    lambda: build_partial_perm_poset(2.0, "prefix"),
+    lambda: build_string_poset(2, "prefix", True),
+    lambda: build_string_poset(2, "prefix", 1.0),
+    lambda: build_pattern_poset(True, "pattern"),
+    lambda: build_pattern_poset(2.0, "pattern"),
+    lambda: kraft_number([0, 1], True),
+    lambda: kraft_number([0, 1], 2.0),
+    lambda: codes.partial_perm_constant([0, 1], True),
+    lambda: codes.full_perm_constant([0, 1], True),
+    lambda: mcmillan_construct(2.0, [0, 1]),
+    lambda: antichain_exists(build_subset_poset(2), [0, 1], budget=True),
+    lambda: antichain_exists(build_subset_poset(2), [0, 1], budget=2.5),
+])
+def test_sizes_and_budgets_refuse_bool_and_float(call):
+    with pytest.raises(ValueError, match="need a plain int"):
+        call()
 
 
 def test_level_counts_helpers():

@@ -72,6 +72,10 @@ def test_str_validation_and_empty():
     lambda: PartialPermutation((1,), True),
     lambda: PartialPermutation((2, True), 2),
     lambda: PartialPermutation((1,), 1.5),
+    lambda: perm.strings(2, True),
+    lambda: perm.strings(2, 1.0),
+    lambda: perm.partial_permutations(2, True),
+    lambda: perm.enumerate_elements("T", 2.0),
 ])
 def test_elements_refuse_bool_and_float(make):
     with pytest.raises(ValueError):
@@ -307,6 +311,10 @@ def test_enumerate_dispatcher():
         perm.enumerate_elements("S", 3, 4)
     with pytest.raises(ValueError):
         perm.enumerate_elements("T", 3, 0)
+    with pytest.raises(ValueError, match="explicit length"):
+        perm.enumerate_elements("str", 2)
+    with pytest.raises(ValueError, match="unknown element kind"):
+        perm.enumerate_elements("X", 2, 1)
 
 
 @pytest.mark.parametrize("kind, k", [("T", -3), ("T", 0), ("S", 0), ("S", -1)])
@@ -338,5 +346,9 @@ def test_parse_round_trip():
     assert pp("321") == PartialPermutation((3, 2, 1), 3)
     with pytest.raises(ValueError):
         perm.parse_symbols("12a")
+    with pytest.raises(ValueError, match="unbalanced"):
+        perm.parse_symbols("(1,2")
+    with pytest.raises(ValueError, match="declared universe 3"):
+        perm.parse_str("01@3", 2)
     with pytest.raises(ValueError):
         pp("12@5", 6)

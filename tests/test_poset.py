@@ -336,6 +336,8 @@ def test_broken_poset_is_not_biregular():
     rep = regularity_check(broken)
     assert not rep.is_level_regular
     assert not rep.pair(0).is_biregular
+    with pytest.raises(ValueError, match="no level pair starting at rank 99"):
+        rep.pair(99)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +403,8 @@ def test_two_component_poset_is_disconnected():
     covers = [{(0, 0): 1, (1, 1): 1}]
     P = GradedPoset(levels, covers, family="two-components")
     assert not P.is_weakly_connected_pair(0)
+    with pytest.raises(ValueError, match="upper rank must be above"):
+        P.is_weakly_connected_pair(1, 0)
 
 
 def test_non_adjacent_pair_counts_cover_chains():
@@ -539,3 +543,8 @@ def test_poset_constructor_validation():
             GradedPoset([["a"], ["b"]], [{(0, 0): mult}])
     with pytest.raises(ValueError):
         GradedPoset([["a"], []], [{}])
+    with pytest.raises(ValueError, match="one cover map per"):
+        GradedPoset([["a"], ["b"]], [])
+    for edge in ((0.0, 0), (True, 0)):
+        with pytest.raises(ValueError, match="endpoints must be integers"):
+            GradedPoset([["a", "c"], ["b"]], [{edge: 1}])
