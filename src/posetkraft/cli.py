@@ -6,15 +6,13 @@ mcmillan, counterexample, antichain-search, hasse, regularity.
 Exit codes: 0 success / property holds, 1 checked property fails, 2 usage
 error, 3 search budget (or vertex cap) exceeded.  All output is
 deterministic; fractions print as p/q unless --decimal asks for the shortest
-round-tripping decimal.  The environment variable POSET_KRAFT_BUDGET
-overrides the default search budget.
+round-tripping decimal.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -34,6 +32,11 @@ def _fmt_fraction(value: Fraction, decimal: bool = False) -> str:
 
 def _normalize_relation(name: str) -> str:
     return name.replace("-", "_")
+
+
+def _emit(args, payload, text: str) -> None:
+    """Print a result once: its JSON payload under --json, else its text."""
+    print(json.dumps(payload) if args.json else text)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -74,29 +77,26 @@ def _flags(dests) -> list[str]:
     return ["--" + d.replace("_", "-") for d in dests]
 
 
+def _check_options(args, parser, selector: str, needs, takes_no) -> None:
+    """Exit 2 unless --selector has every option in needs and none in takes_no."""
+    if any(getattr(args, d) is None for d in needs):
+        *rest, last = _flags(needs)
+        parser.error(f"--{selector} needs {', '.join(rest) + ' and ' if rest else ''}{last}")
+    stray = [d for d in takes_no if getattr(args, d) is not None]
+    if stray:
+        parser.error(f"--{selector} takes no {', '.join(_flags(stray))}")
+
+
 def _build_poset(args, parser: argparse.ArgumentParser) -> poset.GradedPoset:
     family = next(f for f in _FAMILIES if getattr(args, f))
     builder, takes = _FAMILIES[family]
     args.relation = _normalize_relation(args.relation) if args.relation else None
-    if any(getattr(args, d) is None for d in takes):
-        *rest, last = _flags(takes)
-        parser.error(f"--{family} needs {', '.join(rest) + ' and ' if rest else ''}{last}")
-    stray = {d for _, ds in _FAMILIES.values() for d in ds if getattr(args, d) is not None} - set(takes)
-    if stray:
-        parser.error(f"--{family} takes no {', '.join(_flags(sorted(stray)))}")
+    others = sorted({d for _, ds in _FAMILIES.values() for d in ds} - set(takes))
+    _check_options(args, parser, family, takes, others)
     try:
         return getattr(poset, builder)(*(getattr(args, d) for d in takes))
     except ValueError as exc:
         parser.error(str(exc))
-
-
-def _search_budget(args) -> int | None:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("POSET_KRAFT_BUDGET")
-    if env:
-        return int(env)
-    return None
 
 
 def _load_code(path: str) -> codes.Code:
@@ -109,16 +109,10 @@ def _load_code(path: str) -> codes.Code:
 
 def _cmd_enumerate(args, parser) -> int:
     if args.str:
-        if args.r is None or args.l is None:
-            parser.error("--str needs --r and --l")
-        if args.k is not None:
-            parser.error("--str takes no --k")
+        _check_options(args, parser, "str", ("r", "l"), ("k",))
         kind, size = "str", args.r
     else:
-        if args.k is None:
-            parser.error("--perm needs --k")
-        if args.r is not None:
-            parser.error("--perm takes no --r")
+        _check_options(args, parser, "perm", ("k",), ("r",))
         kind, size = args.perm, args.k
     try:
         elements = perm.enumerate_elements(kind, size, args.l)
@@ -134,19 +128,11 @@ def _cmd_check_free(args, parser) -> int:
     code = _load_code(args.codefile)
     relation = _normalize_relation(args.relation)
     result = codes.is_free(code, relation)
-    if args.json:
-        payload = {"relation": relation, "free": result.free}
-        if result.witness:
-            payload["witness"] = [perm.format_element(w) for w in result.witness]
-        print(json.dumps(payload))
-    elif result:
-        print(f"free under {relation}")
-    else:
-        inner, outer = result.witness
-        print(
-            f"not free under {relation}: {perm.format_element(inner)} "
-            f"sits inside {perm.format_element(outer)}"
-        )
+    payload, text = {"relation": relation, "free": result.free}, f"free under {relation}"
+    if result.witness:
+        inner, outer = payload["witness"] = [perm.format_element(w) for w in result.witness]
+        text = f"not free under {relation}: {inner} sits inside {outer}"
+    _emit(args, payload, text)
     return EXIT_OK if result else EXIT_FAIL
 
 
@@ -160,8 +146,6 @@ def _cmd_constants(args, parser) -> int:
     else:
         if args.params is None:
             parser.error("give a code file or --params")
-        if args.r is not None and (args.k is not None or args.kind is not None):
-            parser.error("--r (strings) excludes --k and --kind (permutations)")
         if args.kind is not None and args.k is None:
             parser.error("--kind needs --k")
         params = _parse_int_list(args.params)
@@ -173,11 +157,8 @@ def _cmd_constants(args, parser) -> int:
         else:
             parser.error("--params needs --r (strings) or --k (permutations)")
     codomain = codes.CODOMAINS[kind]
-    value = codomain.constant(params, size)
-    if args.json:
-        print(json.dumps({codomain.label: _fmt_fraction(value)}))
-    else:
-        print(f"{codomain.label} = {_fmt_fraction(value, args.decimal)}")
+    value, label = codomain.constant(params, size), codomain.label
+    _emit(args, {label: _fmt_fraction(value)}, f"{label} = {_fmt_fraction(value, args.decimal)}")
     return EXIT_OK
 
 
@@ -185,11 +166,9 @@ def _cmd_mcmillan(args, parser) -> int:
     params = _parse_int_list(args.params)
     result = lym.mcmillan_construct(args.r, params)
     if not result:
-        if args.json:
-            print(json.dumps({"feasible": False, "failed_level": result.failed_level}))
-        else:
-            K = codes.kraft_number(params, args.r)
-            print(f"infeasible at level {result.failed_level} (K = {_fmt_fraction(K)} > 1)")
+        K = _fmt_fraction(codes.kraft_number(params, args.r))
+        _emit(args, {"feasible": False, "failed_level": result.failed_level},
+              f"infeasible at level {result.failed_level} (K = {K} > 1)")
         return EXIT_FAIL
     payload = codes.code_to_json_dict(result.code)
     if args.output:
@@ -207,37 +186,19 @@ def _cmd_mcmillan(args, parser) -> int:
 def _cmd_regularity(args, parser) -> int:
     host = _build_poset(args, parser)
     report = poset.regularity_check(host)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "level_regular": report.is_level_regular,
-                    "pairs": [
-                        {
-                            "levels": [p.lower_rank, p.upper_rank],
-                            "up_degrees": list(p.up_degrees),
-                            "down_degrees": list(p.down_degrees),
-                            "edges": p.edge_count,
-                            "biregular": p.is_biregular,
-                        }
-                        for p in report.pairs
-                    ],
-                }
-            )
+    pairs, lines = [], []
+    for p in report.pairs:
+        ups, downs = list(p.up_degrees), list(p.down_degrees)
+        pairs.append({"levels": [p.lower_rank, p.upper_rank], "up_degrees": ups,
+                      "down_degrees": downs, "edges": p.edge_count, "biregular": p.is_biregular})
+        u, d = p.up_degree, p.down_degree
+        lines.append(
+            f"levels ({p.lower_rank},{p.upper_rank}): "
+            + (f"u={u} d={d} edges={p.edge_count} ({u}*{p.lower_size} = {d}*{p.upper_size})"
+               if p.is_biregular else f"NOT biregular (up degrees {ups}, down degrees {downs})")
         )
-    else:
-        for p in report.pairs:
-            if p.is_biregular:
-                print(
-                    f"levels ({p.lower_rank},{p.upper_rank}): u={p.up_degree} d={p.down_degree} "
-                    f"edges={p.edge_count} ({p.up_degree}*{p.lower_size} = {p.down_degree}*{p.upper_size})"
-                )
-            else:
-                print(
-                    f"levels ({p.lower_rank},{p.upper_rank}): NOT biregular "
-                    f"(up degrees {list(p.up_degrees)}, down degrees {list(p.down_degrees)})"
-                )
-        print(f"level-regular: {'yes' if report.is_level_regular else 'no'}")
+    lines.append(f"level-regular: {'yes' if report.is_level_regular else 'no'}")
+    _emit(args, {"level_regular": report.is_level_regular, "pairs": pairs}, "\n".join(lines))
     return EXIT_OK if report.is_level_regular else EXIT_FAIL
 
 
@@ -259,25 +220,13 @@ def _cmd_lym(args, parser) -> int:
         antichain = lym.antichain_from_json_dict(host, json.load(fh))
     check = lym.is_antichain(host, antichain)
     value = lym.lym_number(host, antichain)
-    if args.json:
-        payload = {"lym_number": _fmt_fraction(value), "antichain": check.ok}
-        if check.witness:
-            (ra, a), (rb, b) = check.witness
-            payload["witness"] = [
-                [ra, poset.format_poset_element(a)],
-                [rb, poset.format_poset_element(b)],
-            ]
-        print(json.dumps(payload))
-    else:
-        print(f"L = {_fmt_fraction(value, args.decimal)}")
-        if check:
-            print("antichain: yes")
-        else:
-            (ra, a), (rb, b) = check.witness
-            print(
-                f"antichain: no ({poset.format_poset_element(a)} at level {ra} "
-                f"is below {poset.format_poset_element(b)} at level {rb})"
-            )
+    payload = {"lym_number": _fmt_fraction(value), "antichain": check.ok}
+    verdict = "yes"
+    if check.witness:
+        witness = [[rank, poset.format_poset_element(x)] for rank, x in check.witness]
+        (ra, a), (rb, b) = payload["witness"] = witness
+        verdict = f"no ({a} at level {ra} is below {b} at level {rb})"
+    _emit(args, payload, f"L = {_fmt_fraction(value, args.decimal)}\nantichain: {verdict}")
     return EXIT_OK if check else EXIT_FAIL
 
 
@@ -315,22 +264,12 @@ def _cmd_local_lym(args, parser) -> int:
         result = lym.local_lym_check(host, args.level, elements)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "lhs": _fmt_fraction(result.lhs),
-                    "rhs": _fmt_fraction(result.rhs),
-                    "holds": result.holds,
-                }
-            )
-        )
-    else:
-        print(
-            f"shadow density {_fmt_fraction(result.lhs, args.decimal)} vs "
-            f"set density {_fmt_fraction(result.rhs, args.decimal)}: "
-            f"{'holds' if result.holds else 'FAILS'}"
-        )
+    lhs, rhs = _fmt_fraction(result.lhs, args.decimal), _fmt_fraction(result.rhs, args.decimal)
+    _emit(
+        args,
+        {"lhs": _fmt_fraction(result.lhs), "rhs": _fmt_fraction(result.rhs), "holds": result.holds},
+        f"shadow density {lhs} vs set density {rhs}: {'holds' if result.holds else 'FAILS'}",
+    )
     return EXIT_OK if result.holds else EXIT_FAIL
 
 
@@ -338,39 +277,33 @@ def _cmd_counterexample(args, parser) -> int:
     host = _build_poset(args, parser)
     outcome = lym.counterexample_params(host, args.level, args.upper)
     if not outcome:
-        if args.json:
-            print(json.dumps({"accepted": False, "reason": outcome.reason}))
-        else:
-            print(f"rejected: {outcome.reason}")
+        _emit(args, {"accepted": False, "reason": outcome.reason}, f"rejected: {outcome.reason}")
         return EXIT_FAIL
-    search = lym.antichain_exists(host, outcome.counts, budget=_search_budget(args))
+    search = lym.antichain_exists(host, outcome.counts, budget=args.budget)
     params_by_rank = outcome.counts.by_rank(host)
-    if args.json:
-        payload = {
-            "accepted": True,
-            "levels": [outcome.lower_rank, outcome.upper_rank],
-            "up_degree": outcome.up_degree,
-            "down_degree": outcome.down_degree,
-            "gcd": outcome.gcd,
-            "params": params_by_rank,
-            "lym_sum": _fmt_fraction(outcome.lym_sum),
-            "search": search.to_json_dict(),
-        }
-        print(json.dumps(payload))
-    else:
-        print(
-            f"levels ({outcome.lower_rank},{outcome.upper_rank}): "
-            f"u={outcome.up_degree} d={outcome.down_degree} gcd={outcome.gcd}"
-        )
-        print(
-            "params: "
-            + ", ".join(f"a_{rank}={count}" for rank, count in sorted(params_by_rank.items()))
-        )
-        print(f"density sum = {_fmt_fraction(outcome.lym_sum)}")
-        if search.exists:
-            print("UNEXPECTED: an antichain with these counts exists")
-        else:
-            print(f"no antichain with these counts ({search.nodes} assignments checked)")
+    lym_sum = _fmt_fraction(outcome.lym_sum)
+    params = ", ".join(f"a_{rank}={count}" for rank, count in sorted(params_by_rank.items()))
+    payload = {
+        "accepted": True,
+        "levels": [outcome.lower_rank, outcome.upper_rank],
+        "up_degree": outcome.up_degree,
+        "down_degree": outcome.down_degree,
+        "gcd": outcome.gcd,
+        "params": params_by_rank,
+        "lym_sum": lym_sum,
+        "search": search.to_json_dict(),
+    }
+    verdict = (
+        "UNEXPECTED: an antichain with these counts exists" if search.exists
+        else f"no antichain with these counts ({search.nodes} assignments checked)"
+    )
+    _emit(args, payload, "\n".join([
+        f"levels ({outcome.lower_rank},{outcome.upper_rank}): "
+        f"u={outcome.up_degree} d={outcome.down_degree} gcd={outcome.gcd}",
+        f"params: {params}",
+        f"density sum = {lym_sum}",
+        verdict,
+    ]))
     return EXIT_OK if not search.exists else EXIT_FAIL
 
 
@@ -378,7 +311,7 @@ def _cmd_antichain_search(args, parser) -> int:
     host = _build_poset(args, parser)
     counts = _parse_int_list(args.counts)
     try:
-        outcome = lym.antichain_exists(host, counts, budget=_search_budget(args))
+        outcome = lym.antichain_exists(host, counts, budget=args.budget)
     except ValueError as exc:
         parser.error(str(exc))
     print(json.dumps(outcome.to_json_dict()))
@@ -412,8 +345,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="exact code constants from a code file or raw parameters")
     p.add_argument("codefile", nargs="?")
     p.add_argument("--params", help="comma-separated counts a_0,a_1,...")
-    p.add_argument("--r", type=int, help="alphabet size (string parameters)")
-    p.add_argument("--k", type=int, help="universe size (permutation parameters)")
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--r", type=int, help="alphabet size (string parameters)")
+    size.add_argument("--k", type=int, help="universe size (permutation parameters)")
     p.add_argument("--kind", choices=["partial", "full"],
                    help="which permutation constant to use with --k (default partial)")
     p.add_argument("--decimal", action="store_true")

@@ -34,10 +34,10 @@ def are_ints(values) -> bool:
 
 def require_ints(*values) -> None:
     """Raise ValueError unless every value is a plain ``int``: the check,
-    made once per call, for the sizes and budgets a caller passes."""
-    if not are_ints(values):
-        bad = next(v for v in values if type(v) is not int)
-        raise ValueError(f"need a plain int, not {bad!r} ({type(bad).__name__})")
+    made once per call, for the sizes, budgets and ranks a caller passes."""
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"need a plain int, not {v!r} ({type(v).__name__})")
 
 
 @dataclass(frozen=True)
@@ -231,12 +231,14 @@ def full_permutations(l: int) -> list[PartialPermutation]:
 
 def all_partial_permutations(k: int) -> Iterator[PartialPermutation]:
     """Every partial permutation over [1..k], by length then lexicographically."""
+    require_ints(k)
     for l in range(1, k + 1):
         yield from partial_permutations(k, l)
 
 
 def all_full_permutations(k: int) -> Iterator[PartialPermutation]:
     """Every full permutation of [1..l] for l = 1..k, by length then lexicographically."""
+    require_ints(k)
     for l in range(1, k + 1):
         yield from full_permutations(l)
 
@@ -286,22 +288,31 @@ def format_element(x: Element, with_universe: bool = False) -> str:
     return body
 
 
+def _number(text: str) -> int:
+    """An unsigned ASCII decimal, spaces around it allowed: no sign, no
+    empty field, no underscore and no non-ASCII digit is coerced."""
+    field = text.strip()
+    if not (field.isascii() and field.isdigit()):
+        raise ValueError(f"cannot parse number {text!r}")
+    return int(field)
+
+
 def parse_symbols(text: str) -> tuple[tuple[int, ...], int | None]:
     """Parse element syntax into (symbols, universe-or-None)."""
     text = text.strip()
     universe = None
     if "@" in text:
         body, _, suffix = text.rpartition("@")
-        universe = int(suffix)
+        universe = _number(suffix)
         text = body.strip()
     if text in ("", "ε", "eps"):
         return (), universe
     if text.startswith("("):
         if not text.endswith(")"):
             raise ValueError(f"unbalanced parentheses in {text!r}")
-        parts = [p for p in text[1:-1].split(",") if p.strip()]
-        return tuple(int(p) for p in parts), universe
-    if not text.isdigit():
+        inner = text[1:-1]
+        return (tuple(map(_number, inner.split(","))) if inner.strip() else ()), universe
+    if not (text.isascii() and text.isdigit()):
         raise ValueError(f"cannot parse element {text!r}")
     return tuple(int(ch) for ch in text), universe
 

@@ -90,6 +90,7 @@ class GradedPoset:
     """
 
     def __init__(self, levels, covers, family="custom", first_rank=0):
+        require_ints(first_rank)
         self.levels = tuple(tuple(level) for level in levels)
         if not self.levels:
             raise ValueError("poset needs at least one level")
@@ -151,6 +152,7 @@ class GradedPoset:
         return range(self.first_rank, self.first_rank + len(self.levels))
 
     def position(self, rank: int) -> int:
+        require_ints(rank)
         p = rank - self.first_rank
         if not 0 <= p < len(self.levels):
             raise ValueError(f"no level of rank {rank} (have {self.ranks.start}..{self.ranks.stop - 1})")
@@ -321,6 +323,7 @@ class GradedPoset:
 
     def to_dot(self, max_vertices: int = DEFAULT_MAX_VERTICES) -> str:
         """DOT digraph with one pinned rank per level and multiplicity labels."""
+        require_ints(max_vertices)
         total = sum(len(level) for level in self.levels)
         if total > max_vertices:
             raise ValueError(

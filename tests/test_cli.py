@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from posetkraft import poset
 from posetkraft.cli import main
 
 
@@ -307,6 +308,8 @@ def test_input_errors_exit_as_usage_errors(tmp_path, capsys):
         (["constants", "INPUT"], {"codomain": {"kind": "partial_perm", "k": True}, "codewords": ["1"]}),
         (["lym", "--subsets", "--n", "2", "--antichain", "INPUT"], {"antichain": [[True, "{1}"]]}),
         (["check-free", "INPUT", "--relation", "prefix"], {"codomain": {"kind": "octal", "r": 2}, "codewords": []}),
+        (["check-free", "INPUT", "--relation", "prefix"],
+         {"codomain": {"kind": "partial_perm", "k": 12}, "codewords": ["(1,,12)"]}),
     ],
 )
 def test_malformed_json_exits_as_usage_error(tmp_path, capsys, argv, payload):
@@ -343,13 +346,40 @@ def test_malformed_json_exits_as_usage_error(tmp_path, capsys, argv, payload):
           "--level", "0"], None,
          1, "rejected: up-degree not > 1"),
         (["kraft", "--r", "2", "--params", ""], None, 0, "K = 0/1"),
+        (["counterexample", "--str", "--r", "2", "--relation", "subsequence", "--max-level", "2",
+          "--level", "1"], None,
+         0, "levels (1,2): u=4 d=2 gcd=2\nparams: a_1=1, a_2=2\ndensity sum = 1/1\n"
+            "no antichain with these counts (6 assignments checked)"),
+        (["lym", "--subsets", "--n", "2", "--antichain", "INPUT"],
+         {"antichain": [[0, "∅"], [1, "{1}"]]},
+         1, "L = 3/2\nantichain: no (∅ at level 0 is below {1} at level 1)"),
+        (["check-free", "INPUT", "--relation", "pattern"],
+         {"codomain": {"kind": "perm_pattern", "k": 2}, "codewords": ["1", "21"]},
+         1, "not free under pattern: 1 sits inside 21"),
+        (["constants", "--params", "0,0,1,3", "--k", "3", "--decimal"], None,
+         0, "P_partial = 0.6666666666666666"),
+        (["mcmillan", "--r", "2", "--params", "0,2,1"], None,
+         1, "infeasible at level 2 (K = 5/4 > 1)"),
+        (["mcmillan", "--r", "2", "--params", "0"], None, 0, ""),
     ],
 )
 def test_json_outputs_are_pinned(tmp_path, capsys, argv, payload, exit_code, stdout):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
     code, out, _ = run(capsys, *(str(path) if a == "INPUT" else a for a in argv))
-    assert (code, out) == (exit_code, stdout + "\n")
+    assert (code, out) == (exit_code, stdout and stdout + "\n")  # "" pins no output at all
+
+
+@pytest.mark.parametrize("mode, stdout", [
+    ((), "levels (0,1): NOT biregular (up degrees [1], down degrees [0, 1])\nlevel-regular: no\n"),
+    (("--json",), '{"level_regular": false, "pairs": [{"levels": [0, 1], "up_degrees": [1], '
+                  '"down_degrees": [0, 1], "edges": 1, "biregular": false}]}\n'),
+])
+def test_regularity_of_a_pair_that_is_not_biregular_is_pinned(capsys, monkeypatch, mode, stdout):
+    # every built-in family is biregular, so a custom poset stands in for --subsets
+    custom = poset.GradedPoset([["a"], ["b", "c"]], [{(0, 0): 1}])
+    monkeypatch.setattr(poset, "build_subset_poset", lambda n: custom)
+    assert run(capsys, "regularity", "--subsets", "--n", "1", *mode)[:2] == (1, stdout)
 
 
 def test_local_lym_subset_elements_split(capsys):
@@ -421,38 +451,27 @@ def test_antichain_search_none(capsys):
     assert json.loads(out) == {"exists": False, "search_nodes": 6}
 
 
-def test_antichain_search_budget_exit(capsys, monkeypatch):
-    monkeypatch.setenv("POSET_KRAFT_BUDGET", "2")
+def test_antichain_search_budget_exit(capsys):
     code, out, err = run(
         capsys, "antichain-search", "--str", "--r", "2", "--relation", "substring",
-        "--max-level", "2", "--counts", "0,1,2",
+        "--max-level", "2", "--counts", "0,1,2", "--budget", "2",
     )
     assert code == 3
     assert "budget" in err or "assignments" in err
 
 
-def test_negative_budget_is_usage_error(capsys, monkeypatch):
+def test_negative_budget_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([
             "antichain-search", "--str", "--r", "2", "--relation", "substring",
             "--max-level", "2", "--counts", "0,1,2", "--budget", "-1",
         ])
     assert exc.value.code == 2
-    monkeypatch.setenv("POSET_KRAFT_BUDGET", "-4")
     code, _, err = run(
         capsys, "counterexample", "--str", "--r", "2", "--relation", "subsequence",
-        "--max-level", "2", "--level", "1",
+        "--max-level", "2", "--level", "1", "--budget", "-4",
     )
     assert code == 2 and "budget" in err
-
-
-def test_budget_flag_overrides_env(capsys, monkeypatch):
-    monkeypatch.setenv("POSET_KRAFT_BUDGET", "2")
-    code, out, _ = run(
-        capsys, "antichain-search", "--str", "--r", "2", "--relation", "substring",
-        "--max-level", "2", "--counts", "0,1,2", "--budget", "100",
-    )
-    assert code == 1
 
 
 def test_outputs_are_deterministic(capsys):

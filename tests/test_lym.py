@@ -514,6 +514,8 @@ def test_search_budget_exceeded():
     lambda: mcmillan_construct(2.0, [0, 1]),
     lambda: antichain_exists(build_subset_poset(2), [0, 1], budget=True),
     lambda: antichain_exists(build_subset_poset(2), [0, 1], budget=2.5),
+    lambda: list(perm.all_partial_permutations(2.0)),
+    lambda: list(perm.all_full_permutations(2.0)),
 ])
 def test_sizes_and_budgets_refuse_bool_and_float(call):
     with pytest.raises(ValueError, match="need a plain int"):

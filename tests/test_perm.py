@@ -341,6 +341,8 @@ def test_parse_round_trip():
     assert perm.parse_symbols("(2,11,5)@12") == ((2, 11, 5), 12)
     assert perm.parse_symbols("ε") == ((), None)
     assert perm.parse_symbols("") == ((), None)
+    assert perm.parse_symbols("()") == perm.parse_symbols("eps") == ((), None)
+    assert perm.parse_symbols(" ( 1, 12 ) @ 13 ") == ((1, 12), 13)
     assert perm.parse_str("010", 2) == Str((0, 1, 0), 2)
     # without a universe, entries are read as a full permutation
     assert pp("321") == PartialPermutation((3, 2, 1), 3)
@@ -352,3 +354,9 @@ def test_parse_round_trip():
         perm.parse_str("01@3", 2)
     with pytest.raises(ValueError):
         pp("12@5", 6)
+
+
+@pytest.mark.parametrize("text", ["(1,,2)", "(1,2,)", "(,)", "(+1,2)", "12@+3", "１２", "(1_0,2)"])
+def test_parse_symbols_coerces_nothing(text):
+    with pytest.raises(ValueError, match="cannot parse"):
+        perm.parse_symbols(text)

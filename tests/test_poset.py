@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from posetkraft import perm, poset
+from posetkraft import lym, perm, poset
 from posetkraft.perm import PartialPermutation, Str
 from posetkraft.poset import (
     GradedPoset,
@@ -548,3 +548,15 @@ def test_poset_constructor_validation():
     for edge in ((0.0, 0), (True, 0)):
         with pytest.raises(ValueError, match="endpoints must be integers"):
             GradedPoset([["a", "c"], ["b"]], [{edge: 1}])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: GradedPoset([["a"], ["b"]], [{(0, 0): 1}], first_rank=0.5),
+    lambda: build_subset_poset(2).position(True),
+    lambda: build_subset_poset(2).position(1.0),
+    lambda: lym.counterexample_params(build_subset_poset(2), True),
+    lambda: build_subset_poset(2).to_dot(max_vertices=True),
+])
+def test_ranks_and_caps_refuse_bool_and_float(call):
+    with pytest.raises(ValueError, match="need a plain int"):
+        call()
