@@ -41,6 +41,7 @@ from .codes import (
     ParameterSequence,
     brute_force_uniquely_decodable,
     decode_prefix_free,
+    density,
     encode,
     full_perm_constant,
     is_free,

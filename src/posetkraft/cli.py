@@ -39,11 +39,12 @@ def _emit(args, payload, text: str) -> None:
     print(json.dumps(payload) if args.json else text)
 
 
-def _parse_int_list(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    return [int(part) for part in text.split(",")]
+def _int_list(text: str) -> list[int]:
+    """Comma-separated numbers, each read by the element syntax's rule."""
+    try:
+        return [perm.parse_number(field) for field in text.split(",")] if text.strip() else []
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -148,25 +149,22 @@ def _cmd_constants(args, parser) -> int:
             parser.error("give a code file or --params")
         if args.kind is not None and args.k is None:
             parser.error("--kind needs --k")
-        params = _parse_int_list(args.params)
+        params = args.params
         if args.r is not None:
             kind, size = "string", args.r
         elif args.k is not None:
-            kind = "perm_pattern" if args.kind == "full" else "partial_perm"
-            size = args.k
+            kind, size = ("perm_pattern" if args.kind == "full" else "partial_perm"), args.k
         else:
             parser.error("--params needs --r (strings) or --k (permutations)")
-    codomain = codes.CODOMAINS[kind]
-    value, label = codomain.constant(params, size), codomain.label
+    value, label = codes.code_constant(kind, params, size), codes.CODOMAINS[kind].label
     _emit(args, {label: _fmt_fraction(value)}, f"{label} = {_fmt_fraction(value, args.decimal)}")
     return EXIT_OK
 
 
 def _cmd_mcmillan(args, parser) -> int:
-    params = _parse_int_list(args.params)
-    result = lym.mcmillan_construct(args.r, params)
+    result = lym.mcmillan_construct(args.r, args.params)
     if not result:
-        K = _fmt_fraction(codes.kraft_number(params, args.r))
+        K = _fmt_fraction(codes.kraft_number(args.params, args.r))
         _emit(args, {"feasible": False, "failed_level": result.failed_level},
               f"infeasible at level {result.failed_level} (K = {K} > 1)")
         return EXIT_FAIL
@@ -309,9 +307,8 @@ def _cmd_counterexample(args, parser) -> int:
 
 def _cmd_antichain_search(args, parser) -> int:
     host = _build_poset(args, parser)
-    counts = _parse_int_list(args.counts)
     try:
-        outcome = lym.antichain_exists(host, counts, budget=args.budget)
+        outcome = lym.antichain_exists(host, args.counts, budget=args.budget)
     except ValueError as exc:
         parser.error(str(exc))
     print(json.dumps(outcome.to_json_dict()))
@@ -344,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="exact code constants from a code file or raw parameters")
     p.add_argument("codefile", nargs="?")
-    p.add_argument("--params", help="comma-separated counts a_0,a_1,...")
+    p.add_argument("--params", type=_int_list, help="comma-separated counts a_0,a_1,...")
     size = p.add_mutually_exclusive_group()
     size.add_argument("--r", type=int, help="alphabet size (string parameters)")
     size.add_argument("--k", type=int, help="universe size (permutation parameters)")
@@ -356,14 +353,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kraft", help="Kraft number of a parameter sequence")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--params", required=True)
+    p.add_argument("--params", type=_int_list, required=True)
     p.add_argument("--decimal", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_constants, codefile=None, k=None, kind=None)
 
     p = sub.add_parser("mcmillan", help="greedily build a prefix-free code with given parameters")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--params", required=True)
+    p.add_argument("--params", type=_int_list, required=True)
     p.add_argument("--output", "-o", help="write the code as JSON to this path")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_mcmillan)
@@ -388,8 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("local-lym", help="shadow-density inequality for one same-level set")
     _add_poset_args(p)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--elements", help="comma-separated element syntax")
-    p.add_argument("--set", help="JSON file with a list of element strings")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--elements", help="comma-separated element syntax")
+    source.add_argument("--set", help="JSON file with a list of element strings")
     p.add_argument("--decimal", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_local_lym)
@@ -404,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("antichain-search", help="exhaustive search for an antichain with given level counts")
     _add_poset_args(p)
-    p.add_argument("--counts", required=True, help="comma-separated counts from the lowest level up")
+    p.add_argument("--counts", type=_int_list, required=True,
+                   help="comma-separated counts from the lowest level up")
     p.add_argument("--budget", type=int)
     p.set_defaults(func=_cmd_antichain_search)
 

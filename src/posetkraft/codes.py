@@ -6,11 +6,12 @@ digit alphabet of size r, partial permutations over [1..k], and full
 permutations of every size up to k (the codomain where the pattern relations
 make sense).  ``CODOMAINS`` is the one table of them, keyed by codomain
 kind: the size key of the JSON form, the codeword parser and membership
-test, the orders freeness is decided under, and the label and function of
-the code constant.  The orders themselves live in ``perm.ORDERS``.
+test, the orders freeness is decided under, the code constant's label, and
+the level sizes (codewords of each length) and the lengths a parameter
+sequence may use.  The orders themselves live in ``perm.ORDERS``.
 
-All length-density constants (Kraft number and the two permutation
-constants) are exact rationals; no floating point is ever compared against 1.
+Each code constant is ``density`` against those level sizes, the sum
+``lym.lym_number`` takes over a poset's levels, as an exact rational.
 """
 
 from __future__ import annotations
@@ -142,52 +143,51 @@ class ParameterSequence:
 
 
 def as_parameter_sequence(params) -> ParameterSequence:
-    if isinstance(params, ParameterSequence):
-        return params
-    return ParameterSequence(tuple(params))
+    return params if isinstance(params, ParameterSequence) else ParameterSequence(tuple(params))
 
 
 def parameter_sequence(code: Code) -> ParameterSequence:
     """Length histogram of the codewords."""
-    if not code.codewords:
-        return ParameterSequence(())
-    counts = [0] * (max(len(w) for w in code.codewords) + 1)
+    counts = [0] * (max((len(w) for w in code.codewords), default=-1) + 1)
     for w in code.codewords:
         counts[len(w)] += 1
     return ParameterSequence(tuple(counts))
 
 
+def density(counts: Sequence[int], sizes: Sequence[int]) -> Fraction:
+    """Exact sum of count / size over paired entries: the Kraft number against
+    r^l, the partial and full permutation constants against k!/(k-l)! and l!,
+    and the LYM number against a graded poset's level sizes."""
+    common = math.lcm(*sizes)  # one division at the end, not one per term
+    return Fraction(sum(a * (common // n) for a, n in zip(counts, sizes, strict=True)), common)
+
+
+def code_constant(kind: str, params, size: int) -> Fraction:
+    """The density of a parameter sequence against a codomain's level sizes;
+    the size must be valid and the sequence use only supported lengths."""
+    require_ints(size)
+    Codomain(kind, size)  # the kind and size rule of every codomain
+    entry, seq = CODOMAINS[kind], as_parameter_sequence(params)
+    lo, hi = entry.support(size)
+    if any(seq.counts[:lo]) or (hi is not None and len(seq.counts) > hi + 1):
+        raise ValueError(f"parameter support must lie within lengths {lo}..{hi}")
+    return density(seq.counts, [entry.level_size(l, size) for l in range(len(seq.counts))])
+
+
 def kraft_number(params, r: int) -> Fraction:
     """Sum of codeword-length densities a_i / r^i, exact."""
-    require_ints(r)
-    if r < 1:
-        raise ValueError("need r >= 1")
-    seq = as_parameter_sequence(params)
-    return sum((Fraction(a, r**i) for i, a in enumerate(seq)), Fraction(0))
-
-
-def _check_perm_support(seq: ParameterSequence, k: int) -> None:
-    require_ints(k)
-    if seq[0] != 0 or any(seq[j] for j in range(k + 1, len(seq.counts))):
-        raise ValueError(f"parameter support must lie within lengths 1..{k}")
+    return code_constant("string", params, r)
 
 
 def partial_perm_constant(params, k: int) -> Fraction:
     """Density sum against the counts of injective l-sequences over [1..k]:
     sum of a_l / (C(k,l) * l!)."""
-    seq = as_parameter_sequence(params)
-    _check_perm_support(seq, k)
-    return sum(
-        (Fraction(seq[l], math.comb(k, l) * math.factorial(l)) for l in range(1, k + 1)),
-        Fraction(0),
-    )
+    return code_constant("partial_perm", params, k)
 
 
 def full_perm_constant(params, k: int) -> Fraction:
     """Density sum against the counts of full permutations: sum of a_l / l!."""
-    seq = as_parameter_sequence(params)
-    _check_perm_support(seq, k)
-    return sum((Fraction(seq[l], math.factorial(l)) for l in range(1, k + 1)), Fraction(0))
+    return code_constant("perm_pattern", params, k)
 
 
 # ---------------------------------------------------------------------------
@@ -202,23 +202,27 @@ class CodomainKind(NamedTuple):
     members: str  # what the members are, formatted with the size
     orders: tuple[str, ...]  # the orders is_free accepts
     label: str  # the code constant's label
-    constant: Callable  # (parameters, size) -> the code constant
+    level_size: Callable  # (length, size) -> number of codewords of that length
+    support: Callable  # size -> (shortest, longest or None) parameter length
 
 
 CODOMAINS = {
     "string": CodomainKind(
         "r", parse_str, lambda w, r: isinstance(w, Str) and w.universe == r,
-        "a string over a {}-digit alphabet", STRING_RELATIONS, "K", kraft_number,
+        "a string over a {}-digit alphabet", STRING_RELATIONS, "K",
+        lambda l, r: r**l, lambda r: (0, None),
     ),
     "partial_perm": CodomainKind(
         "k", parse_partial_permutation,
         lambda w, k: isinstance(w, PartialPermutation) and w.universe == k,
-        "a partial permutation over [1..{}]", STRING_RELATIONS, "P_partial", partial_perm_constant,
+        "a partial permutation over [1..{}]", STRING_RELATIONS, "P_partial",
+        lambda l, k: math.perm(k, l), lambda k: (1, k),
     ),
     "perm_pattern": CodomainKind(
         "k", lambda text, k: parse_partial_permutation(text),
         lambda w, k: isinstance(w, PartialPermutation) and w.is_full_permutation and len(w) <= k,
-        "a full permutation of size <= {}", CODE_RELATIONS, "P_full", full_perm_constant,
+        "a full permutation of size <= {}", CODE_RELATIONS, "P_full",
+        lambda l, k: math.factorial(l), lambda k: (1, k),
     ),
 }
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Mapping
 
-from .codes import Code, Codomain, as_parameter_sequence
+from .codes import Code, Codomain, as_parameter_sequence, density
 from .perm import Str, are_ints, require_ints
 from .poset import GradedPoset, format_poset_element
 
@@ -105,10 +105,7 @@ def is_antichain(poset: GradedPoset, members) -> AntichainCheck:
 def lym_number(poset: GradedPoset, members) -> Fraction:
     """Sum over levels of member count divided by level size, exact."""
     by_pos = _members_by_position(poset, members)
-    return sum(
-        (Fraction(len(idx), len(poset.levels[p])) for p, idx in by_pos.items()),
-        Fraction(0),
-    )
+    return density([len(idx) for idx in by_pos.values()], [len(poset.levels[p]) for p in by_pos])
 
 
 @dataclass(frozen=True)
@@ -338,10 +335,9 @@ def counterexample_params(poset: GradedPoset, lower_rank: int, upper_rank: int |
     a_lo = (g - 1) * n_lo // g
     a_hi = n_hi // g
     counts = LevelCounts.at_ranks(poset, {lower_rank: a_lo, upper_rank: a_hi})
-    lym_sum = Fraction(a_lo, n_lo) + Fraction(a_hi, n_hi)
     return CounterexampleResult(
-        True, None, lower_rank, upper_rank,
-        up_degree=u, down_degree=d, gcd=g, counts=counts, lym_sum=lym_sum,
+        True, None, lower_rank, upper_rank, up_degree=u, down_degree=d, gcd=g,
+        counts=counts, lym_sum=density((a_lo, a_hi), (n_lo, n_hi)),
     )
 
 

@@ -288,7 +288,7 @@ def format_element(x: Element, with_universe: bool = False) -> str:
     return body
 
 
-def _number(text: str) -> int:
+def parse_number(text: str) -> int:
     """An unsigned ASCII decimal, spaces around it allowed: no sign, no
     empty field, no underscore and no non-ASCII digit is coerced."""
     field = text.strip()
@@ -303,7 +303,7 @@ def parse_symbols(text: str) -> tuple[tuple[int, ...], int | None]:
     universe = None
     if "@" in text:
         body, _, suffix = text.rpartition("@")
-        universe = _number(suffix)
+        universe = parse_number(suffix)
         text = body.strip()
     if text in ("", "ε", "eps"):
         return (), universe
@@ -311,7 +311,7 @@ def parse_symbols(text: str) -> tuple[tuple[int, ...], int | None]:
         if not text.endswith(")"):
             raise ValueError(f"unbalanced parentheses in {text!r}")
         inner = text[1:-1]
-        return (tuple(map(_number, inner.split(","))) if inner.strip() else ()), universe
+        return (tuple(map(parse_number, inner.split(","))) if inner.strip() else ()), universe
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"cannot parse element {text!r}")
     return tuple(int(ch) for ch in text), universe

@@ -133,6 +133,23 @@ def test_constants_conflicting_raw_options(capsys, options):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["constants", "--params", "0", "--k", "0"],
+    ["constants", "--params", "0,1", "--k", "-1", "--kind", "full"],
+    ["kraft", "--r", "0", "--params", "1"],
+])
+def test_constants_refuse_sizes_below_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: codomain size must be an integer >= 1\n"
+
+
+def test_number_lists_take_empty_and_spaced_fields(capsys):
+    assert run(capsys, "kraft", "--r", "2", "--params", "")[:2] == (0, "K = 0/1\n")
+    assert run(capsys, "kraft", "--r", "2", "--params", "0, 1, 2")[:2] == (0, "K = 1/1\n")
+    assert run(capsys, "antichain-search", "--subsets", "--n", "2", "--counts", " 0 ,2")[0] == 0
+
+
 def test_constants_from_code_file(tmp_path, capsys):
     path = write_code(tmp_path, {"codomain": {"kind": "partial_perm", "k": 3}, "codewords": ["1", "2", "12", "21"]})
     code, out, _ = run(capsys, "constants", path)
@@ -249,6 +266,20 @@ def test_usage_errors_say_what_is_missing(capsys, argv, message):
 ])
 def test_stray_options_are_usage_errors(capsys, argv, message):
     assert usage_error(capsys, *argv) == f"posetkraft: error: {message}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kraft", "--r", "2", "--params", "+1,1_0,１"], "argument --params: cannot parse number '+1'"),
+    (["kraft", "--r", "2", "--params", "1_0"], "argument --params: cannot parse number '1_0'"),
+    (["mcmillan", "--r", "2", "--params", "0,,1"], "argument --params: cannot parse number ''"),
+    (["constants", "--params", "-1", "--k", "2"], "argument --params: cannot parse number '-1'"),
+    (["antichain-search", "--subsets", "--n", "2", "--counts", "０,+2,0"],
+     "argument --counts: cannot parse number '０'"),
+    (["local-lym", "--subsets", "--n", "2", "--level", "1", "--elements", "{1}", "--set", "s.json"],
+     "argument --set: not allowed with argument --elements"),
+])
+def test_malformed_option_values_are_usage_errors(capsys, argv, message):
+    assert usage_error(capsys, *argv) == f"posetkraft {argv[0]}: error: {message}"
 
 
 # ---------------------------------------------------------------------------

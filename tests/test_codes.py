@@ -137,6 +137,35 @@ def test_constants_monotone_and_additive():
         assert fn(joint, arg) == fn(a, arg) + fn(b, arg)
 
 
+def test_constants_refuse_sizes_below_1():
+    for call in (
+        lambda: partial_perm_constant((), 0),
+        lambda: full_perm_constant((), -2),
+        lambda: codes.code_constant("perm_pattern", (0, 1), -1),
+    ):
+        with pytest.raises(ValueError, match="codomain size must be an integer >= 1"):
+            call()
+
+
+def test_density_is_one_exact_sum():
+    assert codes.density((), ()) == 0
+    assert codes.density((1, 2), (2, 4)) == 1
+    assert codes.density((0, 1, 2), (1, 2, 4)) == kraft_number((0, 1, 2), 2)
+    assert codes.density((2, 2), (3, 6)) == Fraction(1, 1)
+    with pytest.raises(ValueError):
+        codes.density((1, 2), (2,))  # counts and sizes must pair up
+    with pytest.raises(ValueError, match="unknown codomain kind"):
+        codes.code_constant("octal", (1,), 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 50), st.integers(1, 10**6)), max_size=8))
+def test_density_matches_the_termwise_sum(pairs):
+    counts, sizes = [a for a, _ in pairs], [n for _, n in pairs]
+    termwise = sum((Fraction(a, n) for a, n in pairs), Fraction(0))
+    assert codes.density(counts, sizes) == termwise
+
+
 def test_constants_match_code_parameter_sequences():
     code = Code.of_partial_perms(3, ["1", "21", "312"])
     assert partial_perm_constant(parameter_sequence(code), 3) == Fraction(1, 3) + Fraction(1, 6) + Fraction(1, 6)

@@ -83,6 +83,35 @@ def test_lym_number_is_exact():
     assert lym_number(P, [(1, fs(1)), (2, fs(2, 3))]) == Fraction(1, 3) + Fraction(1, 3)
 
 
+def test_code_constants_are_the_poset_density():
+    """Each code constant is the LYM number of the code's antichain in the
+    host whose levels hold the codomain's words of each length: the words of
+    length l sit at rank l, or at rank 2l - 2 in a pattern poset."""
+    sweeps = [
+        ("string", 2, {rel: build_string_poset(2, rel, 3) for rel in perm.STRING_RELATIONS},
+         [w for l in range(4) for w in perm.strings(2, l)], lambda l: l),
+        ("partial_perm", 3, {rel: build_partial_perm_poset(3, rel) for rel in perm.STRING_RELATIONS},
+         list(perm.all_partial_permutations(3)), lambda l: l),
+        ("perm_pattern", 3, {rel: build_pattern_poset(3, rel) for rel in perm.PATTERN_RELATIONS},
+         list(perm.all_full_permutations(3)), lambda l: 2 * l - 2),
+    ]
+    free_codes = 0
+    for kind, size, hosts, words, rank in sweeps:
+        level_size = codes.CODOMAINS[kind].level_size
+        for host in hosts.values():
+            for l in sorted({len(w) for w in words}):
+                assert level_size(l, size) == len(host.levels[host.position(rank(l))])
+        for n in (1, 2, 3):
+            for combo in itertools.combinations(words, n):
+                code = codes.Code(codes.Codomain(kind, size), combo)
+                constant = codes.code_constant(kind, parameter_sequence(code), size)
+                for rel, host in hosts.items():
+                    if codes.is_free(code, rel):
+                        free_codes += 1
+                        assert constant == lym_number(host, [(rank(len(w)), w) for w in combo])
+    assert free_codes == 1379
+
+
 # ---------------------------------------------------------------------------
 # Local LYM
 
