@@ -25,9 +25,16 @@ EXIT_BUDGET = 3
 
 
 def _fmt_fraction(value: Fraction, decimal: bool = False) -> str:
-    if decimal:
-        return repr(float(value))
-    return f"{value.numerator}/{value.denominator}"
+    """p/q, or under --decimal a float, refused if it overflows or rounds to 0."""
+    if not decimal:
+        return f"{value.numerator}/{value.denominator}"
+    try:
+        shown = float(value)
+        if shown or not value:
+            return repr(shown)
+    except OverflowError:
+        pass
+    raise ValueError("the value is out of a float's range; drop --decimal to print it exactly")
 
 
 def _normalize_relation(name: str) -> str:
@@ -39,12 +46,19 @@ def _emit(args, payload, text: str) -> None:
     print(json.dumps(payload) if args.json else text)
 
 
-def _int_list(text: str) -> list[int]:
-    """Comma-separated numbers, each read by the element syntax's rule."""
+def _int(text: str, signed: bool = True) -> int:
+    """A number read by the element syntax's rule, after an optional '-'
+    directly before it when signed; nothing else is coerced."""
+    sign = -1 if signed and text[:1] == "-" and "0" <= text[1:2] <= "9" else 1
     try:
-        return [perm.parse_number(field) for field in text.split(",")] if text.strip() else []
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        return sign * perm.parse_number(text[1:] if sign < 0 else text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"cannot parse number {text!r}") from None
+
+
+def _int_list(text: str) -> list[int]:
+    """Comma-separated unsigned numbers."""
+    return [_int(field, signed=False) for field in text.split(",")] if text.strip() else []
 
 
 # ---------------------------------------------------------------------------
@@ -56,11 +70,11 @@ def _add_poset_args(sub: argparse.ArgumentParser) -> None:
     fam.add_argument("--perm", action="store_true", help="partial permutations over [1..k]")
     fam.add_argument("--pattern", action="store_true", help="full permutations under a pattern order")
     fam.add_argument("--subsets", action="store_true", help="subsets of [1..n] by inclusion")
-    sub.add_argument("--r", type=int, help="alphabet size for --str")
-    sub.add_argument("--k", type=int, help="universe size for --perm / --pattern")
-    sub.add_argument("--n", type=int, help="ground-set size for --subsets")
+    sub.add_argument("--r", type=_int, help="alphabet size for --str")
+    sub.add_argument("--k", type=_int, help="universe size for --perm / --pattern")
+    sub.add_argument("--n", type=_int, help="ground-set size for --subsets")
     sub.add_argument("--relation", help="order relation for --str / --perm / --pattern")
-    sub.add_argument("--max-level", type=int, help="top string length for --str")
+    sub.add_argument("--max-level", type=_int, help="top string length for --str")
 
 
 # Each family's builder, named so that it is looked up in ``poset`` at call
@@ -328,9 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--perm", choices=["T", "S"], help="T: injective sequences; S: full permutations")
     grp.add_argument("--str", action="store_true", help="strings over a digit alphabet")
-    p.add_argument("--k", type=int, help="universe size for --perm")
-    p.add_argument("--r", type=int, help="alphabet size for --str")
-    p.add_argument("--l", type=int, help="length (omit for the whole union with --perm)")
+    p.add_argument("--k", type=_int, help="universe size for --perm")
+    p.add_argument("--r", type=_int, help="alphabet size for --str")
+    p.add_argument("--l", type=_int, help="length (omit for the whole union with --perm)")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("check-free", help="test a code file for freeness under a relation")
@@ -343,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("codefile", nargs="?")
     p.add_argument("--params", type=_int_list, help="comma-separated counts a_0,a_1,...")
     size = p.add_mutually_exclusive_group()
-    size.add_argument("--r", type=int, help="alphabet size (string parameters)")
-    size.add_argument("--k", type=int, help="universe size (permutation parameters)")
+    size.add_argument("--r", type=_int, help="alphabet size (string parameters)")
+    size.add_argument("--k", type=_int, help="universe size (permutation parameters)")
     p.add_argument("--kind", choices=["partial", "full"],
                    help="which permutation constant to use with --k (default partial)")
     p.add_argument("--decimal", action="store_true")
@@ -352,14 +366,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_constants)
 
     p = sub.add_parser("kraft", help="Kraft number of a parameter sequence")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_int, required=True)
     p.add_argument("--params", type=_int_list, required=True)
     p.add_argument("--decimal", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_constants, codefile=None, k=None, kind=None)
 
     p = sub.add_parser("mcmillan", help="greedily build a prefix-free code with given parameters")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_int, required=True)
     p.add_argument("--params", type=_int_list, required=True)
     p.add_argument("--output", "-o", help="write the code as JSON to this path")
     p.add_argument("--json", action="store_true")
@@ -372,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hasse", help="emit the Hasse diagram as DOT")
     _add_poset_args(p)
-    p.add_argument("--max-vertices", type=int, default=poset.DEFAULT_MAX_VERTICES)
+    p.add_argument("--max-vertices", type=_int, default=poset.DEFAULT_MAX_VERTICES)
     p.set_defaults(func=_cmd_hasse)
 
     p = sub.add_parser("lym", help="LYM number and antichain verdict for an antichain file")
@@ -384,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("local-lym", help="shadow-density inequality for one same-level set")
     _add_poset_args(p)
-    p.add_argument("--level", type=int, required=True)
+    p.add_argument("--level", type=_int, required=True)
     source = p.add_mutually_exclusive_group()
     source.add_argument("--elements", help="comma-separated element syntax")
     source.add_argument("--set", help="JSON file with a list of element strings")
@@ -394,9 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("counterexample", help="derive the no-antichain parameter vector and certify it")
     _add_poset_args(p)
-    p.add_argument("--level", type=int, required=True, help="lower level of the pair")
-    p.add_argument("--upper", type=int, help="upper level (defaults to level+1)")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--level", type=_int, required=True, help="lower level of the pair")
+    p.add_argument("--upper", type=_int, help="upper level (defaults to level+1)")
+    p.add_argument("--budget", type=_int)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_counterexample)
 
@@ -404,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_poset_args(p)
     p.add_argument("--counts", type=_int_list, required=True,
                    help="comma-separated counts from the lowest level up")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=_int)
     p.set_defaults(func=_cmd_antichain_search)
 
     return parser

@@ -10,7 +10,9 @@ test, the orders freeness is decided under, the code constant's label, and
 the level sizes (codewords of each length) and the lengths a parameter
 sequence may use.  The orders themselves live in ``perm.ORDERS``.
 
-Each code constant is ``density`` against those level sizes, the sum
+``ParameterSequence`` is the one count vector, dense as given: a code's
+length histogram or a poset's level counts (``lym.LevelCounts``).  Each code
+constant is ``density`` against those level sizes, the sum
 ``lym.lym_number`` takes over a poset's levels, as an exact rational.
 """
 
@@ -21,7 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .perm import (
     CODE_RELATIONS,
@@ -119,16 +121,15 @@ def code_from_json_dict(data: dict) -> Code:
 
 @dataclass(frozen=True)
 class ParameterSequence:
-    """How many codewords there are of each length (finitely supported)."""
+    """Non-negative counts by level index, stored as given: codewords by
+    length, or members by level position of any graded poset."""
 
     counts: tuple[int, ...]
 
     def __post_init__(self):
         counts = tuple(self.counts)
         if not are_ints(counts) or any(c < 0 for c in counts):
-            raise ValueError("parameter counts must be non-negative integers")
-        while counts and counts[-1] == 0:
-            counts = counts[:-1]
+            raise ValueError("counts must be non-negative integers")
         object.__setattr__(self, "counts", counts)
 
     def __getitem__(self, j: int) -> int:
@@ -141,8 +142,19 @@ class ParameterSequence:
     def total(self) -> int:
         return sum(self.counts)
 
+    @classmethod
+    def at_ranks(cls, poset, by_rank: Mapping[int, int]) -> "ParameterSequence":
+        dense = [0] * poset.num_levels
+        for rank, count in by_rank.items():
+            dense[poset.position(rank)] = count
+        return cls(tuple(dense))
+
+    def by_rank(self, poset) -> dict[int, int]:
+        return {poset.rank_of_position(p): c for p, c in enumerate(self.counts) if c != 0}
+
 
 def as_parameter_sequence(params) -> ParameterSequence:
+    """The one coercion of a sequence of counts to a ``ParameterSequence``."""
     return params if isinstance(params, ParameterSequence) else ParameterSequence(tuple(params))
 
 
@@ -169,9 +181,10 @@ def code_constant(kind: str, params, size: int) -> Fraction:
     Codomain(kind, size)  # the kind and size rule of every codomain
     entry, seq = CODOMAINS[kind], as_parameter_sequence(params)
     lo, hi = entry.support(size)
-    if any(seq.counts[:lo]) or (hi is not None and len(seq.counts) > hi + 1):
+    counts = seq.counts[: None if hi is None else hi + 1]  # zeros past hi are dropped
+    if any(seq.counts[:lo]) or any(seq.counts[len(counts):]):
         raise ValueError(f"parameter support must lie within lengths {lo}..{hi}")
-    return density(seq.counts, [entry.level_size(l, size) for l in range(len(seq.counts))])
+    return density(counts, [entry.level_size(l, size) for l in range(len(counts))])
 
 
 def kraft_number(params, r: int) -> Fraction:

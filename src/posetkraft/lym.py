@@ -18,11 +18,12 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Mapping
 
-from .codes import Code, Codomain, as_parameter_sequence, density
+from .codes import Code, Codomain, ParameterSequence, as_parameter_sequence, density
 from .perm import Str, are_ints, require_ints
 from .poset import GradedPoset, format_poset_element
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
+LevelCounts = ParameterSequence  # a poset's count vector: entry p is its p-th level
 
 
 class BudgetExceededError(RuntimeError):
@@ -174,55 +175,6 @@ def reduce_top_level(poset: GradedPoset, antichain) -> Antichain:
 
 
 # ---------------------------------------------------------------------------
-# Level count vectors
-
-@dataclass(frozen=True)
-class LevelCounts:
-    """Requested antichain sizes, densely aligned with a host poset's levels
-    (entry p belongs to the poset's p-th level, i.e. rank first_rank + p)."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        counts = tuple(self.counts)
-        if not are_ints(counts) or any(c < 0 for c in counts):
-            raise ValueError("level counts must be non-negative integers")
-        object.__setattr__(self, "counts", counts)
-
-    @classmethod
-    def at_ranks(cls, poset: GradedPoset, by_rank: Mapping[int, int]) -> "LevelCounts":
-        dense = [0] * poset.num_levels
-        for rank, count in by_rank.items():
-            dense[poset.position(rank)] = count
-        return cls(tuple(dense))
-
-    def by_rank(self, poset: GradedPoset) -> dict[int, int]:
-        return {
-            poset.rank_of_position(p): c for p, c in enumerate(self.counts) if c != 0
-        }
-
-
-def _dense_counts(poset: GradedPoset, counts) -> list[int]:
-    if isinstance(counts, Mapping):
-        counts = LevelCounts.at_ranks(poset, counts)
-    elif not isinstance(counts, LevelCounts):
-        counts = LevelCounts(tuple(counts))
-    dense = list(counts.counts)
-    if len(dense) > poset.num_levels:
-        if any(dense[poset.num_levels:]):
-            raise ValueError("counts extend past the top level of the poset")
-        dense = dense[: poset.num_levels]
-    dense += [0] * (poset.num_levels - len(dense))
-    for p, a in enumerate(dense):
-        if a > len(poset.levels[p]):
-            raise ValueError(
-                f"count {a} exceeds the {len(poset.levels[p])} elements of level "
-                f"{poset.rank_of_position(p)}"
-            )
-    return dense
-
-
-# ---------------------------------------------------------------------------
 # Greedy prefix-code construction
 
 @dataclass(frozen=True)
@@ -360,6 +312,22 @@ class SearchOutcome:
         if self.exists:
             return {"exists": True, **antichain_to_json_dict(self.antichain)}
         return {"exists": False, "search_nodes": self.nodes}
+
+
+def _dense_counts(poset: GradedPoset, counts) -> list[int]:
+    if isinstance(counts, Mapping):
+        counts = LevelCounts.at_ranks(poset, counts)
+    seq, n = as_parameter_sequence(counts), poset.num_levels
+    if any(seq.counts[n:]):
+        raise ValueError("counts extend past the top level of the poset")
+    dense = [seq[p] for p in range(n)]
+    for p, a in enumerate(dense):
+        if a > len(poset.levels[p]):
+            raise ValueError(
+                f"count {a} exceeds the {len(poset.levels[p])} elements of level "
+                f"{poset.rank_of_position(p)}"
+            )
+    return dense
 
 
 def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> SearchOutcome:

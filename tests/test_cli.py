@@ -99,6 +99,8 @@ def test_constants_from_params(capsys):
     assert code == 0 and out.strip() == "K = 0/1"
     code, out, _ = run(capsys, "constants", "--params", "0,0,1,3", "--k", "3", "--kind", "full")
     assert code == 0 and out.strip() == "P_full = 1/1"
+    code, out, _ = run(capsys, "constants", "--params", "0,1,1,0,0", "--k", "2")
+    assert code == 0 and out.strip() == "P_partial = 1/1"
 
 
 @pytest.mark.parametrize(
@@ -148,6 +150,18 @@ def test_number_lists_take_empty_and_spaced_fields(capsys):
     assert run(capsys, "kraft", "--r", "2", "--params", "")[:2] == (0, "K = 0/1\n")
     assert run(capsys, "kraft", "--r", "2", "--params", "0, 1, 2")[:2] == (0, "K = 1/1\n")
     assert run(capsys, "antichain-search", "--subsets", "--n", "2", "--counts", " 0 ,2")[0] == 0
+
+
+@pytest.mark.parametrize("params, r", [
+    ("1" + "0" * 400, "1"),  # K = 10^400 overflows a float
+    ("0," * 1100 + "1", "2"),  # K = 2^-1100 is nonzero but rounds to 0.0
+])
+def test_decimal_refuses_values_a_float_cannot_hold(capsys, params, r):
+    code, out, err = run(capsys, "kraft", "--r", r, "--params", params, "--decimal")
+    assert code == 2 and out == ""
+    assert err == "error: the value is out of a float's range; drop --decimal to print it exactly\n"
+    code, out, _ = run(capsys, "kraft", "--r", r, "--params", params)
+    assert code == 0 and out.startswith("K = ")
 
 
 def test_constants_from_code_file(tmp_path, capsys):
@@ -277,6 +291,12 @@ def test_stray_options_are_usage_errors(capsys, argv, message):
      "argument --counts: cannot parse number '０'"),
     (["local-lym", "--subsets", "--n", "2", "--level", "1", "--elements", "{1}", "--set", "s.json"],
      "argument --set: not allowed with argument --elements"),
+    (["kraft", "--r", "２", "--params", "1"], "argument --r: cannot parse number '２'"),
+    (["kraft", "--r", "1_0", "--params", "0,1"], "argument --r: cannot parse number '1_0'"),
+    (["regularity", "--subsets", "--n", " +2"], "argument --n: cannot parse number ' +2'"),
+    (["regularity", "--subsets", "--n", "- 2"], "argument --n: cannot parse number '- 2'"),
+    (["antichain-search", "--subsets", "--n", "2", "--counts", "0,1,0", "--budget", "٣"],
+     "argument --budget: cannot parse number '٣'"),
 ])
 def test_malformed_option_values_are_usage_errors(capsys, argv, message):
     assert usage_error(capsys, *argv) == f"posetkraft {argv[0]}: error: {message}"

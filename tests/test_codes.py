@@ -91,7 +91,7 @@ def test_parameter_sequence_examples():
 
 
 def test_parameter_sequence_normalization_and_validation():
-    assert ParameterSequence((0, 1, 0, 0)).counts == (0, 1)
+    assert ParameterSequence((0, 1, 0, 0)).counts == (0, 1, 0, 0)
     assert ParameterSequence(())[5] == 0
     assert ParameterSequence((1, 2)).total == 3
     with pytest.raises(ValueError):
@@ -114,16 +114,20 @@ def test_partial_perm_constant_examples():
     assert partial_perm_constant((0, 2, 3), 3) == Fraction(7, 6)
     assert partial_perm_constant((), 3) == 0
     assert partial_perm_constant((0, 2, 2), 3) == 1
+    assert partial_perm_constant((0, 1, 1, 0, 0), 2) == 1  # zeros past k are dropped
     with pytest.raises(ValueError):
         partial_perm_constant((1,), 3)  # length-0 support
     with pytest.raises(ValueError):
         partial_perm_constant((0, 0, 0, 0, 5), 3)  # support above k
+    with pytest.raises(ValueError):
+        partial_perm_constant((0, 1, 1, 1), 2)
 
 
 def test_full_perm_constant_examples():
     assert full_perm_constant((0, 0, 1, 3), 3) == 1
     assert full_perm_constant((), 3) == 0
     assert full_perm_constant((0, 1, 1), 2) == Fraction(3, 2)
+    assert full_perm_constant((0, 1, 1, 0, 0), 2) == Fraction(3, 2)
 
 
 def test_constants_monotone_and_additive():

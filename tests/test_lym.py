@@ -553,13 +553,27 @@ def test_sizes_and_budgets_refuse_bool_and_float(call):
 
 def test_level_counts_helpers():
     P = build_partial_perm_poset(3, "substring")
+    assert LevelCounts is codes.ParameterSequence
     counts = LevelCounts.at_ranks(P, {1: 2, 2: 2})
     assert counts.counts == (2, 2, 0)
     assert counts.by_rank(P) == {1: 2, 2: 2}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="counts must be non-negative integers"):
         LevelCounts((-1,))
     with pytest.raises(ValueError):
         LevelCounts.at_ranks(P, {7: 1})
+
+
+@pytest.mark.parametrize("host, by_rank", [
+    (build_string_poset(2, "subsequence", 2), {1: 1, 2: 1}),
+    (build_partial_perm_poset(3, "substring"), {1: 1, 2: 2}),
+    (build_pattern_poset(3, "pattern"), {2: 1, 3: 2}),
+    (build_subset_poset(4), {1: 1, 2: 3}),
+])
+def test_search_reads_one_profile_four_ways(host, by_rank):
+    dense = [by_rank.get(host.rank_of_position(p), 0) for p in range(host.num_levels)]
+    ways = (dense, by_rank, LevelCounts.at_ranks(host, by_rank), codes.ParameterSequence(tuple(dense)))
+    outcomes = {(o.exists, o.nodes, o.antichain) for o in (antichain_exists(host, c) for c in ways)}
+    assert len(outcomes) == 1 and outcomes.pop()[0]
 
 
 # ---------------------------------------------------------------------------
