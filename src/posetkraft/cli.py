@@ -41,9 +41,10 @@ def _normalize_relation(name: str) -> str:
     return name.replace("-", "_")
 
 
-def _emit(args, payload, text: str) -> None:
-    """Print a result once: its JSON payload under --json, else its text."""
-    print(json.dumps(payload) if args.json else text)
+def _emit(args, payload, text) -> None:
+    """Print a result once: its JSON payload under --json, else the string
+    ``text()``, so that --decimal text is built only when it is printed."""
+    print(json.dumps(payload) if args.json else text())
 
 
 def _int(text: str, signed: bool = True) -> int:
@@ -147,7 +148,7 @@ def _cmd_check_free(args, parser) -> int:
     if result.witness:
         inner, outer = payload["witness"] = [perm.format_element(w) for w in result.witness]
         text = f"not free under {relation}: {inner} sits inside {outer}"
-    _emit(args, payload, text)
+    _emit(args, payload, lambda: text)
     return EXIT_OK if result else EXIT_FAIL
 
 
@@ -171,7 +172,7 @@ def _cmd_constants(args, parser) -> int:
         else:
             parser.error("--params needs --r (strings) or --k (permutations)")
     value, label = codes.code_constant(kind, params, size), codes.CODOMAINS[kind].label
-    _emit(args, {label: _fmt_fraction(value)}, f"{label} = {_fmt_fraction(value, args.decimal)}")
+    _emit(args, {label: _fmt_fraction(value)}, lambda: f"{label} = {_fmt_fraction(value, args.decimal)}")
     return EXIT_OK
 
 
@@ -180,7 +181,7 @@ def _cmd_mcmillan(args, parser) -> int:
     if not result:
         K = _fmt_fraction(codes.kraft_number(args.params, args.r))
         _emit(args, {"feasible": False, "failed_level": result.failed_level},
-              f"infeasible at level {result.failed_level} (K = {K} > 1)")
+              lambda: f"infeasible at level {result.failed_level} (K = {K} > 1)")
         return EXIT_FAIL
     payload = codes.code_to_json_dict(result.code)
     if args.output:
@@ -210,7 +211,7 @@ def _cmd_regularity(args, parser) -> int:
                if p.is_biregular else f"NOT biregular (up degrees {ups}, down degrees {downs})")
         )
     lines.append(f"level-regular: {'yes' if report.is_level_regular else 'no'}")
-    _emit(args, {"level_regular": report.is_level_regular, "pairs": pairs}, "\n".join(lines))
+    _emit(args, {"level_regular": report.is_level_regular, "pairs": pairs}, lambda: "\n".join(lines))
     return EXIT_OK if report.is_level_regular else EXIT_FAIL
 
 
@@ -238,7 +239,7 @@ def _cmd_lym(args, parser) -> int:
         witness = [[rank, poset.format_poset_element(x)] for rank, x in check.witness]
         (ra, a), (rb, b) = payload["witness"] = witness
         verdict = f"no ({a} at level {ra} is below {b} at level {rb})"
-    _emit(args, payload, f"L = {_fmt_fraction(value, args.decimal)}\nantichain: {verdict}")
+    _emit(args, payload, lambda: f"L = {_fmt_fraction(value, args.decimal)}\nantichain: {verdict}")
     return EXIT_OK if check else EXIT_FAIL
 
 
@@ -276,11 +277,12 @@ def _cmd_local_lym(args, parser) -> int:
         result = lym.local_lym_check(host, args.level, elements)
     except ValueError as exc:
         parser.error(str(exc))
-    lhs, rhs = _fmt_fraction(result.lhs, args.decimal), _fmt_fraction(result.rhs, args.decimal)
+    verdict = "holds" if result.holds else "FAILS"
     _emit(
         args,
         {"lhs": _fmt_fraction(result.lhs), "rhs": _fmt_fraction(result.rhs), "holds": result.holds},
-        f"shadow density {lhs} vs set density {rhs}: {'holds' if result.holds else 'FAILS'}",
+        lambda: f"shadow density {_fmt_fraction(result.lhs, args.decimal)} vs set density "
+                f"{_fmt_fraction(result.rhs, args.decimal)}: {verdict}",
     )
     return EXIT_OK if result.holds else EXIT_FAIL
 
@@ -289,7 +291,7 @@ def _cmd_counterexample(args, parser) -> int:
     host = _build_poset(args, parser)
     outcome = lym.counterexample_params(host, args.level, args.upper)
     if not outcome:
-        _emit(args, {"accepted": False, "reason": outcome.reason}, f"rejected: {outcome.reason}")
+        _emit(args, {"accepted": False, "reason": outcome.reason}, lambda: f"rejected: {outcome.reason}")
         return EXIT_FAIL
     search = lym.antichain_exists(host, outcome.counts, budget=args.budget)
     params_by_rank = outcome.counts.by_rank(host)
@@ -309,7 +311,7 @@ def _cmd_counterexample(args, parser) -> int:
         "UNEXPECTED: an antichain with these counts exists" if search.exists
         else f"no antichain with these counts ({search.nodes} assignments checked)"
     )
-    _emit(args, payload, "\n".join([
+    _emit(args, payload, lambda: "\n".join([
         f"levels ({outcome.lower_rank},{outcome.upper_rank}): "
         f"u={outcome.up_degree} d={outcome.down_degree} gcd={outcome.gcd}",
         f"params: {params}",

@@ -345,6 +345,12 @@ def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> S
     a search that finds a witness counts one node per populated level on the
     path to it, besides the combinations it abandoned.  A two-level witness
     thus reports the upper-level choices tried plus one for the lower level.
+
+    Blocked sets are Python-int bit masks over a level's indices.  The
+    first time the search enters a level with a populated level below it,
+    it builds ``down_masks`` between the two; each node then ORs the masks
+    of its forbidden elements once, and each combination ORs in its own
+    and counts the bits.
     """
     if budget is None:
         budget = DEFAULT_SEARCH_BUDGET
@@ -358,15 +364,26 @@ def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> S
     last = len(order) - 1
     nodes = 0
     chosen: dict[int, tuple[int, ...]] = {}
+    masks: list[list[int]] = []  # masks[step]: down_masks(order[step], order[step + 1])
 
-    def search(step: int, forbidden: set[int]) -> bool:
+    def search(step: int, forbidden: int) -> bool:
         nonlocal nodes
         p = order[step]
-        candidates = [i for i in range(len(poset.levels[p])) if i not in forbidden]
+        # bit i of forbidden, the i-th character: "1" when element i lies
+        # below an element chosen higher up
+        bits = format(forbidden, "b")[::-1].ljust(len(poset.levels[p]), "0")
+        free = [i for i, bit in enumerate(bits) if bit == "0"]
         if step < last:
             next_p = order[step + 1]
             max_blocked = len(poset.levels[next_p]) - dense[next_p]
-        for combo in itertools.combinations(candidates, dense[p]):
+            if step == len(masks):
+                masks.append(poset.down_masks(p, next_p))
+            down = masks[step]
+            closed = 0
+            for i, bit in enumerate(bits):
+                if bit == "1":
+                    closed |= down[i]
+        for combo in itertools.combinations(free, dense[p]):
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(
@@ -376,12 +393,14 @@ def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> S
             chosen[p] = combo  # stale entries are overwritten on the path that succeeds
             if step == last:
                 return True
-            blocked = poset.down_closure(p, forbidden.union(combo), next_p)
-            if len(blocked) <= max_blocked and search(step + 1, blocked):
+            blocked = closed
+            for i in combo:
+                blocked |= down[i]
+            if blocked.bit_count() <= max_blocked and search(step + 1, blocked):
                 return True
         return False
 
-    if search(0, set()):
+    if search(0, 0):
         return SearchOutcome(True, _members_from_indices(poset, chosen), nodes)
     return SearchOutcome(False, None, nodes)
 
@@ -393,14 +412,14 @@ def sample_antichain(poset: GradedPoset, rng: Random) -> Antichain:
     """Draw a sparse random subset of every level, then repair it into an
     antichain by keeping, top level first and in lexicographic order, only
     elements incomparable with everything already kept."""
-    density = 1.0 / (2 * poset.num_levels)
+    chance = 1.0 / (2 * poset.num_levels)
     chosen: dict[int, list[int]] = {}
     blocked: set[int] = set()
     for p in range(poset.num_levels - 1, -1, -1):
         picks = chosen[p] = [
             i
             for i in range(len(poset.levels[p]))
-            if rng.random() < density and i not in blocked
+            if rng.random() < chance and i not in blocked
         ]
         if p > 0:
             blocked = poset.down_closure(p, blocked.union(picks), p - 1)

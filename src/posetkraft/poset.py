@@ -84,9 +84,10 @@ class GradedPoset:
     adjacencies on every access, at O(edges) cost, and changing it changes
     nothing.  Levels are addressed publicly by *rank* ``first_rank + p``
     (partial permutation posets start at rank 1, everything else at 0).  The
-    index-level methods (``down_closure``, ``pair_regularity``) take
-    positions ``p`` and element indices into ``levels[p]``.  Each level's
-    element names are formatted once, for the exports and ``resolve_element``.
+    index-level methods (``down_closure``, ``down_masks``,
+    ``pair_regularity``) take positions ``p`` and element indices into
+    ``levels[p]``.  Each level's element names are formatted once, for the
+    exports and ``resolve_element``.
     """
 
     def __init__(self, levels, covers, family="custom", first_rank=0):
@@ -214,16 +215,36 @@ class GradedPoset:
             return 0
         return self._pair_audit(p - 1, p)[1][self.index_of(rank, element)]
 
+    def _check_downward(self, pos: int, to_pos: int) -> None:
+        if not 0 <= to_pos < pos < len(self.levels):
+            raise ValueError(f"cannot close downward from position {pos} to {to_pos}")
+
     def down_closure(self, pos: int, indices, to_pos: int) -> set[int]:
         """Indices of the elements at position ``to_pos < pos`` lying below
         some element of ``indices`` (indices into ``levels[pos]``)."""
-        if not 0 <= to_pos < pos < len(self.levels):
-            raise ValueError(f"cannot close downward from position {pos} to {to_pos}")
+        self._check_downward(pos, to_pos)
         closure = indices
         for q in range(pos, to_pos, -1):
             down = self._down[q - 1]
             closure = {lo for i in closure for lo in down[i]}
         return closure
+
+    def down_masks(self, pos: int, to_pos: int) -> list[int]:
+        """The down-closure at position ``to_pos < pos`` of each element of
+        ``levels[pos]``, as a bit mask: bit j of entry i is set when element
+        j of ``levels[to_pos]`` lies below element i.  One O(edges) pass per
+        level in between, each upper mask the OR of its lower covers' masks."""
+        self._check_downward(pos, to_pos)
+        masks = [1 << j for j in range(len(self.levels[to_pos]))]
+        for down in self._down[to_pos:pos]:
+            upper = []
+            for lows in down:
+                mask = 0
+                for lo in lows:
+                    mask |= masks[lo]
+                upper.append(mask)
+            masks = upper
+        return masks
 
     def lower_shadow(self, rank: int, elements) -> set:
         """Set of elements one level down covered by some element of the input."""

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from posetkraft import poset
+from posetkraft import cli, poset
 from posetkraft.cli import main
 
 
@@ -448,6 +448,34 @@ def test_local_lym_command(capsys):
     )
     assert code == 0
     assert "1/2" in out and "1/4" in out and "holds" in out
+
+
+def test_json_prints_the_exact_value_that_decimal_cannot_show(capsys):
+    params = "0," * 1100 + "1"  # K = 2^-1100 rounds to 0.0
+    code, out, _ = run(capsys, "kraft", "--r", "2", "--params", params, "--decimal", "--json")
+    assert (code, out) == (0, json.dumps({"K": f"1/{2 ** 1100}"}) + "\n")
+    assert run(capsys, "constants", "--r", "2", "--params", params, "--decimal", "--json")[:2] == (0, out)
+
+
+@pytest.mark.parametrize("argv, payload", [
+    (["lym", "--subsets", "--n", "2", "--antichain", "INPUT"], {"antichain": [[1, "{1}"], [1, "{2}"]]}),
+    (["local-lym", "--subsets", "--n", "2", "--level", "1", "--elements", "{1}"], None),
+])
+def test_json_builds_no_decimal_text(tmp_path, capsys, monkeypatch, argv, payload):
+    # no LYM or shadow density leaves a float's range, so a --decimal that
+    # always fails shows which outputs build the decimal text
+    def no_decimal(value, decimal=False):
+        if decimal:
+            raise ValueError("decimal text built")
+        return f"{value.numerator}/{value.denominator}"
+
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    argv = [str(path) if a == "INPUT" else a for a in argv]
+    exact = run(capsys, *argv, "--json")
+    monkeypatch.setattr(cli, "_fmt_fraction", no_decimal)
+    assert run(capsys, *argv, "--decimal", "--json") == exact
+    assert run(capsys, *argv, "--decimal") == (2, "", "error: decimal text built\n")
 
 
 # ---------------------------------------------------------------------------

@@ -519,6 +519,97 @@ def test_search_matches_brute_force(P):
             assert not any((a, b) in below for a in members for b in members)
 
 
+def _reference_search(P, dense, budget):
+    """The search over Python sets that the bit-mask search replaced: the
+    same order of levels and combinations, each node closing its chosen
+    set and the forbidden one with ``down_closure``."""
+    order = [p for p in range(P.num_levels - 1, -1, -1) if dense[p] > 0]
+    if not order:
+        return True, 0, Antichain(frozenset())
+    last = len(order) - 1
+    nodes = 0
+    chosen = {}
+
+    def search(step, forbidden):
+        nonlocal nodes
+        p = order[step]
+        candidates = [i for i in range(len(P.levels[p])) if i not in forbidden]
+        if step < last:
+            next_p = order[step + 1]
+            max_blocked = len(P.levels[next_p]) - dense[next_p]
+        for combo in itertools.combinations(candidates, dense[p]):
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(nodes)
+            chosen[p] = combo
+            if step == last:
+                return True
+            blocked = P.down_closure(p, forbidden.union(combo), next_p)
+            if len(blocked) <= max_blocked and search(step + 1, blocked):
+                return True
+        return False
+
+    if search(0, set()):
+        members = {(P.rank_of_position(p), P.levels[p][i]) for p, idx in chosen.items() for i in idx}
+        return True, nodes, Antichain(frozenset(members))
+    return False, nodes, None
+
+
+CROSS_CHECK_HOSTS = (
+    [build_subset_poset(n) for n in range(2, 6)]
+    + [build_string_poset(2, rel, L) for rel in ("prefix", "subsequence", "substring") for L in range(2, 5)]
+    + [build_pattern_poset(4, rel) for rel in ("pattern", "substring_pattern")]
+)
+CROSS_CHECK_BUDGET = 3000
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_search_matches_the_set_based_reference(data):
+    P = data.draw(st.sampled_from(CROSS_CHECK_HOSTS), label="host")
+    # mostly small counts, which leave room for multi-level witnesses
+    dense = [
+        data.draw(st.integers(0, min(n, 3)) | st.integers(0, n), label=f"a_{p}")
+        for p, n in enumerate(map(len, P.levels))
+    ]
+    try:
+        expected = _reference_search(P, dense, CROSS_CHECK_BUDGET)
+    except BudgetExceededError:
+        with pytest.raises(BudgetExceededError):
+            antichain_exists(P, dense, budget=CROSS_CHECK_BUDGET)
+        return
+    exists, nodes, _ = expected
+    out = antichain_exists(P, dense, budget=nodes)
+    assert (out.exists, out.nodes, out.antichain) == expected
+    # one node fewer trips the budget in both, so both count the same nodes
+    if nodes:
+        with pytest.raises(BudgetExceededError):
+            _reference_search(P, dense, nodes - 1)
+        with pytest.raises(BudgetExceededError):
+            antichain_exists(P, dense, budget=nodes - 1)
+
+
+def test_large_refutations_keep_their_node_counts():
+    P = build_string_poset(3, "subsequence", 4)
+    out = antichain_exists(P, counterexample_params(P, 3, 4).counts)
+    assert (out.exists, out.nodes) == (False, 85_320)
+    out = antichain_exists(build_string_poset(2, "subsequence", 5), (0, 0, 1, 1, 2, 3))
+    assert (out.exists, out.nodes) == (False, 207_226)
+
+
+def test_search_builds_masks_only_for_the_steps_it_reaches(monkeypatch):
+    P = build_subset_poset(4)
+    built = []
+    down_masks = GradedPoset.down_masks
+    monkeypatch.setattr(GradedPoset, "down_masks",
+                        lambda self, pos, to_pos: built.append((pos, to_pos)) or down_masks(self, pos, to_pos))
+    assert antichain_exists(P, {2: 6}).exists and built == []
+    # the whole top level blocks rank 1, so the search never enters it and
+    # builds no masks from rank 1 down to rank 0
+    assert not antichain_exists(P, {0: 1, 1: 1, 4: 1})
+    assert built == [(4, 1)]
+
+
 def test_search_budget_exceeded():
     P = build_string_poset(2, "subsequence", 2)
     with pytest.raises(BudgetExceededError, match="smaller instance"):

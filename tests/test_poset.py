@@ -428,6 +428,31 @@ def test_non_adjacent_pair_counts_cover_chains():
         Q.down_closure(1, {0}, 1)
 
 
+@pytest.mark.parametrize("host", [
+    build_subset_poset(4),
+    build_string_poset(2, "subsequence", 3),
+    build_string_poset(3, "prefix", 2),
+    build_partial_perm_poset(3, "substring"),
+    build_pattern_poset(3, "pattern"),  # helper levels between the original ranks
+    build_pattern_poset(4, "substring_pattern"),
+    # multiplicity 2 on a-n; m is covered by nothing and p covers nothing, so
+    # chains from rank 3 stop short of rank 0
+    GradedPoset([["a", "b"], ["m", "n", "o"], ["x", "y"], ["p", "q"]],
+                [{(0, 0): 1, (1, 0): 1, (0, 1): 2, (1, 2): 1}, {(1, 0): 1, (2, 1): 1},
+                 {(0, 1): 1, (1, 1): 1}]),
+], ids=repr)
+def test_down_masks_are_the_down_closures_as_bits(host):
+    for to_pos, pos in itertools.combinations(range(host.num_levels), 2):
+        masks = host.down_masks(pos, to_pos)
+        assert len(masks) == len(host.levels[pos])
+        for i, mask in enumerate(masks):
+            closure = host.down_closure(pos, {i}, to_pos)
+            assert mask == sum(1 << j for j in closure)
+    for pos, to_pos in ((0, 0), (1, 1), (0, 1), (host.num_levels, 0), (1, -1)):
+        with pytest.raises(ValueError, match="cannot close downward"):
+            host.down_masks(pos, to_pos)
+
+
 # ---------------------------------------------------------------------------
 # Exports
 
