@@ -25,6 +25,7 @@ from .perm import (
     strings,
 )
 from .poset import (
+    BudgetExceededError,
     GradedPoset,
     RegularityReport,
     build_partial_perm_poset,
@@ -53,7 +54,6 @@ from .codes import (
 )
 from .lym import (
     Antichain,
-    BudgetExceededError,
     LevelCounts,
     antichain_exists,
     counterexample_params,

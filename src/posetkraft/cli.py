@@ -4,9 +4,9 @@ Subcommands: enumerate, check-free, constants, kraft, lym, local-lym,
 mcmillan, counterexample, antichain-search, hasse, regularity.
 
 Exit codes: 0 success / property holds, 1 checked property fails, 2 usage
-error, 3 search budget (or vertex cap) exceeded.  All output is
-deterministic; fractions print as p/q unless --decimal asks for the shortest
-round-tripping decimal.
+error, 3 a size limit (search budget, vertex cap or mask cap) exceeded.
+All output is deterministic; fractions print as p/q unless --decimal asks
+for the shortest round-tripping decimal.
 """
 
 from __future__ import annotations
@@ -218,12 +218,7 @@ def _cmd_regularity(args, parser) -> int:
 def _cmd_hasse(args, parser) -> int:
     if args.max_vertices < 0:
         parser.error("--max-vertices must be >= 0")
-    host = _build_poset(args, parser)
-    try:
-        print(host.to_dot(max_vertices=args.max_vertices))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+    print(_build_poset(args, parser).to_dot(max_vertices=args.max_vertices))
     return EXIT_OK
 
 
@@ -435,7 +430,7 @@ def main(argv=None) -> int:
         # malformed files, unresolvable elements, relation/codomain mismatches
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except lym.BudgetExceededError as exc:
+    except poset.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -20,14 +20,10 @@ from typing import Iterable, Mapping
 
 from .codes import Code, Codomain, ParameterSequence, as_parameter_sequence, density
 from .perm import Str, are_ints, require_ints
-from .poset import GradedPoset, format_poset_element
+from .poset import BudgetExceededError, GradedPoset, format_poset_element
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 LevelCounts = ParameterSequence  # a poset's count vector: entry p is its p-th level
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when a search would visit more partial assignments than allowed."""
 
 
 class InternalInvariantError(RuntimeError):
@@ -350,7 +346,9 @@ def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> S
     first time the search enters a level with a populated level below it,
     it builds ``down_masks`` between the two; each node then ORs the masks
     of its forbidden elements once, and each combination ORs in its own
-    and counts the bits.
+    and counts the bits.  Over its budget, or when ``down_masks`` refuses
+    masks above ``poset.MAX_MASK_BITS``, the search raises
+    BudgetExceededError.
     """
     if budget is None:
         budget = DEFAULT_SEARCH_BUDGET

@@ -167,9 +167,9 @@ def _related(relation: str, t: Element, u: Element) -> bool:
     return ORDERS[relation].contains(symbols_of(t), symbols_of(u))
 
 
-def is_prefix(t: Element, u: Element, proper: bool = False) -> bool:
-    """True iff u = t followed by a suffix (required nonempty when proper)."""
-    return _related("prefix", t, u) and not (proper and len(t) == len(u))
+def is_prefix(t: Element, u: Element) -> bool:
+    """True iff u = t followed by a possibly empty suffix."""
+    return _related("prefix", t, u)
 
 
 def is_subsequence(sigma: Element, tau: Element) -> bool:

@@ -44,6 +44,12 @@ from .perm import (
 )
 
 DEFAULT_MAX_VERTICES = 5000  # the vertex cap of a DOT export
+MAX_MASK_BITS = 1 << 30  # the cap on down_masks' bits: at most 128 MiB of masks
+
+
+class BudgetExceededError(RuntimeError):
+    """Raised when a request would pass a size limit: a search's budget, a
+    DOT export's vertex cap or ``MAX_MASK_BITS``."""
 
 
 def format_poset_element(x) -> str:
@@ -61,17 +67,9 @@ def format_poset_element(x) -> str:
     return str(x)
 
 
-_AMBIGUOUS = -1  # name-table entry for a name that several elements share
-
-
-def _name_tables(names) -> tuple[dict, dict]:
-    """Indices of a level's element names by name and by name without ``@k``."""
-    exact: dict[str, int] = {}
-    bare: dict[str, int] = {}
-    for i, name in enumerate(names):
-        for table, key in ((exact, name), (bare, name.split("@")[0])):
-            table[key] = _AMBIGUOUS if key in table else i
-    return exact, bare
+def _dot_escaped(name: str) -> str:
+    """A name as the body of a DOT string: backslashes and double quotes escaped."""
+    return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
 class GradedPoset:
@@ -130,9 +128,9 @@ class GradedPoset:
         # (lower pos, upper pos) -> (chain totals of lower elements, of upper
         # elements, audit)
         self._pair_audits: dict[tuple[int, int], tuple] = {}
-        # pos -> element names; pos -> (index by name, by name without "@k")
+        # pos -> element names; pos -> element index by name (None if shared)
         self._level_names: dict[int, tuple[str, ...]] = {}
-        self._name_index: dict[int, tuple[dict, dict]] = {}
+        self._name_index: dict[int, dict[str, int | None]] = {}
 
     @property
     def covers(self) -> tuple[dict, ...]:
@@ -180,15 +178,20 @@ class GradedPoset:
         unique.  Each level's names are indexed on first use, so a lookup
         costs O(1) after one O(|level|) pass."""
         p = self.position(rank)
-        tables = self._name_index.get(p)
-        if tables is None:
-            tables = self._name_index[p] = _name_tables(self._names(p))
-        exact, bare = tables
+        table = self._name_index.get(p)
+        if table is None:
+            table = self._name_index[p] = {}
+            names = self._names(p)
+            for i, name in enumerate(names):
+                table[name] = None if name in table else i
+            exact = set(table)  # an exact name wins over a bare one
+            for i, name in enumerate(names):
+                bare, at, _ = name.partition("@")
+                if at and bare not in exact:
+                    table[bare] = None if bare in table else i
         text = text.strip()
-        i = exact.get(text)
+        i = table.get(text)
         if i is None:
-            i = bare.get(text)
-        if i is None or i == _AMBIGUOUS:
             raise ValueError(f"cannot resolve element {text!r} at level {rank}")
         return self.levels[p][i]
 
@@ -233,8 +236,17 @@ class GradedPoset:
         """The down-closure at position ``to_pos < pos`` of each element of
         ``levels[pos]``, as a bit mask: bit j of entry i is set when element
         j of ``levels[to_pos]`` lies below element i.  One O(edges) pass per
-        level in between, each upper mask the OR of its lower covers' masks."""
+        level in between, each upper mask the OR of its lower covers' masks.
+        Raises BudgetExceededError when the masks would hold more than
+        ``MAX_MASK_BITS`` bits."""
         self._check_downward(pos, to_pos)
+        bits = len(self.levels[pos]) * len(self.levels[to_pos])
+        if bits > MAX_MASK_BITS:
+            raise BudgetExceededError(
+                f"the masks between levels {self.rank_of_position(to_pos)} and "
+                f"{self.rank_of_position(pos)} take {bits} bits, above the cap of "
+                f"{MAX_MASK_BITS}; search a smaller instance"
+            )
         masks = [1 << j for j in range(len(self.levels[to_pos]))]
         for down in self._down[to_pos:pos]:
             upper = []
@@ -343,17 +355,22 @@ class GradedPoset:
     # -- export -------------------------------------------------------------------
 
     def to_dot(self, max_vertices: int = DEFAULT_MAX_VERTICES) -> str:
-        """DOT digraph with one pinned rank per level and multiplicity labels."""
+        """DOT digraph with one pinned rank per level and multiplicity labels.
+        A label with a backslash or a double quote has them escaped."""
         require_ints(max_vertices)
         total = sum(len(level) for level in self.levels)
         if total > max_vertices:
-            raise ValueError(
+            raise BudgetExceededError(
                 f"poset has {total} vertices, above the cap of {max_vertices}; "
                 "export a smaller instance or raise max_vertices"
             )
         lines = ["digraph hasse {", "  rankdir=BT;"]
         for p in range(len(self.levels)):
-            nodes = "; ".join(f'n{p}_{i} [label="{name}"]' for i, name in enumerate(self._names(p)))
+            labels = self._names(p)
+            text = "".join(labels)
+            if "\\" in text or '"' in text:
+                labels = map(_dot_escaped, labels)
+            nodes = "; ".join(f'n{p}_{i} [label="{label}"]' for i, label in enumerate(labels))
             lines.append("  { rank=same; " + nodes + "; }")
         for p, lo, hi, mult in self._edges():
             suffix = f' [label="{mult}"]' if mult > 1 else ""

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetkraft import codes, lym, perm
+from posetkraft import cli, codes, lym, perm, poset
 from posetkraft.codes import kraft_number, parameter_sequence
 from posetkraft.lym import (
     Antichain,
@@ -608,6 +608,20 @@ def test_search_builds_masks_only_for_the_steps_it_reaches(monkeypatch):
     # builds no masks from rank 1 down to rank 0
     assert not antichain_exists(P, {0: 1, 1: 1, 4: 1})
     assert built == [(4, 1)]
+
+
+def test_search_refuses_masks_above_the_cap(monkeypatch, capsys):
+    P = build_subset_poset(4)
+    # the masks from rank 2 (6 elements) down to rank 1 (4 elements) take 24 bits
+    monkeypatch.setattr(poset, "MAX_MASK_BITS", 24)
+    assert antichain_exists(P, {1: 1, 2: 1}).exists
+    monkeypatch.setattr(poset, "MAX_MASK_BITS", 23)
+    with pytest.raises(BudgetExceededError, match="24 bits, above the cap of 23"):
+        antichain_exists(P, {1: 1, 2: 1})
+    assert antichain_exists(P, {2: 6}).exists  # a single level builds no masks
+    assert cli.main(["antichain-search", "--subsets", "--n", "4", "--counts", "0,1,1"]) == 3
+    out = capsys.readouterr()
+    assert out.out == "" and "above the cap of 23" in out.err
 
 
 def test_search_budget_exceeded():

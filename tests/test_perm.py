@@ -119,7 +119,6 @@ def test_prefix_examples():
     assert perm.is_prefix(pp("25", 6), pp("2513", 6))
     t = pp("2513", 6)
     assert perm.is_prefix(t, t)
-    assert not perm.is_prefix(t, t, proper=True)
     assert not perm.is_prefix(pp("13", 6), pp("2513", 6))
 
 

@@ -473,8 +473,17 @@ def test_dot_multiplicity_labels_and_epsilon():
 def test_dot_single_level_and_vertex_cap():
     dot = build_subset_poset(0).to_dot()
     assert "->" not in dot
-    with pytest.raises(ValueError):
+    with pytest.raises(poset.BudgetExceededError, match="16 vertices, above the cap of 10"):
         build_subset_poset(4).to_dot(max_vertices=10)
+    assert lym.BudgetExceededError is poset.BudgetExceededError
+
+
+def test_dot_escapes_backslashes_and_quotes_in_labels():
+    P = GradedPoset([["plain"], ['a"b', "c\\d"]], [{(0, 0): 1, (0, 1): 1}])
+    dot = P.to_dot()
+    assert 'n0_0 [label="plain"]' in dot
+    assert 'n1_0 [label="a\\"b"]' in dot
+    assert 'n1_1 [label="c\\\\d"]' in dot
 
 
 def test_json_export_round_trips_edge_triples():
@@ -528,6 +537,31 @@ def test_element_names_formatted_once_per_poset(monkeypatch):
         assert P.resolve_element(1, "1") == PartialPermutation((1,), 3)
         assert P.resolve_element(3, "231") == PartialPermutation((2, 3, 1), 3)
     assert Counter(calls) == Counter(x for level in P.levels for x in level)
+
+
+def test_every_exact_and_unique_bare_name_resolves_on_built_families():
+    bare_checked = 0
+    for P in ALL_FAMILY_INSTANCES:
+        for rank, level in zip(P.ranks, P.levels):
+            names = [format_poset_element(x) for x in level]
+            exact = set(names)
+            bare = Counter(name.split("@")[0] for name in names if "@" in name)
+            for x, name in zip(level, names):
+                assert P.resolve_element(rank, name) == x
+                stem = name.split("@")[0]
+                if bare[stem] == 1 and stem not in exact:
+                    assert P.resolve_element(rank, stem) == x
+                    bare_checked += 1
+    # the partial permutations below the top level and the pattern posets'
+    # helper levels carry "@k" names
+    assert bare_checked > 0
+
+
+def test_exact_name_wins_over_a_bare_one():
+    level = [PartialPermutation((1, 2), 3), Str((1, 2), 3)]  # "12@3", "12"
+    P = GradedPoset([level], [])
+    assert P.resolve_element(0, "12") == level[1]
+    assert P.resolve_element(0, "12@3") == level[0]
 
 
 def test_resolve_element_exact_then_bare_and_unique():
