@@ -9,7 +9,7 @@ substring-pattern only compare relative order.  This script walks through
 the worked examples and the enumeration counts.
 """
 
-from posetkraft import perm
+from posetkraft import codes, perm
 
 # 2513 over universe 6 is our running example
 tau = perm.parse_partial_permutation("2513", 6)
@@ -42,6 +42,6 @@ print()
 print("injective 2-sequences over [1..3]:",
       [str(x) for x in perm.partial_permutations(3, 2)])
 for k in range(1, 7):
-    t_k = len(list(perm.all_partial_permutations(k)))
-    s_k = len(list(perm.all_full_permutations(k)))
+    t_k = len(codes.Codomain("partial_perm", k).codewords())
+    s_k = len(codes.Codomain("perm_pattern", k).codewords())
     print(f"k={k}: {t_k:5d} injective sequences, {s_k:4d} layered permutations")

@@ -10,9 +10,6 @@ by exhaustive search that the greedy converse fails outside of trees.
 from .perm import (
     PartialPermutation,
     Str,
-    all_full_permutations,
-    all_partial_permutations,
-    enumerate_elements,
     format_element,
     full_permutations,
     is_pattern_in,
@@ -54,7 +51,6 @@ from .codes import (
 )
 from .lym import (
     Antichain,
-    LevelCounts,
     antichain_exists,
     counterexample_params,
     is_antichain,

@@ -126,12 +126,12 @@ def _load_code(path: str) -> codes.Code:
 def _cmd_enumerate(args, parser) -> int:
     if args.str:
         _check_options(args, parser, "str", ("r", "l"), ("k",))
-        kind, size = "str", args.r
+        kind, size = "string", args.r
     else:
         _check_options(args, parser, "perm", ("k",), ("r",))
-        kind, size = args.perm, args.k
+        kind, size = {"T": "partial_perm", "S": "perm_pattern"}[args.perm], args.k
     try:
-        elements = perm.enumerate_elements(kind, size, args.l)
+        elements = codes.Codomain(kind, size).codewords(args.l)
     except ValueError as exc:
         parser.error(str(exc))
     for x in elements:

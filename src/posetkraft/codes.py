@@ -6,12 +6,12 @@ digit alphabet of size r, partial permutations over [1..k], and full
 permutations of every size up to k (the codomain where the pattern relations
 make sense).  ``CODOMAINS`` is the one table of them, keyed by codomain
 kind: the size key of the JSON form, the codeword parser and membership
-test, the orders freeness is decided under, the code constant's label, and
-the level sizes (codewords of each length) and the lengths a parameter
+test, the orders freeness is decided under, the code constant's label, the
+level sizes, the codewords of each length and the lengths a parameter
 sequence may use.  The orders themselves live in ``perm.ORDERS``.
 
 ``ParameterSequence`` is the one count vector, dense as given: a code's
-length histogram or a poset's level counts (``lym.LevelCounts``).  Each code
+length histogram or a poset's level counts.  Each code
 constant is ``density`` against those level sizes, the sum
 ``lym.lym_number`` takes over a poset's levels, as an exact rational.
 """
@@ -33,9 +33,12 @@ from .perm import (
     Str,
     are_ints,
     format_element,
+    full_permutations,
     parse_partial_permutation,
     parse_str,
+    partial_permutations,
     require_ints,
+    strings,
     symbols_of,
 )
 
@@ -52,6 +55,23 @@ class Codomain:
             raise ValueError(f"unknown codomain kind {self.kind!r}")
         if not are_ints((self.size,)) or self.size < 1:
             raise ValueError("codomain size must be an integer >= 1")
+
+    def codewords(self, length: int | None = None) -> list:
+        """The codewords of one length, or of every length when the support
+        is bounded: by length, then lexicographically."""
+        entry = CODOMAINS[self.kind]
+        lo, hi = entry.support(self.size)
+        if length is not None:
+            require_ints(length)
+        if length is None and hi is not None:
+            lengths = range(lo, hi + 1)
+        elif length is not None and lo <= length and (hi is None or length <= hi):
+            lengths = (length,)
+        else:
+            support = f"{lo} and up" if hi is None else f"{lo}..{hi}"
+            asked = "so name one" if length is None else f"not {length}"
+            raise ValueError(f"a {self.kind} codomain of size {self.size} has codeword lengths {support}, {asked}")
+        return [w for l in lengths for w in entry.words(l, self.size)]
 
 
 @dataclass(frozen=True)
@@ -216,6 +236,7 @@ class CodomainKind(NamedTuple):
     orders: tuple[str, ...]  # the orders is_free accepts
     label: str  # the code constant's label
     level_size: Callable  # (length, size) -> number of codewords of that length
+    words: Callable  # (length, size) -> the codewords of that length, lexicographically
     support: Callable  # size -> (shortest, longest or None) parameter length
 
 
@@ -223,19 +244,19 @@ CODOMAINS = {
     "string": CodomainKind(
         "r", parse_str, lambda w, r: isinstance(w, Str) and w.universe == r,
         "a string over a {}-digit alphabet", STRING_RELATIONS, "K",
-        lambda l, r: r**l, lambda r: (0, None),
+        lambda l, r: r**l, lambda l, r: strings(r, l), lambda r: (0, None),
     ),
     "partial_perm": CodomainKind(
         "k", parse_partial_permutation,
         lambda w, k: isinstance(w, PartialPermutation) and w.universe == k,
         "a partial permutation over [1..{}]", STRING_RELATIONS, "P_partial",
-        lambda l, k: math.perm(k, l), lambda k: (1, k),
+        lambda l, k: math.perm(k, l), lambda l, k: partial_permutations(k, l), lambda k: (1, k),
     ),
     "perm_pattern": CodomainKind(
         "k", lambda text, k: parse_partial_permutation(text),
         lambda w, k: isinstance(w, PartialPermutation) and w.is_full_permutation and len(w) <= k,
         "a full permutation of size <= {}", CODE_RELATIONS, "P_full",
-        lambda l, k: math.factorial(l), lambda k: (1, k),
+        lambda l, k: math.factorial(l), lambda l, k: full_permutations(l), lambda k: (1, k),
     ),
 }
 
@@ -462,6 +483,7 @@ def ulam_subsequence_condition(code: Code, d: int) -> bool:
     k = code.codomain.size
     if any(len(w) != k for w in code.codewords):
         raise ValueError("the Ulam condition applies to codes of full-length codewords")
+    require_ints(d)
     if not 1 <= d <= k:
         raise ValueError(f"need 1 <= d <= {k}")
     target = k - d + 1

@@ -23,7 +23,6 @@ from .perm import Str, are_ints, require_ints
 from .poset import BudgetExceededError, GradedPoset, format_poset_element
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
-LevelCounts = ParameterSequence  # a poset's count vector: entry p is its p-th level
 
 
 class InternalInvariantError(RuntimeError):
@@ -237,7 +236,7 @@ class CounterexampleResult:
     up_degree: int | None = None
     down_degree: int | None = None
     gcd: int | None = None
-    counts: LevelCounts | None = None
+    counts: ParameterSequence | None = None
     lym_sum: Fraction | None = None
 
     def __bool__(self) -> bool:
@@ -282,7 +281,7 @@ def counterexample_params(poset: GradedPoset, lower_rank: int, upper_rank: int |
 
     a_lo = (g - 1) * n_lo // g
     a_hi = n_hi // g
-    counts = LevelCounts.at_ranks(poset, {lower_rank: a_lo, upper_rank: a_hi})
+    counts = ParameterSequence.at_ranks(poset, {lower_rank: a_lo, upper_rank: a_hi})
     return CounterexampleResult(
         True, None, lower_rank, upper_rank, up_degree=u, down_degree=d, gcd=g,
         counts=counts, lym_sum=density((a_lo, a_hi), (n_lo, n_hi)),
@@ -312,7 +311,7 @@ class SearchOutcome:
 
 def _dense_counts(poset: GradedPoset, counts) -> list[int]:
     if isinstance(counts, Mapping):
-        counts = LevelCounts.at_ranks(poset, counts)
+        counts = ParameterSequence.at_ranks(poset, counts)
     seq, n = as_parameter_sequence(counts), poset.num_levels
     if any(seq.counts[n:]):
         raise ValueError("counts extend past the top level of the poset")
@@ -428,10 +427,7 @@ def sample_antichain(poset: GradedPoset, rng: Random) -> Antichain:
 # Antichain interchange format
 
 def antichain_to_json_dict(antichain: Antichain) -> dict:
-    listed = sorted(
-        ((rank, format_poset_element(x)) for rank, x in antichain.members),
-        key=lambda rx: (rx[0], rx[1]),
-    )
+    listed = sorted((rank, format_poset_element(x)) for rank, x in antichain.members)
     return {"antichain": [list(rx) for rx in listed]}
 
 

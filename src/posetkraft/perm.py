@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 
 def are_ints(values) -> bool:
@@ -227,47 +227,6 @@ def partial_permutations(k: int, l: int) -> list[PartialPermutation]:
 def full_permutations(l: int) -> list[PartialPermutation]:
     """All permutations of [1..l], lexicographically."""
     return partial_permutations(l, l)
-
-
-def all_partial_permutations(k: int) -> Iterator[PartialPermutation]:
-    """Every partial permutation over [1..k], by length then lexicographically."""
-    require_ints(k)
-    for l in range(1, k + 1):
-        yield from partial_permutations(k, l)
-
-
-def all_full_permutations(k: int) -> Iterator[PartialPermutation]:
-    """Every full permutation of [1..l] for l = 1..k, by length then lexicographically."""
-    require_ints(k)
-    for l in range(1, k + 1):
-        yield from full_permutations(l)
-
-
-def enumerate_elements(kind: str, k: int, l: int | None = None) -> list[Element]:
-    """Dispatching enumerator: kind 'T' (injective sequences over [1..k]),
-    'S' (full permutations, all sizes up to k), or 'str' (strings over a
-    k-digit alphabet).
-
-    With l=None the permutation kinds return the whole union over lengths.
-    """
-    require_ints(k)
-    if kind in ("T", "S") and k < 1:
-        raise ValueError(f"need k >= 1, got k={k}")
-    if kind == "T":
-        if l is None:
-            return list(all_partial_permutations(k))
-        return partial_permutations(k, l)
-    if kind == "S":
-        if l is None:
-            return list(all_full_permutations(k))
-        if l > k:
-            raise ValueError(f"need l <= k, got l={l}, k={k}")
-        return full_permutations(l)
-    if kind == "str":
-        if l is None:
-            raise ValueError("string enumeration needs an explicit length")
-        return strings(k, l)
-    raise ValueError(f"unknown element kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

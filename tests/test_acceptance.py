@@ -10,10 +10,11 @@ import math
 import random
 import time
 
-from posetkraft import lym, perm, poset
+from posetkraft import perm, poset
 from posetkraft.codes import (
     Code,
     Codomain,
+    ParameterSequence,
     brute_force_uniquely_decodable,
     full_perm_constant,
     is_free,
@@ -93,12 +94,12 @@ def test_criterion_1_worked_relation_examples():
 def test_criterion_2_cardinalities():
     with criterion(2, "enumeration counts match closed forms", 1.0):
         for k in range(1, 7):
-            t_count = len(list(perm.all_partial_permutations(k)))
-            s_count = len(list(perm.all_full_permutations(k)))
+            t_count = len(Codomain("partial_perm", k).codewords())
+            s_count = len(Codomain("perm_pattern", k).codewords())
             assert t_count == sum(math.comb(k, l) * math.factorial(l) for l in range(1, k + 1))
             assert s_count == sum(math.factorial(l) for l in range(1, k + 1))
-        assert len(list(perm.all_partial_permutations(4))) == 64
-        assert len(list(perm.all_full_permutations(4))) == 33
+        assert len(Codomain("partial_perm", 4).codewords()) == 64
+        assert len(Codomain("perm_pattern", 4).codewords()) == 33
 
 
 def test_criterion_3_graded_inequality_property_suite():
@@ -177,7 +178,7 @@ def test_criterion_7_converse_failure_for_permutations():
     with criterion(7, "permutation-level counterexample reproduction", 5.0):
         for rel in ("pattern", "substring_pattern"):
             host = build_pattern_poset(3, rel)
-            counts = lym.LevelCounts.at_ranks(host, {2: 1, 4: 3})
+            counts = ParameterSequence.at_ranks(host, {2: 1, 4: 3})
             assert full_perm_constant((0, 0, 1, 3), 3) == 1
             search = antichain_exists(host, counts)
             assert not search.exists, rel
@@ -191,7 +192,7 @@ def test_criterion_7_converse_failure_for_permutations():
 
 def test_criterion_8_freeness_is_antichain_membership():
     with criterion(8, "freeness agrees with antichain checks", 60.0):
-        elements = list(perm.all_partial_permutations(3))
+        elements = Codomain("partial_perm", 3).codewords()
         hosts = {rel: build_partial_perm_poset(3, rel) for rel in poset.STRING_RELATIONS}
         for size in (1, 2, 3):
             for combo in itertools.combinations(elements, size):
@@ -199,7 +200,7 @@ def test_criterion_8_freeness_is_antichain_membership():
                 members = [(len(w), w) for w in combo]
                 for rel, host in hosts.items():
                     assert is_free(code, rel).free == is_antichain(host, members).ok
-        elements = list(perm.all_full_permutations(3))
+        elements = Codomain("perm_pattern", 3).codewords()
         hosts = {rel: build_pattern_poset(3, rel) for rel in poset.PATTERN_RELATIONS}
         for size in (1, 2, 3):
             for combo in itertools.combinations(elements, size):

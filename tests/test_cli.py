@@ -56,9 +56,11 @@ def test_enumerate_usage_error(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--perm", "T", "--k", "-3"], "need k >= 1, got k=-3"),
-    (["--perm", "S", "--k", "0"], "need k >= 1, got k=0"),
-    (["--str", "--r", "0", "--l", "1"], "need r >= 1 and l >= 0"),
+    (["--perm", "T", "--k", "-3"], "codomain size must be an integer >= 1"),
+    (["--perm", "S", "--k", "0"], "codomain size must be an integer >= 1"),
+    (["--str", "--r", "0", "--l", "1"], "codomain size must be an integer >= 1"),
+    (["--perm", "S", "--k", "3", "--l", "0"],
+     "a perm_pattern codomain of size 3 has codeword lengths 1..3, not 0"),
 ])
 def test_enumerate_nonpositive_k_is_usage_error(capsys, argv, message):
     assert usage_error(capsys, "enumerate", *argv) == f"posetkraft: error: {message}"

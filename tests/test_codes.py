@@ -52,6 +52,33 @@ def test_code_rejects_duplicates_and_foreign_words():
             Codomain(kind, True)
 
 
+@pytest.mark.parametrize("kind", sorted(codes.CODOMAINS))
+def test_codomain_table_is_consistent(kind):
+    """Each codomain's codewords agree with its level sizes, membership test,
+    parser and support, and are listed lexicographically within a length."""
+    entry = codes.CODOMAINS[kind]
+    for size in range(1, 5):
+        dom = Codomain(kind, size)
+        lo, hi = entry.support(size)
+        lengths = range(lo, 5 if hi is None else hi + 1)
+        for l in lengths:
+            words = dom.codewords(l)
+            assert len(words) == entry.level_size(l, size)
+            keys = [perm.symbols_of(w) for w in words]
+            assert keys == sorted(set(keys)) and all(len(key) == l for key in keys)
+            for w in words:
+                assert entry.holds(w, size)
+                assert entry.parse(perm.format_element(w), size) == w
+        for l in [lo - 1] + ([] if hi is None else [hi + 1]):
+            with pytest.raises(ValueError, match=f"{kind} codomain of size {size}"):
+                dom.codewords(l)
+        if hi is None:
+            with pytest.raises(ValueError, match=f"{kind} codomain of size {size}"):
+                dom.codewords()
+        else:
+            assert dom.codewords() == [w for l in lengths for w in dom.codewords(l)]
+
+
 def test_code_json_round_trip():
     for code in (
         scode("0", "10", "11"),

@@ -11,7 +11,6 @@ from posetkraft.codes import kraft_number, parameter_sequence
 from posetkraft.lym import (
     Antichain,
     BudgetExceededError,
-    LevelCounts,
     antichain_exists,
     antichain_from_json_dict,
     antichain_to_json_dict,
@@ -91,9 +90,9 @@ def test_code_constants_are_the_poset_density():
         ("string", 2, {rel: build_string_poset(2, rel, 3) for rel in perm.STRING_RELATIONS},
          [w for l in range(4) for w in perm.strings(2, l)], lambda l: l),
         ("partial_perm", 3, {rel: build_partial_perm_poset(3, rel) for rel in perm.STRING_RELATIONS},
-         list(perm.all_partial_permutations(3)), lambda l: l),
+         codes.Codomain("partial_perm", 3).codewords(), lambda l: l),
         ("perm_pattern", 3, {rel: build_pattern_poset(3, rel) for rel in perm.PATTERN_RELATIONS},
-         list(perm.all_full_permutations(3)), lambda l: 2 * l - 2),
+         codes.Codomain("perm_pattern", 3).codewords(), lambda l: 2 * l - 2),
     ]
     free_codes = 0
     for kind, size, hosts, words, rank in sweeps:
@@ -648,8 +647,10 @@ def test_search_budget_exceeded():
     lambda: mcmillan_construct(2.0, [0, 1]),
     lambda: antichain_exists(build_subset_poset(2), [0, 1], budget=True),
     lambda: antichain_exists(build_subset_poset(2), [0, 1], budget=2.5),
-    lambda: list(perm.all_partial_permutations(2.0)),
-    lambda: list(perm.all_full_permutations(2.0)),
+    lambda: codes.Codomain("partial_perm", 2).codewords(2.0),
+    lambda: codes.Codomain("string", 2).codewords(True),
+    lambda: codes.ulam_subsequence_condition(codes.Code.of_partial_perms(3, ["123", "132"]), 2.5),
+    lambda: codes.ulam_subsequence_condition(codes.Code.of_partial_perms(3, ["123", "132"]), True),
 ])
 def test_sizes_and_budgets_refuse_bool_and_float(call):
     with pytest.raises(ValueError, match="need a plain int"):
@@ -658,14 +659,13 @@ def test_sizes_and_budgets_refuse_bool_and_float(call):
 
 def test_level_counts_helpers():
     P = build_partial_perm_poset(3, "substring")
-    assert LevelCounts is codes.ParameterSequence
-    counts = LevelCounts.at_ranks(P, {1: 2, 2: 2})
+    counts = codes.ParameterSequence.at_ranks(P, {1: 2, 2: 2})
     assert counts.counts == (2, 2, 0)
     assert counts.by_rank(P) == {1: 2, 2: 2}
     with pytest.raises(ValueError, match="counts must be non-negative integers"):
-        LevelCounts((-1,))
+        codes.ParameterSequence((-1,))
     with pytest.raises(ValueError):
-        LevelCounts.at_ranks(P, {7: 1})
+        codes.ParameterSequence.at_ranks(P, {7: 1})
 
 
 @pytest.mark.parametrize("host, by_rank", [
@@ -676,7 +676,8 @@ def test_level_counts_helpers():
 ])
 def test_search_reads_one_profile_four_ways(host, by_rank):
     dense = [by_rank.get(host.rank_of_position(p), 0) for p in range(host.num_levels)]
-    ways = (dense, by_rank, LevelCounts.at_ranks(host, by_rank), codes.ParameterSequence(tuple(dense)))
+    ways = (dense, by_rank, codes.ParameterSequence.at_ranks(host, by_rank),
+            codes.ParameterSequence(tuple(dense)))
     outcomes = {(o.exists, o.nodes, o.antichain) for o in (antichain_exists(host, c) for c in ways)}
     assert len(outcomes) == 1 and outcomes.pop()[0]
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from posetkraft import codes, perm, poset
-from posetkraft.codes import Code
+from posetkraft.codes import Code, Codomain
 from posetkraft.perm import PartialPermutation, Str
 
 
@@ -75,7 +75,8 @@ def test_str_validation_and_empty():
     lambda: perm.strings(2, True),
     lambda: perm.strings(2, 1.0),
     lambda: perm.partial_permutations(2, True),
-    lambda: perm.enumerate_elements("T", 2.0),
+    lambda: Codomain("partial_perm", 2.0),
+    lambda: Codomain("perm_pattern", 2.0),
 ])
 def test_elements_refuse_bool_and_float(make):
     with pytest.raises(ValueError):
@@ -277,10 +278,10 @@ def test_enumerate_counts_match_closed_forms():
     for k in range(1, 6):
         for l in range(1, k + 1):
             assert len(perm.partial_permutations(k, l)) == math.comb(k, l) * math.factorial(l)
-        assert len(list(perm.all_partial_permutations(k))) == sum(
+        assert len(Codomain("partial_perm", k).codewords()) == sum(
             math.comb(k, l) * math.factorial(l) for l in range(1, k + 1)
         )
-        assert len(list(perm.all_full_permutations(k))) == sum(
+        assert len(Codomain("perm_pattern", k).codewords()) == sum(
             math.factorial(l) for l in range(1, k + 1)
         )
     for r in range(1, 4):
@@ -289,7 +290,7 @@ def test_enumerate_counts_match_closed_forms():
 
 
 def test_enumerate_t4_totals_64():
-    assert len(list(perm.all_partial_permutations(4))) == 4 + 12 + 24 + 24 == 64
+    assert len(Codomain("partial_perm", 4).codewords()) == 4 + 12 + 24 + 24 == 64
 
 
 def test_enumeration_is_lexicographic_and_duplicate_free():
@@ -300,26 +301,18 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
 
 
 def test_enumerate_dispatcher():
-    assert len(perm.enumerate_elements("T", 3, 2)) == 6
-    assert len(perm.enumerate_elements("S", 1, 1)) == 1
-    assert len(perm.enumerate_elements("str", 2, 3)) == 8
-    assert len(perm.enumerate_elements("T", 4)) == 64
-    with pytest.raises(ValueError):
-        perm.enumerate_elements("T", 3, 4)
-    with pytest.raises(ValueError):
-        perm.enumerate_elements("S", 3, 4)
-    with pytest.raises(ValueError):
-        perm.enumerate_elements("T", 3, 0)
-    with pytest.raises(ValueError, match="explicit length"):
-        perm.enumerate_elements("str", 2)
-    with pytest.raises(ValueError, match="unknown element kind"):
-        perm.enumerate_elements("X", 2, 1)
-
-
-@pytest.mark.parametrize("kind, k", [("T", -3), ("T", 0), ("S", 0), ("S", -1)])
-def test_enumerate_needs_positive_k(kind, k):
-    with pytest.raises(ValueError, match="need k >= 1"):
-        perm.enumerate_elements(kind, k)
+    assert len(Codomain("partial_perm", 3).codewords(2)) == 6
+    assert len(Codomain("perm_pattern", 1).codewords(1)) == 1
+    assert len(Codomain("string", 2).codewords(3)) == 8
+    assert len(Codomain("partial_perm", 4).codewords()) == 64
+    with pytest.raises(ValueError, match="partial_perm codomain of size 3 has codeword lengths 1..3, not 4"):
+        Codomain("partial_perm", 3).codewords(4)
+    with pytest.raises(ValueError, match="perm_pattern codomain of size 3"):
+        Codomain("perm_pattern", 3).codewords(4)
+    with pytest.raises(ValueError, match="not 0"):
+        Codomain("partial_perm", 3).codewords(0)
+    with pytest.raises(ValueError, match="0 and up, so name one"):
+        Codomain("string", 2).codewords()
 
 
 # ---------------------------------------------------------------------------
