@@ -4,7 +4,9 @@ Subcommands: enumerate, check-free, constants, kraft, lym, local-lym,
 mcmillan, counterexample, antichain-search, hasse, regularity.
 
 Exit codes: 0 success / property holds, 1 checked property fails, 2 usage
-error, 3 a size limit (search budget, vertex cap or mask cap) exceeded.
+error, 3 a size limit (search budget, vertex cap, mask cap or codeword cap)
+exceeded.  Argparse prints the usage for what it cannot parse; every later
+refusal reaches ``main`` as an exception and prints one ``error:`` line.
 All output is deterministic; fractions print as p/q unless --decimal asks
 for the shortest round-tripping decimal.
 """
@@ -93,26 +95,23 @@ def _flags(dests) -> list[str]:
     return ["--" + d.replace("_", "-") for d in dests]
 
 
-def _check_options(args, parser, selector: str, needs, takes_no) -> None:
-    """Exit 2 unless --selector has every option in needs and none in takes_no."""
+def _check_options(args, selector: str, needs, takes_no) -> None:
+    """Raise ValueError unless --selector has every option in needs and none in takes_no."""
     if any(getattr(args, d) is None for d in needs):
         *rest, last = _flags(needs)
-        parser.error(f"--{selector} needs {', '.join(rest) + ' and ' if rest else ''}{last}")
+        raise ValueError(f"--{selector} needs {', '.join(rest) + ' and ' if rest else ''}{last}")
     stray = [d for d in takes_no if getattr(args, d) is not None]
     if stray:
-        parser.error(f"--{selector} takes no {', '.join(_flags(stray))}")
+        raise ValueError(f"--{selector} takes no {', '.join(_flags(stray))}")
 
 
-def _build_poset(args, parser: argparse.ArgumentParser) -> poset.GradedPoset:
+def _build_poset(args) -> poset.GradedPoset:
     family = next(f for f in _FAMILIES if getattr(args, f))
     builder, takes = _FAMILIES[family]
     args.relation = _normalize_relation(args.relation) if args.relation else None
     others = sorted({d for _, ds in _FAMILIES.values() for d in ds} - set(takes))
-    _check_options(args, parser, family, takes, others)
-    try:
-        return getattr(poset, builder)(*(getattr(args, d) for d in takes))
-    except ValueError as exc:
-        parser.error(str(exc))
+    _check_options(args, family, takes, others)
+    return getattr(poset, builder)(*(getattr(args, d) for d in takes))
 
 
 def _load_code(path: str) -> codes.Code:
@@ -123,24 +122,21 @@ def _load_code(path: str) -> codes.Code:
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
-def _cmd_enumerate(args, parser) -> int:
+def _cmd_enumerate(args) -> int:
     if args.str:
-        _check_options(args, parser, "str", ("r", "l"), ("k",))
+        _check_options(args, "str", ("r", "l"), ("k",))
         kind, size = "string", args.r
     else:
-        _check_options(args, parser, "perm", ("k",), ("r",))
+        _check_options(args, "perm", ("k",), ("r",))
         kind, size = {"T": "partial_perm", "S": "perm_pattern"}[args.perm], args.k
-    try:
-        elements = codes.Codomain(kind, size).codewords(args.l)
-    except ValueError as exc:
-        parser.error(str(exc))
+    elements = codes.Codomain(kind, size).codewords(args.l)
     for x in elements:
         print(perm.format_element(x))
     print(f"# count: {len(elements)}")
     return EXIT_OK
 
 
-def _cmd_check_free(args, parser) -> int:
+def _cmd_check_free(args) -> int:
     code = _load_code(args.codefile)
     relation = _normalize_relation(args.relation)
     result = codes.is_free(code, relation)
@@ -152,31 +148,31 @@ def _cmd_check_free(args, parser) -> int:
     return EXIT_OK if result else EXIT_FAIL
 
 
-def _cmd_constants(args, parser) -> int:
+def _cmd_constants(args) -> int:
     if args.codefile:
         if any(v is not None for v in (args.params, args.r, args.k, args.kind)):
-            parser.error("a code file takes none of --params, --r, --k and --kind")
+            raise ValueError("a code file takes none of --params, --r, --k and --kind")
         code = _load_code(args.codefile)
         params = codes.parameter_sequence(code)
         kind, size = code.codomain.kind, code.codomain.size
     else:
         if args.params is None:
-            parser.error("give a code file or --params")
+            raise ValueError("give a code file or --params")
         if args.kind is not None and args.k is None:
-            parser.error("--kind needs --k")
+            raise ValueError("--kind needs --k")
         params = args.params
         if args.r is not None:
             kind, size = "string", args.r
         elif args.k is not None:
             kind, size = ("perm_pattern" if args.kind == "full" else "partial_perm"), args.k
         else:
-            parser.error("--params needs --r (strings) or --k (permutations)")
+            raise ValueError("--params needs --r (strings) or --k (permutations)")
     value, label = codes.code_constant(kind, params, size), codes.CODOMAINS[kind].label
     _emit(args, {label: _fmt_fraction(value)}, lambda: f"{label} = {_fmt_fraction(value, args.decimal)}")
     return EXIT_OK
 
 
-def _cmd_mcmillan(args, parser) -> int:
+def _cmd_mcmillan(args) -> int:
     result = lym.mcmillan_construct(args.r, args.params)
     if not result:
         K = _fmt_fraction(codes.kraft_number(args.params, args.r))
@@ -196,8 +192,8 @@ def _cmd_mcmillan(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_regularity(args, parser) -> int:
-    host = _build_poset(args, parser)
+def _cmd_regularity(args) -> int:
+    host = _build_poset(args)
     report = poset.regularity_check(host)
     pairs, lines = [], []
     for p in report.pairs:
@@ -215,15 +211,13 @@ def _cmd_regularity(args, parser) -> int:
     return EXIT_OK if report.is_level_regular else EXIT_FAIL
 
 
-def _cmd_hasse(args, parser) -> int:
-    if args.max_vertices < 0:
-        parser.error("--max-vertices must be >= 0")
-    print(_build_poset(args, parser).to_dot(max_vertices=args.max_vertices))
+def _cmd_hasse(args) -> int:
+    print(_build_poset(args).to_dot(max_vertices=args.max_vertices))
     return EXIT_OK
 
 
-def _cmd_lym(args, parser) -> int:
-    host = _build_poset(args, parser)
+def _cmd_lym(args) -> int:
+    host = _build_poset(args)
     with open(args.antichain, "r", encoding="utf-8") as fh:
         antichain = lym.antichain_from_json_dict(host, json.load(fh))
     check = lym.is_antichain(host, antichain)
@@ -256,8 +250,8 @@ def _split_elements(text: str) -> list[str]:
     return [p.strip() for p in parts if p.strip()]
 
 
-def _cmd_local_lym(args, parser) -> int:
-    host = _build_poset(args, parser)
+def _cmd_local_lym(args) -> int:
+    host = _build_poset(args)
     if args.elements:
         texts = _split_elements(args.elements)
     elif args.set:
@@ -266,12 +260,9 @@ def _cmd_local_lym(args, parser) -> int:
         if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
             raise ValueError("--set needs a JSON list of element strings")
     else:
-        parser.error("give --elements or --set")
-    try:
-        elements = [host.resolve_element(args.level, t) for t in texts]
-        result = lym.local_lym_check(host, args.level, elements)
-    except ValueError as exc:
-        parser.error(str(exc))
+        raise ValueError("give --elements or --set")
+    elements = [host.resolve_element(args.level, t) for t in texts]
+    result = lym.local_lym_check(host, args.level, elements)
     verdict = "holds" if result.holds else "FAILS"
     _emit(
         args,
@@ -282,8 +273,8 @@ def _cmd_local_lym(args, parser) -> int:
     return EXIT_OK if result.holds else EXIT_FAIL
 
 
-def _cmd_counterexample(args, parser) -> int:
-    host = _build_poset(args, parser)
+def _cmd_counterexample(args) -> int:
+    host = _build_poset(args)
     outcome = lym.counterexample_params(host, args.level, args.upper)
     if not outcome:
         _emit(args, {"accepted": False, "reason": outcome.reason}, lambda: f"rejected: {outcome.reason}")
@@ -316,12 +307,9 @@ def _cmd_counterexample(args, parser) -> int:
     return EXIT_OK if not search.exists else EXIT_FAIL
 
 
-def _cmd_antichain_search(args, parser) -> int:
-    host = _build_poset(args, parser)
-    try:
-        outcome = lym.antichain_exists(host, args.counts, budget=args.budget)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _cmd_antichain_search(args) -> int:
+    host = _build_poset(args)
+    outcome = lym.antichain_exists(host, args.counts, budget=args.budget)
     print(json.dumps(outcome.to_json_dict()))
     return EXIT_OK if outcome.exists else EXIT_FAIL
 
@@ -422,12 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except (OSError, KeyError, ValueError) as exc:
-        # malformed files, unresolvable elements, relation/codomain mismatches
+        # every refusal after parsing, from option conflicts to malformed files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except poset.BudgetExceededError as exc:

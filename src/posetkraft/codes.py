@@ -41,6 +41,9 @@ from .perm import (
     strings,
     symbols_of,
 )
+from .poset import BudgetExceededError
+
+MAX_CODEWORDS = 1_000_000  # the most words one Codomain.codewords listing may hold
 
 
 @dataclass(frozen=True)
@@ -71,6 +74,11 @@ class Codomain:
             support = f"{lo} and up" if hi is None else f"{lo}..{hi}"
             asked = "so name one" if length is None else f"not {length}"
             raise ValueError(f"a {self.kind} codomain of size {self.size} has codeword lengths {support}, {asked}")
+        count = sum(entry.level_size(l, self.size) for l in lengths)
+        if count > MAX_CODEWORDS:  # a count past int's str limit prints as a power of 2
+            many = count if count.bit_length() <= 64 else f"at least 2^{count.bit_length() - 1}"
+            raise BudgetExceededError(f"the listing has {many} codewords, above the cap of "
+                                      f"{MAX_CODEWORDS}; ask for a smaller size or length")
         return [w for l in lengths for w in entry.words(l, self.size)]
 
 
@@ -331,6 +339,9 @@ def is_free(code: Code, relation: str) -> FreenessResult:
 
 def encode(code: Code, message: Sequence[int]):
     """Concatenate the codewords selected by 1-based source indices."""
+    message = tuple(message)
+    if not are_ints(message):
+        require_ints(*message)
     words = []
     for s in message:
         if not 1 <= s <= len(code.codewords):

@@ -49,7 +49,7 @@ MAX_MASK_BITS = 1 << 30  # the cap on down_masks' bits: at most 128 MiB of masks
 
 class BudgetExceededError(RuntimeError):
     """Raised when a request would pass a size limit: a search's budget, a
-    DOT export's vertex cap or ``MAX_MASK_BITS``."""
+    DOT export's vertex cap, ``MAX_MASK_BITS`` or ``codes.MAX_CODEWORDS``."""
 
 
 def format_poset_element(x) -> str:
@@ -358,6 +358,8 @@ class GradedPoset:
         """DOT digraph with one pinned rank per level and multiplicity labels.
         A label with a backslash or a double quote has them escaped."""
         require_ints(max_vertices)
+        if max_vertices < 0:
+            raise ValueError(f"vertex cap must be >= 0, not {max_vertices}")
         total = sum(len(level) for level in self.levels)
         if total > max_vertices:
             raise BudgetExceededError(

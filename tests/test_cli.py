@@ -13,11 +13,14 @@ def run(capsys, *argv):
 
 
 def usage_error(capsys, *argv):
-    """The last stderr line of a command that must exit 2 with no stdout."""
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
+    """The last stderr line of a command that must exit 2 with no stdout,
+    through argparse's SystemExit(2) or main's return of 2."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
-    assert exc.value.code == 2 and out.out == ""
+    assert code == 2 and out.out == ""
     return out.err.splitlines()[-1]
 
 
@@ -47,12 +50,8 @@ def test_enumerate_strings(capsys):
 
 
 def test_enumerate_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "--perm", "T", "--l", "2"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "--perm", "T", "--k", "3", "--l", "9"])
-    assert exc.value.code == 2
+    usage_error(capsys, "enumerate", "--perm", "T", "--l", "2")
+    usage_error(capsys, "enumerate", "--perm", "T", "--k", "3", "--l", "9")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -63,7 +62,7 @@ def test_enumerate_usage_error(capsys):
      "a perm_pattern codomain of size 3 has codeword lengths 1..3, not 0"),
 ])
 def test_enumerate_nonpositive_k_is_usage_error(capsys, argv, message):
-    assert usage_error(capsys, "enumerate", *argv) == f"posetkraft: error: {message}"
+    assert usage_error(capsys, "enumerate", *argv) == f"error: {message}"
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +116,7 @@ def test_constants_from_params(capsys):
 )
 def test_constants_code_file_excludes_raw_options(tmp_path, capsys, options):
     path = write_code(tmp_path, {"codomain": {"kind": "string", "r": 3}, "codewords": ["0", "1", "20"]})
-    with pytest.raises(SystemExit) as exc:
-        main(["constants", path, *options])
-    assert exc.value.code == 2
+    usage_error(capsys, "constants", path, *options)
 
 
 @pytest.mark.parametrize(
@@ -132,9 +129,7 @@ def test_constants_code_file_excludes_raw_options(tmp_path, capsys, options):
     ],
 )
 def test_constants_conflicting_raw_options(capsys, options):
-    with pytest.raises(SystemExit) as exc:
-        main(["constants", "--params", "0,1", *options])
-    assert exc.value.code == 2
+    usage_error(capsys, "constants", "--params", "0,1", *options)
 
 
 @pytest.mark.parametrize("argv", [
@@ -235,22 +230,25 @@ def test_hasse_vertex_cap(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("argv, count", [
+    (["--perm", "T", "--k", "10"], "9864100"),
+    (["--str", "--r", "2", "--l", "20000"], "at least 2^20000"),  # 6,021 digits
+])
+def test_enumerate_above_the_codeword_cap_exits_3(capsys, argv, count):
+    code, out, err = run(capsys, "enumerate", *argv)
+    assert (code, out) == (3, "")
+    assert err == (f"error: the listing has {count} codewords, above the cap of 1000000; "
+                   "ask for a smaller size or length\n")
+
+
 def test_hasse_negative_vertex_cap_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["hasse", "--subsets", "--n", "2", "--max-vertices", "-1"])
-    assert exc.value.code == 2
+    usage_error(capsys, "hasse", "--subsets", "--n", "2", "--max-vertices", "-1")
 
 
 def test_poset_selector_usage_errors(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["regularity", "--perm", "--k", "3"])  # missing relation
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["regularity", "--perm", "--k", "3", "--relation", "pattern"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["regularity", "--str", "--r", "2", "--relation", "prefix"])  # no max level
-    assert exc.value.code == 2
+    usage_error(capsys, "regularity", "--perm", "--k", "3")  # missing relation
+    usage_error(capsys, "regularity", "--perm", "--k", "3", "--relation", "pattern")
+    usage_error(capsys, "regularity", "--str", "--r", "2", "--relation", "prefix")  # no max level
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -266,7 +264,7 @@ def test_poset_selector_usage_errors(capsys):
      "cannot resolve element '{3}' at level 1"),
 ])
 def test_usage_errors_say_what_is_missing(capsys, argv, message):
-    assert usage_error(capsys, *argv) == f"posetkraft: error: {message}"
+    assert usage_error(capsys, *argv) == f"error: {message}"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -281,7 +279,25 @@ def test_usage_errors_say_what_is_missing(capsys, argv, message):
     (["enumerate", "--perm", "T", "--k", "2", "--r", "2"], "--perm takes no --r"),
 ])
 def test_stray_options_are_usage_errors(capsys, argv, message):
-    assert usage_error(capsys, *argv) == f"posetkraft: error: {message}"
+    assert usage_error(capsys, *argv) == f"error: {message}"
+
+
+S2 = ["--str", "--r", "2", "--relation", "subsequence", "--max-level", "2"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--perm", "T", "--k", "0"], "codomain size must be an integer >= 1"),
+    (["regularity", "--perm", "--k", "0", "--relation", "prefix"], "need k >= 1"),
+    (["local-lym", "--subsets", "--n", "2", "--level", "1", "--elements", "{3}"],
+     "cannot resolve element '{3}' at level 1"),
+    (["antichain-search", *S2, "--counts", "9,9"], "count 9 exceeds the 1 elements of level 0"),
+    (["hasse", "--subsets", "--n", "2", "--max-vertices", "-1"], "vertex cap must be >= 0, not -1"),
+    (["constants", "--params", "0,1"], "--params needs --r (strings) or --k (permutations)"),
+    (["counterexample", *S2, "--level", "9"], "no level of rank 9 (have 0..2)"),
+])
+def test_refusals_after_parsing_print_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -542,12 +558,10 @@ def test_antichain_search_budget_exit(capsys):
 
 
 def test_negative_budget_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([
-            "antichain-search", "--str", "--r", "2", "--relation", "substring",
-            "--max-level", "2", "--counts", "0,1,2", "--budget", "-1",
-        ])
-    assert exc.value.code == 2
+    usage_error(
+        capsys, "antichain-search", "--str", "--r", "2", "--relation", "substring",
+        "--max-level", "2", "--counts", "0,1,2", "--budget", "-1",
+    )
     code, _, err = run(
         capsys, "counterexample", "--str", "--r", "2", "--relation", "subsequence",
         "--max-level", "2", "--level", "1", "--budget", "-4",

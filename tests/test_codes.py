@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetkraft import codes, perm
+from posetkraft import codes, perm, poset
 from posetkraft.codes import (
     Code,
     Codomain,
@@ -77,6 +77,16 @@ def test_codomain_table_is_consistent(kind):
                 dom.codewords()
         else:
             assert dom.codewords() == [w for l in lengths for w in dom.codewords(l)]
+
+
+def test_codewords_refuse_listings_above_the_cap(monkeypatch):
+    dom = Codomain("partial_perm", 3)
+    monkeypatch.setattr(codes, "MAX_CODEWORDS", 15)
+    assert len(dom.codewords()) == 15
+    monkeypatch.setattr(codes, "MAX_CODEWORDS", 14)
+    with pytest.raises(poset.BudgetExceededError, match="15 codewords, above the cap of 14"):
+        dom.codewords()
+    assert len(dom.codewords(1)) == 3
 
 
 def test_code_json_round_trip():
@@ -314,6 +324,7 @@ def test_encode_decode_round_trip_example():
     out = encode(code, (1, 2, 3))
     assert out == Str((0, 1, 0, 1, 1), 2)
     assert decode_prefix_free(code, out) == (1, 2, 3)
+    assert encode(code, iter((1, 2, 3))) == out
     assert encode(code, ()) == Str((), 2)
 
 

@@ -651,6 +651,9 @@ def test_search_budget_exceeded():
     lambda: codes.Codomain("string", 2).codewords(True),
     lambda: codes.ulam_subsequence_condition(codes.Code.of_partial_perms(3, ["123", "132"]), 2.5),
     lambda: codes.ulam_subsequence_condition(codes.Code.of_partial_perms(3, ["123", "132"]), True),
+    lambda: codes.encode(codes.Code.of_strings(2, ["0", "10", "11"]), [True, 2]),
+    lambda: codes.encode(codes.Code.of_strings(2, ["0", "10", "11"]), [1.0]),
+    lambda: codes.encode(codes.Code.of_strings(2, ["0", "10", "11"]), ["1"]),
 ])
 def test_sizes_and_budgets_refuse_bool_and_float(call):
     with pytest.raises(ValueError, match="need a plain int"):

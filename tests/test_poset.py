@@ -475,6 +475,8 @@ def test_dot_single_level_and_vertex_cap():
     assert "->" not in dot
     with pytest.raises(poset.BudgetExceededError, match="16 vertices, above the cap of 10"):
         build_subset_poset(4).to_dot(max_vertices=10)
+    with pytest.raises(ValueError, match="vertex cap must be >= 0, not -1"):
+        build_subset_poset(0).to_dot(max_vertices=-1)
     assert lym.BudgetExceededError is poset.BudgetExceededError
 
 
