@@ -41,7 +41,7 @@ from .perm import (
     strings,
     symbols_of,
 )
-from .poset import BudgetExceededError
+from .poset import BudgetExceededError, count_above, factorial_bits
 
 MAX_CODEWORDS = 1_000_000  # the most words one Codomain.codewords listing may hold
 
@@ -74,9 +74,9 @@ class Codomain:
             support = f"{lo} and up" if hi is None else f"{lo}..{hi}"
             asked = "so name one" if length is None else f"not {length}"
             raise ValueError(f"a {self.kind} codomain of size {self.size} has codeword lengths {support}, {asked}")
-        count = sum(entry.level_size(l, self.size) for l in lengths)
-        if count > MAX_CODEWORDS:  # a count past int's str limit prints as a power of 2
-            many = count if count.bit_length() <= 64 else f"at least 2^{count.bit_length() - 1}"
+        many = count_above(MAX_CODEWORDS, lengths, lambda l: entry.level_size(l, self.size),
+                           lambda l: entry.size_bits(l, self.size))
+        if many is not None:
             raise BudgetExceededError(f"the listing has {many} codewords, above the cap of "
                                       f"{MAX_CODEWORDS}; ask for a smaller size or length")
         return [w for l in lengths for w in entry.words(l, self.size)]
@@ -244,6 +244,7 @@ class CodomainKind(NamedTuple):
     orders: tuple[str, ...]  # the orders is_free accepts
     label: str  # the code constant's label
     level_size: Callable  # (length, size) -> number of codewords of that length
+    size_bits: Callable  # (length, size) -> an N with 2^N <= level_size, found cheaply
     words: Callable  # (length, size) -> the codewords of that length, lexicographically
     support: Callable  # size -> (shortest, longest or None) parameter length
 
@@ -252,19 +253,22 @@ CODOMAINS = {
     "string": CodomainKind(
         "r", parse_str, lambda w, r: isinstance(w, Str) and w.universe == r,
         "a string over a {}-digit alphabet", STRING_RELATIONS, "K",
-        lambda l, r: r**l, lambda l, r: strings(r, l), lambda r: (0, None),
+        lambda l, r: r**l, lambda l, r: (r.bit_length() - 1) * l,
+        lambda l, r: strings(r, l), lambda r: (0, None),
     ),
     "partial_perm": CodomainKind(
         "k", parse_partial_permutation,
         lambda w, k: isinstance(w, PartialPermutation) and w.universe == k,
         "a partial permutation over [1..{}]", STRING_RELATIONS, "P_partial",
-        lambda l, k: math.perm(k, l), lambda l, k: partial_permutations(k, l), lambda k: (1, k),
+        lambda l, k: math.perm(k, l), lambda l, k: factorial_bits(l),  # k!/(k-l)! >= l!
+        lambda l, k: partial_permutations(k, l), lambda k: (1, k),
     ),
     "perm_pattern": CodomainKind(
         "k", lambda text, k: parse_partial_permutation(text),
         lambda w, k: isinstance(w, PartialPermutation) and w.is_full_permutation and len(w) <= k,
         "a full permutation of size <= {}", CODE_RELATIONS, "P_full",
-        lambda l, k: math.factorial(l), lambda l, k: full_permutations(l), lambda k: (1, k),
+        lambda l, k: math.factorial(l), lambda l, k: factorial_bits(l),
+        lambda l, k: full_permutations(l), lambda k: (1, k),
     ),
 }
 

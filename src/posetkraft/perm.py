@@ -238,10 +238,10 @@ def format_element(x: Element, with_universe: bool = False) -> str:
     syms = symbols_of(x)
     if not syms:
         body = "ε"
-    elif all(s <= 9 for s in syms):
-        body = "".join(str(s) for s in syms)
+    elif max(syms) <= 9:
+        body = "".join(map(str, syms))
     else:
-        body = "(" + ",".join(str(s) for s in syms) + ")"
+        body = "(" + ",".join(map(str, syms)) + ")"
     if with_universe:
         return f"{body}@{x.universe}"
     return body

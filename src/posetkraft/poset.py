@@ -24,6 +24,7 @@ prefix and substring, the blocks that freeness looks up.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -45,11 +46,39 @@ from .perm import (
 
 DEFAULT_MAX_VERTICES = 5000  # the vertex cap of a DOT export
 MAX_MASK_BITS = 1 << 30  # the cap on down_masks' bits: at most 128 MiB of masks
+MAX_ELEMENTS = 500_000  # the most elements a builder makes: about 2.5 KB each, 1.2 GB
+COUNT_BITS = 64  # a size total is summed exactly only below 2^64, past every cap
 
 
 class BudgetExceededError(RuntimeError):
     """Raised when a request would pass a size limit: a search's budget, a
-    DOT export's vertex cap, ``MAX_MASK_BITS`` or ``codes.MAX_CODEWORDS``."""
+    DOT export's vertex cap, ``MAX_MASK_BITS``, ``MAX_ELEMENTS`` or
+    ``codes.MAX_CODEWORDS``."""
+
+
+def count_above(cap: int, lengths, size, size_bits) -> str | None:
+    """The total of ``size(l)`` over ``lengths`` as text when it passes
+    ``cap``, else None.  The sum stops once it reaches 2^64, and a level
+    whose lower bound ``2^size_bits(l)`` does is never evaluated; such a
+    total prints as "at least 2^N".  Levels are nonempty, so the sum also
+    stops after ``cap + 1`` of them, at "at least" the total so far.  So a
+    huge size or length costs little; every cap must sit below 2^64."""
+    total = 0
+    for count, l in enumerate(lengths):
+        if count > cap:  # the levels summed so far already pass it
+            return f"at least {total}"
+        bits = size_bits(l)
+        if bits >= COUNT_BITS:
+            return f"at least 2^{bits}"
+        total += size(l)
+        if total.bit_length() > COUNT_BITS:
+            return f"at least 2^{total.bit_length() - 1}"
+    return str(total) if total > cap else None
+
+
+def factorial_bits(l: int) -> int:
+    """An N with 2^N <= l!: exact below 21 and 65 from there (21! > 2^65)."""
+    return math.factorial(min(l, 21)).bit_length() - 1
 
 
 def format_poset_element(x) -> str:
@@ -59,7 +88,7 @@ def format_poset_element(x) -> str:
     if isinstance(x, frozenset):
         if not x:
             return "∅"
-        return "{" + ",".join(str(v) for v in sorted(x)) + "}"
+        return "{" + ",".join(map(str, sorted(x))) + "}"
     if isinstance(x, PartialPermutation):
         return format_element(x, with_universe=len(x) != x.universe)
     if isinstance(x, Str):
@@ -374,16 +403,23 @@ class GradedPoset:
                 labels = map(_dot_escaped, labels)
             nodes = "; ".join(f'n{p}_{i} [label="{label}"]' for i, label in enumerate(labels))
             lines.append("  { rank=same; " + nodes + "; }")
-        for p, lo, hi, mult in self._edges():
-            suffix = f' [label="{mult}"]' if mult > 1 else ""
-            lines.append(f"  n{p}_{lo} -> n{p + 1}_{hi}{suffix};")
+        for p in range(len(self._down)):
+            for lo, row in enumerate(self._up_rows(p)):
+                head = f"  n{p}_{lo} -> n{p + 1}_"
+                for hi, mult in row:
+                    lines.append(f'{head}{hi} [label="{mult}"];' if mult > 1 else f"{head}{hi};")
         lines.append("}")
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
         """Compact interchange form: element strings per level, edge triples."""
         names = [self._names(p) for p in range(len(self.levels))]
-        edges = [[names[p][lo], names[p + 1][hi], mult] for p, lo, hi, mult in self._edges()]
+        edges = []
+        for p in range(len(self._down)):
+            upper = names[p + 1]
+            for name, row in zip(names[p], self._up_rows(p)):
+                for hi, mult in row:
+                    edges.append([name, upper[hi], mult])
         return {
             "family": self.family,
             "first_rank": self.first_rank,
@@ -391,10 +427,17 @@ class GradedPoset:
             "edges": edges,
         }
 
-    def _edges(self) -> list[tuple[int, int, int, int]]:
-        """Every edge as (lower position, lower index, upper index, multiplicity), sorted."""
-        return sorted((p, lo, hi, mult) for p, down in enumerate(self._down)
-                      for hi, lows in enumerate(down) for lo, mult in lows.items())
+    def _up_rows(self, p: int) -> list[list[tuple[int, int]]]:
+        """The edges between positions p and p+1 by lower index: row lo lists
+        (upper index, multiplicity) by upper index, since one O(edges) pass
+        walks the down-adjacencies in upper-index order.  Walking the rows
+        gives both exports their edge order, lower then upper index, with
+        no sort."""
+        rows = [[] for _ in self.levels[p]]
+        for hi, lows in enumerate(self._down[p]):
+            for lo, mult in lows.items():
+                rows[lo].append((hi, mult))
+        return rows
 
     def __repr__(self):
         sizes = ",".join(str(len(level)) for level in self.levels)
@@ -471,6 +514,15 @@ def upper_shadow(poset: GradedPoset, rank: int, elements) -> set:
 # ---------------------------------------------------------------------------
 # Builders
 
+def _require_elements(lengths, size, size_bits) -> None:
+    """Refuse a build whose level sizes, ``size(l)`` over ``lengths``, total
+    more than ``MAX_ELEMENTS``, before anything is enumerated."""
+    many = count_above(MAX_ELEMENTS, lengths, size, size_bits)
+    if many is not None:
+        raise BudgetExceededError(f"the poset has {many} elements, above the cap of "
+                                  f"{MAX_ELEMENTS}; build a smaller instance")
+
+
 def _cover_map(lower_keys, upper_keys, deletions) -> Counter:
     """Cover multiplicities between two consecutive levels given by their
     elements' symbol tuples: ``(i, j) -> m`` when m of the words that
@@ -487,6 +539,7 @@ def build_string_poset(r: int, relation: str, max_level: int) -> GradedPoset:
         raise ValueError("need r >= 1 and max_level >= 0")
     if relation not in STRING_RELATIONS:
         raise ValueError(f"relation must be one of {STRING_RELATIONS}")
+    _require_elements(range(max_level + 1), lambda l: r**l, lambda l: (r.bit_length() - 1) * l)
     deletions = ORDERS[relation].deletions
     levels = [strings(r, l) for l in range(max_level + 1)]
     covers = [
@@ -504,6 +557,7 @@ def build_partial_perm_poset(k: int, relation: str) -> GradedPoset:
         raise ValueError("need k >= 1")
     if relation not in STRING_RELATIONS:
         raise ValueError(f"relation must be one of {STRING_RELATIONS}")
+    _require_elements(range(1, k + 1), lambda l: math.perm(k, l), factorial_bits)  # k!/(k-l)! >= l!
     deletions = ORDERS[relation].deletions
     levels = [partial_permutations(k, l) for l in range(1, k + 1)]
     covers = [
@@ -531,6 +585,9 @@ def build_pattern_poset(k: int, relation: str) -> GradedPoset:
         raise ValueError("need k >= 1")
     if relation not in PATTERN_RELATIONS:
         raise ValueError(f"relation must be one of {PATTERN_RELATIONS}")
+    # position p holds ((p + 3) // 2)! elements: 1!, then (l+1)! helpers and (l+1)! permutations
+    _require_elements(range(2 * k - 1), lambda p: math.factorial((p + 3) // 2),
+                      lambda p: factorial_bits((p + 3) // 2))
     deletions = ORDERS[ORDERS[relation].base].deletions
     perms = full_permutations(1)
     levels, covers = [perms], []
@@ -553,6 +610,7 @@ def build_subset_poset(n: int) -> GradedPoset:
     require_ints(n)
     if n < 0:
         raise ValueError("need n >= 0")
+    _require_elements((n,), lambda n: 2**n, lambda n: n)
     keys = [list(itertools.combinations(range(1, n + 1), i)) for i in range(n + 1)]
     levels = [[frozenset(c) for c in level] for level in keys]
     covers = [_cover_map(keys[i], keys[i + 1], ORDERS["subsequence"].deletions) for i in range(n)]

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -233,9 +234,16 @@ def test_hasse_vertex_cap(capsys):
 @pytest.mark.parametrize("argv, count", [
     (["--perm", "T", "--k", "10"], "9864100"),
     (["--str", "--r", "2", "--l", "20000"], "at least 2^20000"),  # 6,021 digits
+    # the sum stops before a level whose bound passes 2^64, or once it does
+    (["--str", "--r", "3", "--l", "100000000"], "at least 2^100000000"),
+    (["--perm", "T", "--k", "100000"], "at least 2^66"),
+    (["--perm", "S", "--k", "100000"], "at least 2^65"),
+    (["--perm", "S", "--k", "10000000", "--l", "10000000"], "at least 2^65"),
 ])
 def test_enumerate_above_the_codeword_cap_exits_3(capsys, argv, count):
+    start = time.perf_counter()
     code, out, err = run(capsys, "enumerate", *argv)
+    assert time.perf_counter() - start < 1
     assert (code, out) == (3, "")
     assert err == (f"error: the listing has {count} codewords, above the cap of 1000000; "
                    "ask for a smaller size or length\n")

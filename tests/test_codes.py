@@ -79,6 +79,15 @@ def test_codomain_table_is_consistent(kind):
             assert dom.codewords() == [w for l in lengths for w in dom.codewords(l)]
 
 
+@pytest.mark.parametrize("kind", sorted(codes.CODOMAINS))
+def test_codomain_size_bits_bound_the_level_sizes(kind):
+    entry = codes.CODOMAINS[kind]
+    for size in (1, 2, 3, 10, 30):
+        lo, hi = entry.support(size)
+        for l in range(lo, 31 if hi is None else hi + 1):
+            assert 1 << entry.size_bits(l, size) <= entry.level_size(l, size)
+
+
 def test_codewords_refuse_listings_above_the_cap(monkeypatch):
     dom = Codomain("partial_perm", 3)
     monkeypatch.setattr(codes, "MAX_CODEWORDS", 15)

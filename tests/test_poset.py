@@ -1,8 +1,12 @@
 import itertools
+import math
 import random
+import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from posetkraft import lym, perm, poset
 from posetkraft.perm import PartialPermutation, Str
@@ -499,6 +503,63 @@ def test_json_export_round_trips_edge_triples():
     assert len(set(flat)) == len(flat)
 
 
+def _reference_edges(P):
+    """Every edge as (lower position, lower index, upper index, multiplicity),
+    sorted: the order both exports list edges in."""
+    return sorted((p, lo, hi, mult) for p, cov in enumerate(P.covers) for (lo, hi), mult in cov.items())
+
+
+def check_exports_against_reference(P):
+    data = P.to_json_dict()
+    names = data["levels"]
+    edges = _reference_edges(P)
+    assert data["edges"] == [[names[p][lo], names[p + 1][hi], mult] for p, lo, hi, mult in edges]
+    dot = P.to_dot()
+    head = dot.split("\n")[: 2 + P.num_levels]  # the header and one rank line per level
+    assert dot == "\n".join(head + [
+        f"  n{p}_{lo} -> n{p + 1}_{hi}" + (f' [label="{mult}"]' if mult > 1 else "") + ";"
+        for p, lo, hi, mult in edges
+    ] + ["}"])
+
+
+SHUFFLED_CUSTOM_POSET = GradedPoset(  # covers listed out of order, multiplicities, isolated "x"
+    [["a", 'q"', "x"], ["b\\", "c"], [1, 2, 3]],
+    [{(1, 1): 2, (0, 1): 1, (1, 0): 3}, {(1, 2): 1, (0, 0): 4, (1, 0): 1, (0, 1): 2}],
+)
+
+
+def test_exports_match_the_sorted_reference():
+    hosts = (
+        [build_subset_poset(n) for n in range(7)]
+        + [build_string_poset(r, rel, L) for r in (1, 2, 3) for L in range(5)
+           for rel in poset.STRING_RELATIONS]
+        + [build_partial_perm_poset(k, rel) for k in range(1, 5) for rel in poset.STRING_RELATIONS]
+        + [build_pattern_poset(k, rel) for k in range(1, 5) for rel in poset.PATTERN_RELATIONS]
+        + [SHUFFLED_CUSTOM_POSET]
+    )
+    for P in hosts:
+        check_exports_against_reference(P)
+
+
+@st.composite
+def shuffled_custom_posets(draw):
+    """Posets whose cover dicts list their edges in a drawn order, with
+    multiplicities up to 3 and possibly elements without edges."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    covers = []
+    for n_lo, n_hi in zip(sizes, sizes[1:]):
+        pairs = sorted(draw(st.sets(st.tuples(st.integers(0, n_lo - 1), st.integers(0, n_hi - 1)))))
+        covers.append({pair: draw(st.integers(1, 3)) for pair in draw(st.permutations(pairs))})
+    levels = [[f"{p}.{i}" for i in range(n)] for p, n in enumerate(sizes)]
+    return GradedPoset(levels, covers, first_rank=draw(st.integers(-2, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_custom_posets())
+def test_exports_match_the_sorted_reference_on_shuffled_custom_posets(P):
+    check_exports_against_reference(P)
+
+
 def test_json_names_unique_for_pattern_poset():
     data = build_pattern_poset(3, "pattern").to_json_dict()
     flat = [name for level in data["levels"] for name in level]
@@ -585,6 +646,61 @@ def test_resolve_element_exact_then_bare_and_unique():
         with pytest.raises(ValueError):
             P.resolve_element(0, text)
     assert P.resolve_element(0, "12@3") == level[0]
+
+
+# ---------------------------------------------------------------------------
+# Size caps
+
+def test_count_above_sums_exactly_below_2_to_the_64():
+    def never(l):
+        raise AssertionError(f"level {l} was evaluated")
+
+    powers, bits = (lambda l: 2**l), (lambda l: l)
+    assert poset.count_above(7, range(3), powers, bits) is None
+    assert poset.count_above(6, range(3), powers, bits) == "7"
+    assert poset.count_above(100, range(64), powers, bits) == str(2**64 - 1)
+    assert poset.count_above(100, range(10**9), powers, bits) == "at least 2^64"
+    assert poset.count_above(6, (10**9,), never, bits) == "at least 2^1000000000"
+    assert poset.count_above(6, (1, 2), lambda l: 2**63, lambda l: 0) == "at least 2^64"
+    # nonempty levels: more of them than the cap pass it without a full sum
+    assert poset.count_above(5, range(10**18), lambda l: 1, lambda l: 0) == "at least 6"
+
+
+def test_factorial_bits_bound_the_factorials():
+    for l in range(40):
+        assert 1 << poset.factorial_bits(l) <= math.factorial(l)
+        if l <= 21:
+            assert poset.factorial_bits(l) == math.factorial(l).bit_length() - 1
+
+
+def test_builders_refuse_more_elements_than_the_cap_at_once():
+    start = time.perf_counter()
+    with pytest.raises(poset.BudgetExceededError,
+                       match="the poset has 11111111111 elements, above the cap of 500000;"):
+        build_string_poset(10, "prefix", 10)
+    assert time.perf_counter() - start < 0.1
+    for build in (lambda: build_string_poset(3, "substring", 10**9),
+                  lambda: build_partial_perm_poset(10**7, "prefix"),
+                  lambda: build_pattern_poset(10**7, "pattern"),
+                  lambda: build_subset_poset(10**9)):
+        with pytest.raises(poset.BudgetExceededError, match="the poset has at least 2\\^"):
+            build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_string_poset(3, "substring", 3),
+    lambda: build_string_poset(1, "prefix", 4),
+    lambda: build_partial_perm_poset(4, "prefix"),
+    lambda: build_pattern_poset(4, "pattern"),
+    lambda: build_subset_poset(5),
+])
+def test_builder_cap_counts_the_elements_exactly(monkeypatch, build):
+    total = sum(map(len, build().levels))
+    monkeypatch.setattr(poset, "MAX_ELEMENTS", total)
+    assert sum(map(len, build().levels)) == total
+    monkeypatch.setattr(poset, "MAX_ELEMENTS", total - 1)
+    with pytest.raises(poset.BudgetExceededError, match=f"has {total} elements, above the cap of {total - 1};"):
+        build()
 
 
 # ---------------------------------------------------------------------------
