@@ -212,7 +212,7 @@ def _cmd_regularity(args) -> int:
 
 
 def _cmd_hasse(args) -> int:
-    print(_build_poset(args).to_dot(max_vertices=args.max_vertices))
+    print(_build_poset(args).to_dot())
     return EXIT_OK
 
 
@@ -371,7 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hasse", help="emit the Hasse diagram as DOT")
     _add_poset_args(p)
-    p.add_argument("--max-vertices", type=_int, default=poset.DEFAULT_MAX_VERTICES)
     p.set_defaults(func=_cmd_hasse)
 
     p = sub.add_parser("lym", help="LYM number and antichain verdict for an antichain file")

@@ -43,7 +43,7 @@ from .perm import (
 )
 from .poset import BudgetExceededError, count_above, factorial_bits
 
-MAX_CODEWORDS = 1_000_000  # the most words one Codomain.codewords listing may hold
+MAX_CODEWORDS = 1_000_000  # the most words in one Codomain.codewords listing, and the longest word
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,9 @@ class Codomain:
 
     def codewords(self, length: int | None = None) -> list:
         """The codewords of one length, or of every length when the support
-        is bounded: by length, then lexicographically."""
+        is bounded: by length, then lexicographically.  Raises
+        BudgetExceededError, before any word is built, when the listing has
+        more than ``MAX_CODEWORDS`` words or a word longer than that."""
         entry = CODOMAINS[self.kind]
         lo, hi = entry.support(self.size)
         if length is not None:
@@ -79,6 +81,9 @@ class Codomain:
         if many is not None:
             raise BudgetExceededError(f"the listing has {many} codewords, above the cap of "
                                       f"{MAX_CODEWORDS}; ask for a smaller size or length")
+        if lengths[-1] > MAX_CODEWORDS:
+            raise BudgetExceededError(f"the listing has a codeword of length {lengths[-1]}, above the "
+                                      f"cap of {MAX_CODEWORDS}; ask for a smaller length")
         return [w for l in lengths for w in entry.words(l, self.size)]
 
 

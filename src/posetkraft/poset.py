@@ -44,15 +44,15 @@ from .perm import (
     symbols_of,
 )
 
-DEFAULT_MAX_VERTICES = 5000  # the vertex cap of a DOT export
+MAX_VERTICES = 5000  # the most vertices a DOT export may draw
 MAX_MASK_BITS = 1 << 30  # the cap on down_masks' bits: at most 128 MiB of masks
 MAX_ELEMENTS = 500_000  # the most elements a builder makes: about 2.5 KB each, 1.2 GB
 COUNT_BITS = 64  # a size total is summed exactly only below 2^64, past every cap
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when a request would pass a size limit: a search's budget, a
-    DOT export's vertex cap, ``MAX_MASK_BITS``, ``MAX_ELEMENTS`` or
+    """Raised when a request would pass a size limit: a search's budget,
+    ``MAX_VERTICES``, ``MAX_MASK_BITS``, ``MAX_ELEMENTS`` or
     ``codes.MAX_CODEWORDS``."""
 
 
@@ -113,8 +113,9 @@ class GradedPoset:
     (partial permutation posets start at rank 1, everything else at 0).  The
     index-level methods (``down_closure``, ``down_masks``,
     ``pair_regularity``) take positions ``p`` and element indices into
-    ``levels[p]``.  Each level's element names are formatted once, for the
-    exports and ``resolve_element``.
+    ``levels[p]``.  Degrees are read per level pair, from the cached
+    ``pair_regularity`` audit.  Each level's element names are formatted
+    once, for the exports and ``resolve_element``.
     """
 
     def __init__(self, levels, covers, family="custom", first_rank=0):
@@ -154,9 +155,8 @@ class GradedPoset:
                     raise ValueError("edge multiplicities must be >= 1")
                 down[hi][lo] = mult
             self._down.append(down)
-        # (lower pos, upper pos) -> (chain totals of lower elements, of upper
-        # elements, audit)
-        self._pair_audits: dict[tuple[int, int], tuple] = {}
+        # (lower pos, upper pos) -> the pair's degree audit
+        self._pair_audits: dict[tuple[int, int], LevelPairRegularity] = {}
         # pos -> element names; pos -> element index by name (None if shared)
         self._level_names: dict[int, tuple[str, ...]] = {}
         self._name_index: dict[int, dict[str, int | None]] = {}
@@ -231,21 +231,7 @@ class GradedPoset:
             names = self._level_names[p] = tuple(map(format_poset_element, self.levels[p]))
         return names
 
-    # -- degrees and shadows --------------------------------------------------
-
-    def up_degree(self, rank: int, element) -> int:
-        """Number of cover edges leaving the element upward, with multiplicity."""
-        p = self.position(rank)
-        if p == len(self.levels) - 1:
-            return 0
-        return self._pair_audit(p, p + 1)[0][self.index_of(rank, element)]
-
-    def down_degree(self, rank: int, element) -> int:
-        """Number of cover edges arriving from below, with multiplicity."""
-        p = self.position(rank)
-        if p == 0:
-            return 0
-        return self._pair_audit(p - 1, p)[1][self.index_of(rank, element)]
+    # -- closures and shadows -------------------------------------------------
 
     def _check_downward(self, pos: int, to_pos: int) -> None:
         if not 0 <= to_pos < pos < len(self.levels):
@@ -314,45 +300,40 @@ class GradedPoset:
         ia, ib = self.index_of(rank_a, a), self.index_of(rank_b, b)
         return pa < pb and ia in self.down_closure(pb, (ib,), pa)
 
-    def _pair_audit(self, lo: int, hi: int) -> tuple:
-        """Per-element chain totals between positions lo < hi and their
-        audit, cached.  A chain climbs one cover edge per level and counts
-        with the product of its edges' multiplicities."""
-        audit = self._pair_audits.get((lo, hi))
-        if audit is None:
-            up_totals = [1] * len(self.levels[hi])
-            for q in range(hi - 1, lo - 1, -1):
+    def pair_regularity(self, pos: int, upper_pos: int | None = None) -> "LevelPairRegularity":
+        """Degree audit of the level pair (pos, upper_pos), cached; upper_pos
+        defaults to pos+1.  Between non-adjacent levels the degrees count
+        cover chains through the levels in between: a chain climbs one cover
+        edge per level and counts with the product of its edges'
+        multiplicities."""
+        if upper_pos is None:
+            upper_pos = pos + 1
+        if not 0 <= pos < upper_pos < len(self.levels):
+            raise ValueError(f"no level pair at positions ({pos}, {upper_pos})")
+        report = self._pair_audits.get((pos, upper_pos))
+        if report is None:
+            up_totals = [1] * len(self.levels[upper_pos])
+            for q in range(upper_pos - 1, pos - 1, -1):
                 below = [0] * len(self.levels[q])
                 for b, lows in enumerate(self._down[q]):
                     for a, mult in lows.items():
                         below[a] += mult * up_totals[b]
                 up_totals = below
-            down_totals = [1] * len(self.levels[lo])
-            for q in range(lo, hi):
+            down_totals = [1] * len(self.levels[pos])
+            for q in range(pos, upper_pos):
                 down_totals = [
                     sum(mult * down_totals[a] for a, mult in lows.items()) for lows in self._down[q]
                 ]
-            report = LevelPairRegularity(
-                lower_rank=self.rank_of_position(lo),
-                upper_rank=self.rank_of_position(hi),
-                lower_size=len(self.levels[lo]),
-                upper_size=len(self.levels[hi]),
+            report = self._pair_audits[(pos, upper_pos)] = LevelPairRegularity(
+                lower_rank=self.rank_of_position(pos),
+                upper_rank=self.rank_of_position(upper_pos),
+                lower_size=len(self.levels[pos]),
+                upper_size=len(self.levels[upper_pos]),
                 up_degrees=tuple(sorted(set(up_totals))),
                 down_degrees=tuple(sorted(set(down_totals))),
                 edge_count=sum(up_totals),
             )
-            audit = self._pair_audits[(lo, hi)] = (up_totals, down_totals, report)
-        return audit
-
-    def pair_regularity(self, pos: int, upper_pos: int | None = None) -> "LevelPairRegularity":
-        """Degree audit of the level pair (pos, upper_pos), cached; upper_pos
-        defaults to pos+1.  Between non-adjacent levels the degrees count
-        cover chains through the levels in between, with multiplicity."""
-        if upper_pos is None:
-            upper_pos = pos + 1
-        if not 0 <= pos < upper_pos < len(self.levels):
-            raise ValueError(f"no level pair at positions ({pos}, {upper_pos})")
-        return self._pair_audit(pos, upper_pos)[2]
+        return report
 
     # -- connectivity -----------------------------------------------------------
 
@@ -383,24 +364,17 @@ class GradedPoset:
 
     # -- export -------------------------------------------------------------------
 
-    def to_dot(self, max_vertices: int = DEFAULT_MAX_VERTICES) -> str:
-        """DOT digraph with one pinned rank per level and multiplicity labels.
-        A label with a backslash or a double quote has them escaped."""
-        require_ints(max_vertices)
-        if max_vertices < 0:
-            raise ValueError(f"vertex cap must be >= 0, not {max_vertices}")
+    def to_dot(self) -> str:
+        """DOT digraph with one pinned rank per level and multiplicity labels,
+        each label escaped by ``_dot_escaped``.  Raises BudgetExceededError
+        when the poset has more than ``MAX_VERTICES`` elements."""
         total = sum(len(level) for level in self.levels)
-        if total > max_vertices:
-            raise BudgetExceededError(
-                f"poset has {total} vertices, above the cap of {max_vertices}; "
-                "export a smaller instance or raise max_vertices"
-            )
+        if total > MAX_VERTICES:
+            raise BudgetExceededError(f"poset has {total} vertices, above the cap of "
+                                      f"{MAX_VERTICES}; export a smaller instance")
         lines = ["digraph hasse {", "  rankdir=BT;"]
         for p in range(len(self.levels)):
-            labels = self._names(p)
-            text = "".join(labels)
-            if "\\" in text or '"' in text:
-                labels = map(_dot_escaped, labels)
+            labels = map(_dot_escaped, self._names(p))
             nodes = "; ".join(f'n{p}_{i} [label="{label}"]' for i, label in enumerate(labels))
             lines.append("  { rank=same; " + nodes + "; }")
         for p in range(len(self._down)):

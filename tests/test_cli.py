@@ -226,7 +226,7 @@ def test_hasse_subsets_matches_inclusion_diagram(capsys):
 
 
 def test_hasse_vertex_cap(capsys):
-    code, out, err = run(capsys, "hasse", "--subsets", "--n", "8", "--max-vertices", "10")
+    code, out, err = run(capsys, "hasse", "--subsets", "--n", "13")  # 8,192 vertices
     assert code == 3
     assert "cap" in err
 
@@ -249,8 +249,13 @@ def test_enumerate_above_the_codeword_cap_exits_3(capsys, argv, count):
                    "ask for a smaller size or length\n")
 
 
-def test_hasse_negative_vertex_cap_is_usage_error(capsys):
-    usage_error(capsys, "hasse", "--subsets", "--n", "2", "--max-vertices", "-1")
+def test_enumerate_a_word_longer_than_the_codeword_cap_exits_3(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", "--str", "--r", "1", "--l", "3000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == ("error: the listing has a codeword of length 3000000, above the cap of 1000000; "
+                   "ask for a smaller length\n")
 
 
 def test_poset_selector_usage_errors(capsys):
@@ -299,7 +304,6 @@ S2 = ["--str", "--r", "2", "--relation", "subsequence", "--max-level", "2"]
     (["local-lym", "--subsets", "--n", "2", "--level", "1", "--elements", "{3}"],
      "cannot resolve element '{3}' at level 1"),
     (["antichain-search", *S2, "--counts", "9,9"], "count 9 exceeds the 1 elements of level 0"),
-    (["hasse", "--subsets", "--n", "2", "--max-vertices", "-1"], "vertex cap must be >= 0, not -1"),
     (["constants", "--params", "0,1"], "--params needs --r (strings) or --k (permutations)"),
     (["counterexample", *S2, "--level", "9"], "no level of rank 9 (have 0..2)"),
 ])

@@ -92,6 +92,10 @@ def test_codewords_refuse_listings_above_the_cap(monkeypatch):
     dom = Codomain("partial_perm", 3)
     monkeypatch.setattr(codes, "MAX_CODEWORDS", 15)
     assert len(dom.codewords()) == 15
+    # the longest word is capped too, before any word is built
+    assert Codomain("string", 1).codewords(15) == [Str((0,) * 15, 1)]
+    with pytest.raises(poset.BudgetExceededError, match="a codeword of length 16, above the cap of 15"):
+        Codomain("string", 1).codewords(16)
     monkeypatch.setattr(codes, "MAX_CODEWORDS", 14)
     with pytest.raises(poset.BudgetExceededError, match="15 codewords, above the cap of 14"):
         dom.codewords()
@@ -107,6 +111,7 @@ def test_code_json_round_trip():
     ):
         data = code_to_json_dict(code)
         assert code_from_json_dict(json.loads(json.dumps(data))) == code
+    assert len(scode("0", "10", "11")) == 3
     data = code_to_json_dict(scode("0", "10", "11"))
     assert data == {"codomain": {"kind": "string", "r": 2}, "codewords": ["0", "10", "11"]}
 

@@ -62,6 +62,10 @@ def test_is_antichain_across_gap_levels():
     # {1} < {1,2,3} across two levels
     res = is_antichain(P, [(1, fs(1)), (3, fs(1, 2, 3))])
     assert not res and res.witness == ((1, fs(1)), (3, fs(1, 2, 3)))
+    # "d" covers nothing, so its down-closure empties before level 0
+    Q = GradedPoset([["a"], ["b"], ["c", "d"]], [{(0, 0): 1}, {(0, 0): 1}])
+    assert is_antichain(Q, [(0, "a"), (2, "d")])
+    assert is_antichain(Q, [(0, "a"), (2, "c")]).witness == ((0, "a"), (2, "c"))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +121,7 @@ def test_code_constants_are_the_poset_density():
 def test_local_lym_examples():
     P = build_subset_poset(2)
     res = local_lym_check(P, 2, [fs(1, 2)])
-    assert (res.lhs, res.rhs, res.holds) == (Fraction(1), Fraction(1), True)
+    assert (res.lhs, res.rhs, res.holds, bool(res)) == (Fraction(1), Fraction(1), True, True)
     # a full level: shadow is the whole lower level, equality again
     res = local_lym_check(P, 1, [fs(1), fs(2)])
     assert res.lhs == res.rhs == 1 and res.holds

@@ -274,6 +274,17 @@ def test_enumerate_partial_permutations():
     assert len(got) == math.comb(3, 2) * math.factorial(2)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: perm.strings(0, 1), "need r >= 1 and l >= 0"),
+    (lambda: perm.strings(2, -1), "need r >= 1 and l >= 0"),
+    (lambda: perm.partial_permutations(2, 3), "need 1 <= l <= k, got l=3, k=2"),
+    (lambda: perm.partial_permutations(2, 0), "need 1 <= l <= k, got l=0, k=2"),
+])
+def test_enumerations_refuse_sizes_out_of_range(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_enumerate_counts_match_closed_forms():
     for k in range(1, 6):
         for l in range(1, k + 1):
@@ -322,6 +333,7 @@ def test_format_element():
     assert perm.format_element(pp("2513", 6)) == "2513"
     assert perm.format_element(pp("2513", 6), with_universe=True) == "2513@6"
     assert perm.format_element(Str((), 2)) == "ε"
+    assert str(Str((0, 1, 1), 2)) == "011"
     big = PartialPermutation((2, 11, 5), 12)
     assert perm.format_element(big) == "(2,11,5)"
 

@@ -220,18 +220,6 @@ def test_subset_poset_sizes_and_degrees():
     assert build_subset_poset(0).num_levels == 1
 
 
-def test_per_element_degrees():
-    P = build_string_poset(2, "subsequence", 2)
-    eps = Str((), 2)
-    assert P.up_degree(0, eps) == 2
-    assert P.down_degree(0, eps) == 0
-    one = Str((1,), 2)
-    assert P.up_degree(1, one) == 4  # includes the multiplicity-2 edge to 11
-    assert P.down_degree(1, one) == 1
-    assert P.up_degree(2, Str((1, 1), 2)) == 0  # top level
-    assert P.down_degree(2, Str((1, 1), 2)) == 2
-
-
 def test_subset_poset_edge_identity():
     rep = regularity_check(build_subset_poset(3))
     pair = rep.pair(1)
@@ -352,6 +340,7 @@ def test_lower_shadow_examples():
     zz, zo = Str((0, 0), 2), Str((0, 1), 2)
     assert P.lower_shadow(2, [zz, zo]) == {Str((0,), 2), Str((1,), 2)}
     assert P.lower_shadow(0, [Str((), 2)]) == set()
+    assert poset.lower_shadow(P, 2, [zz, zo]) == P.lower_shadow(2, [zz, zo])
 
 
 def test_shadow_round_trip_contains_start():
@@ -359,6 +348,7 @@ def test_shadow_round_trip_contains_start():
         for rank in list(P.ranks)[:-1]:
             for x in P.level(rank):
                 up = P.upper_shadow(rank, [x])
+                assert poset.upper_shadow(P, rank, [x]) == up
                 assert x in P.lower_shadow(rank + 1, up)
 
 
@@ -474,13 +464,12 @@ def test_dot_multiplicity_labels_and_epsilon():
     assert 'label="2"' in dot  # the 1 -> 11 edge carries multiplicity 2
 
 
-def test_dot_single_level_and_vertex_cap():
+def test_dot_single_level_and_vertex_cap(monkeypatch):
     dot = build_subset_poset(0).to_dot()
     assert "->" not in dot
+    monkeypatch.setattr(poset, "MAX_VERTICES", 10)
     with pytest.raises(poset.BudgetExceededError, match="16 vertices, above the cap of 10"):
-        build_subset_poset(4).to_dot(max_vertices=10)
-    with pytest.raises(ValueError, match="vertex cap must be >= 0, not -1"):
-        build_subset_poset(0).to_dot(max_vertices=-1)
+        build_subset_poset(4).to_dot()
     assert lym.BudgetExceededError is poset.BudgetExceededError
 
 
@@ -687,6 +676,17 @@ def test_builders_refuse_more_elements_than_the_cap_at_once():
             build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: build_string_poset(0, "prefix", 2), "need r >= 1 and max_level >= 0"),
+    (lambda: build_string_poset(2, "prefix", -1), "need r >= 1 and max_level >= 0"),
+    (lambda: build_pattern_poset(0, "pattern"), "need k >= 1"),
+    (lambda: build_subset_poset(-1), "need n >= 0"),
+])
+def test_builders_refuse_sizes_below_their_least(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 @pytest.mark.parametrize("build", [
     lambda: build_string_poset(3, "substring", 3),
     lambda: build_string_poset(1, "prefix", 4),
@@ -732,7 +732,6 @@ def test_poset_constructor_validation():
     lambda: build_subset_poset(2).position(True),
     lambda: build_subset_poset(2).position(1.0),
     lambda: lym.counterexample_params(build_subset_poset(2), True),
-    lambda: build_subset_poset(2).to_dot(max_vertices=True),
 ])
 def test_ranks_and_caps_refuse_bool_and_float(call):
     with pytest.raises(ValueError, match="need a plain int"):
