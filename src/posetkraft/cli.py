@@ -4,9 +4,10 @@ Subcommands: enumerate, check-free, constants, kraft, lym, local-lym,
 mcmillan, counterexample, antichain-search, hasse, regularity.
 
 Exit codes: 0 success / property holds, 1 checked property fails, 2 usage
-error, 3 a size limit (search budget, vertex cap, mask cap or codeword cap)
-exceeded.  Argparse prints the usage for what it cannot parse; every later
-refusal reaches ``main`` as an exception and prints one ``error:`` line.
+error, 3 a size limit (search budget, vertex cap, mask cap, element or level
+cap, codeword cap, or the digit limit on printing an exact value) exceeded.
+Argparse prints the usage for what it cannot parse; every later refusal
+reaches ``main`` as an exception and prints one ``error:`` line.
 All output is deterministic; fractions print as p/q unless --decimal asks
 for the shortest round-tripping decimal.
 """
@@ -27,9 +28,16 @@ EXIT_BUDGET = 3
 
 
 def _fmt_fraction(value: Fraction, decimal: bool = False) -> str:
-    """p/q, or under --decimal a float, refused if it overflows or rounds to 0."""
+    """p/q, refused past the interpreter's digit limit on printing an integer,
+    or under --decimal a float, refused if it overflows or rounds to 0."""
     if not decimal:
-        return f"{value.numerator}/{value.denominator}"
+        try:
+            return f"{value.numerator}/{value.denominator}"
+        except ValueError:  # a part has more than sys.get_int_max_str_digits() digits
+            raise poset.BudgetExceededError(
+                f"the exact value has more than {sys.get_int_max_str_digits()} digits in its "
+                "numerator or denominator, the interpreter's limit for printing an integer; "
+                "ask for a smaller instance") from None
     try:
         shown = float(value)
         if shown or not value:

@@ -217,7 +217,8 @@ def code_constant(kind: str, params, size: int) -> Fraction:
     counts = seq.counts[: None if hi is None else hi + 1]  # zeros past hi are dropped
     if any(seq.counts[:lo]) or any(seq.counts[len(counts):]):
         raise ValueError(f"parameter support must lie within lengths {lo}..{hi}")
-    return density(counts, [entry.level_size(l, size) for l in range(len(counts))])
+    used = [l for l, a in enumerate(counts) if a]  # a zero count adds nothing, but its size costs
+    return density([counts[l] for l in used], [entry.level_size(l, size) for l in used])
 
 
 def kraft_number(params, r: int) -> Fraction:

@@ -18,6 +18,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Mapping
 
+from . import codes
 from .codes import Code, Codomain, ParameterSequence, as_parameter_sequence, density
 from .perm import Str, are_ints, require_ints
 from .poset import BudgetExceededError, GradedPoset, format_poset_element
@@ -197,20 +198,27 @@ def mcmillan_construct(r: int, params) -> McMillanResult:
     base-r values run from some ``start`` to ``r^l - 1``, so the walk keeps
     two integers instead of the frontier (the canonical code of Schwartz and
     Kallick, 1964): O(sum of a_l * l) work and memory, however long the
-    longest codeword.
+    longest codeword.  The walk decides first; a feasible request for more
+    than ``codes.MAX_CODEWORDS`` words then raises BudgetExceededError, and
+    only a request within it has its words built.
     """
     require_ints(r)
     if r < 1:
         raise ValueError("need r >= 1")
     seq = as_parameter_sequence(params)
     start, free = 0, 1  # first unused value at this length, and r^l - start
-    chosen: list[tuple[int, ...]] = []
+    runs = []  # (first value, count, length) of the words of each used length
     for length, need in enumerate(seq):
         if need > free:
             return McMillanResult(None, failed_level=length)
-        chosen.extend(_base_r_digits(v, r, length) for v in range(start, start + need))
+        if need:
+            runs.append((start, need, length))
         start, free = (start + need) * r, (free - need) * r
-    code = Code(Codomain("string", r), tuple(Str(w, r) for w in chosen))
+    if seq.total > codes.MAX_CODEWORDS:
+        raise BudgetExceededError(f"the code has {seq.total} codewords, above the cap of "
+                                  f"{codes.MAX_CODEWORDS}; ask for fewer codewords")
+    words = (_base_r_digits(v, r, length) for start, need, length in runs for v in range(start, start + need))
+    code = Code(Codomain("string", r), tuple(Str(w, r) for w in words))
     return McMillanResult(code, None)
 
 

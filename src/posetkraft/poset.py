@@ -47,13 +47,15 @@ from .perm import (
 MAX_VERTICES = 5000  # the most vertices a DOT export may draw
 MAX_MASK_BITS = 1 << 30  # the cap on down_masks' bits: at most 128 MiB of masks
 MAX_ELEMENTS = 500_000  # the most elements a builder makes: about 2.5 KB each, 1.2 GB
+MAX_LEVELS = 64  # the most levels a builder makes: past every r >= 2 family that fits MAX_ELEMENTS
 COUNT_BITS = 64  # a size total is summed exactly only below 2^64, past every cap
 
 
 class BudgetExceededError(RuntimeError):
     """Raised when a request would pass a size limit: a search's budget,
-    ``MAX_VERTICES``, ``MAX_MASK_BITS``, ``MAX_ELEMENTS`` or
-    ``codes.MAX_CODEWORDS``."""
+    ``MAX_VERTICES``, ``MAX_MASK_BITS``, ``MAX_ELEMENTS``, ``MAX_LEVELS``,
+    ``codes.MAX_CODEWORDS`` or the interpreter's digit limit on printing an
+    exact value."""
 
 
 def count_above(cap: int, lengths, size, size_bits) -> str | None:
@@ -423,7 +425,7 @@ class GradedPoset:
 
 @dataclass(frozen=True)
 class LevelPairRegularity:
-    """Observed degrees between one consecutive level pair."""
+    """Observed degrees between two levels, adjacent or not (``pair_regularity``)."""
 
     lower_rank: int
     upper_rank: int
@@ -431,7 +433,7 @@ class LevelPairRegularity:
     upper_size: int
     up_degrees: tuple[int, ...]    # distinct up-degrees of lower elements, sorted
     down_degrees: tuple[int, ...]  # distinct down-degrees of upper elements, sorted
-    edge_count: int                # with multiplicity
+    edge_count: int                # with multiplicity; u * lower_size = d * upper_size when biregular
 
     @property
     def is_biregular(self) -> bool:
@@ -445,15 +447,6 @@ class LevelPairRegularity:
     def down_degree(self) -> int | None:
         return self.down_degrees[0] if len(self.down_degrees) == 1 else None
 
-    @property
-    def edge_identity_holds(self) -> bool:
-        """u * #lower == d * #upper == edge count, multiplicities included."""
-        return (
-            self.is_biregular
-            and self.up_degree * self.lower_size == self.edge_count
-            and self.down_degree * self.upper_size == self.edge_count
-        )
-
 
 @dataclass(frozen=True)
 class RegularityReport:
@@ -461,7 +454,7 @@ class RegularityReport:
 
     @property
     def is_level_regular(self) -> bool:
-        return all(p.is_biregular and p.edge_identity_holds for p in self.pairs)
+        return all(p.is_biregular for p in self.pairs)
 
     def pair(self, lower_rank: int) -> LevelPairRegularity:
         for p in self.pairs:
@@ -477,24 +470,27 @@ def regularity_check(poset: GradedPoset) -> RegularityReport:
     )
 
 
-def lower_shadow(poset: GradedPoset, rank: int, elements) -> set:
-    return poset.lower_shadow(rank, elements)
-
-
-def upper_shadow(poset: GradedPoset, rank: int, elements) -> set:
-    return poset.upper_shadow(rank, elements)
+lower_shadow = GradedPoset.lower_shadow  # lower_shadow(poset, rank, elements)
+upper_shadow = GradedPoset.upper_shadow
 
 
 # ---------------------------------------------------------------------------
 # Builders
 
 def _require_elements(lengths, size, size_bits) -> None:
-    """Refuse a build whose level sizes, ``size(l)`` over ``lengths``, total
-    more than ``MAX_ELEMENTS``, before anything is enumerated."""
+    """Refuse a build, before anything is enumerated, whose level sizes,
+    ``size(l)`` over ``lengths``, total more than ``MAX_ELEMENTS``, or that
+    passes more than ``MAX_LEVELS`` lengths: one per level, but subsets pass
+    their one n.  Elements are checked first, so a build past both caps
+    names its elements, and ``len`` is taken only of a range that passed
+    that cap, however long the range asked for."""
     many = count_above(MAX_ELEMENTS, lengths, size, size_bits)
     if many is not None:
         raise BudgetExceededError(f"the poset has {many} elements, above the cap of "
                                   f"{MAX_ELEMENTS}; build a smaller instance")
+    if len(lengths) > MAX_LEVELS:
+        raise BudgetExceededError(f"the poset has {len(lengths)} levels, above the cap of "
+                                  f"{MAX_LEVELS}; build a smaller instance")
 
 
 def _cover_map(lower_keys, upper_keys, deletions) -> Counter:

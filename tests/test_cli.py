@@ -192,6 +192,18 @@ def test_mcmillan_infeasible(capsys):
     assert "infeasible at level 2" in out and "5/4" in out
 
 
+@pytest.mark.parametrize("argv, result", [
+    (["--r", "1000000000", "--params", "0,1000001"], (3, "", "error: the code has 1000001 codewords, "
+                                                         "above the cap of 1000000; ask for fewer codewords\n")),
+    # infeasible before it is too big
+    (["--r", "2", "--params", "0,2,1000001"], (1, "infeasible at level 2 (K = 1000005/4 > 1)\n", "")),
+])
+def test_mcmillan_decides_then_refuses_too_many_codewords_at_once(capsys, argv, result):
+    start = time.perf_counter()
+    assert run(capsys, "mcmillan", *argv) == result
+    assert time.perf_counter() - start < 1
+
+
 def test_mcmillan_writes_code_file(tmp_path, capsys):
     out_path = tmp_path / "built.json"
     code, _, _ = run(capsys, "mcmillan", "--r", "2", "--params", "1", "--output", str(out_path))
@@ -256,6 +268,29 @@ def test_enumerate_a_word_longer_than_the_codeword_cap_exits_3(capsys):
     assert (code, out) == (3, "")
     assert err == ("error: the listing has a codeword of length 3000000, above the cap of 1000000; "
                    "ask for a smaller length\n")
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_exact_values_past_the_digit_limit_exit_3(capsys, mode):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "kraft", "--r", "10", "--params", "0," * 5000 + "1", *mode)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("error: the exact value has more than 4300 digits")
+
+
+def test_exact_values_below_the_digit_limit_print_exactly(capsys):
+    code, out, _ = run(capsys, "kraft", "--r", "2", "--params", "0," * 14000 + "1")  # 4,215 digits
+    assert (code, out) == (0, f"K = 1/{2**14000}\n")
+
+
+def test_regularity_of_unary_strings_past_the_level_cap_exits_3(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "regularity", "--str", "--r", "1", "--relation", "subsequence",
+                         "--max-level", "100000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err == "error: the poset has 100001 levels, above the cap of 64; build a smaller instance\n"
 
 
 def test_poset_selector_usage_errors(capsys):

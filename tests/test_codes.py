@@ -1,5 +1,7 @@
 import itertools
 import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -159,6 +161,15 @@ def test_kraft_number_examples():
     assert kraft_number((0, 1, 1), 2) == Fraction(3, 4)
     with pytest.raises(ValueError):
         kraft_number((1,), 0)
+
+
+def test_constants_skip_the_sizes_of_zero_counts():
+    start = time.perf_counter()
+    assert kraft_number([0] * 30000 + [1], 10) == Fraction(1, 10**30000)
+    assert time.perf_counter() - start < 1
+    rng = random.Random(19)
+    counts = [rng.choice((0, 0, 1, 5)) for _ in range(300)]
+    assert kraft_number(counts, 3) == sum(Fraction(a, 3**l) for l, a in enumerate(counts))
 
 
 def test_partial_perm_constant_examples():

@@ -313,6 +313,19 @@ def test_mcmillan_deep_profiles():
     assert not res and res.failed_level == 50
 
 
+def test_mcmillan_decides_then_refuses_more_codewords_than_the_cap(monkeypatch):
+    monkeypatch.setattr(codes, "MAX_CODEWORDS", 3)
+    assert len(mcmillan_construct(2, (0, 1, 2)).code) == 3
+    assert mcmillan_construct(2, (0, 1, 2, 1)).failed_level == 3  # infeasible wins over the cap
+
+    def no_words(*args):
+        raise AssertionError("a word was built")
+
+    monkeypatch.setattr(lym, "_base_r_digits", no_words)
+    with pytest.raises(BudgetExceededError, match="the code has 4 codewords, above the cap of 3;"):
+        mcmillan_construct(2, (0, 1, 1, 2))
+
+
 # ---------------------------------------------------------------------------
 # Counterexample parameter vectors
 

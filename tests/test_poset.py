@@ -316,7 +316,7 @@ def test_all_families_level_regular_with_edge_identity():
         rep = regularity_check(P)
         assert rep.is_level_regular, P.family
         for pair in rep.pairs:
-            assert pair.edge_identity_holds
+            assert pair.up_degree * pair.lower_size == pair.edge_count == pair.down_degree * pair.upper_size
 
 
 def test_broken_poset_is_not_biregular():
@@ -341,6 +341,11 @@ def test_lower_shadow_examples():
     assert P.lower_shadow(2, [zz, zo]) == {Str((0,), 2), Str((1,), 2)}
     assert P.lower_shadow(0, [Str((), 2)]) == set()
     assert poset.lower_shadow(P, 2, [zz, zo]) == P.lower_shadow(2, [zz, zo])
+
+
+def test_module_shadows_are_the_methods():
+    assert poset.lower_shadow is GradedPoset.lower_shadow
+    assert poset.upper_shadow is GradedPoset.upper_shadow
 
 
 def test_shadow_round_trip_contains_start():
@@ -549,6 +554,17 @@ def test_exports_match_the_sorted_reference_on_shuffled_custom_posets(P):
     check_exports_against_reference(P)
 
 
+@settings(max_examples=150, deadline=None)
+@given(shuffled_custom_posets())
+def test_biregular_pairs_satisfy_the_edge_identity(P):
+    # is_level_regular reads only biregularity: the counting identity
+    # u * #lower = edges = d * #upper follows, adjacent pairs or not
+    for pos, upper_pos in itertools.combinations(range(P.num_levels), 2):
+        pair = P.pair_regularity(pos, upper_pos)
+        if pair.is_biregular:
+            assert pair.up_degree * pair.lower_size == pair.edge_count == pair.down_degree * pair.upper_size
+
+
 def test_json_names_unique_for_pattern_poset():
     data = build_pattern_poset(3, "pattern").to_json_dict()
     flat = [name for level in data["levels"] for name in level]
@@ -701,6 +717,33 @@ def test_builder_cap_counts_the_elements_exactly(monkeypatch, build):
     monkeypatch.setattr(poset, "MAX_ELEMENTS", total - 1)
     with pytest.raises(poset.BudgetExceededError, match=f"has {total} elements, above the cap of {total - 1};"):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_string_poset(1, "subsequence", 4),
+    lambda: build_string_poset(2, "prefix", 3),
+    lambda: build_partial_perm_poset(4, "substring"),
+    lambda: build_pattern_poset(3, "pattern"),
+])
+def test_builder_level_cap_counts_the_levels_exactly(monkeypatch, build):
+    levels = build().num_levels
+    monkeypatch.setattr(poset, "MAX_LEVELS", levels)
+    assert build().num_levels == levels
+    monkeypatch.setattr(poset, "MAX_LEVELS", levels - 1)
+    with pytest.raises(poset.BudgetExceededError, match=f"has {levels} levels, above the cap of {levels - 1};"):
+        build()
+
+
+def test_unary_strings_past_the_level_cap_are_refused_at_once():
+    start = time.perf_counter()
+    for relation in poset.STRING_RELATIONS:
+        assert build_string_poset(1, relation, poset.MAX_LEVELS - 1).num_levels == poset.MAX_LEVELS
+        with pytest.raises(poset.BudgetExceededError, match="the poset has 100001 levels, above the cap of 64;"):
+            build_string_poset(1, relation, 100_000)
+    # the element cap is checked first, so its message is unchanged
+    with pytest.raises(poset.BudgetExceededError, match="elements, above the cap of 500000;"):
+        build_string_poset(1, "prefix", 10**6)
+    assert time.perf_counter() - start < 1
 
 
 # ---------------------------------------------------------------------------
