@@ -183,9 +183,9 @@ def _cmd_constants(args) -> int:
 def _cmd_mcmillan(args) -> int:
     result = lym.mcmillan_construct(args.r, args.params)
     if not result:
-        K = _fmt_fraction(codes.kraft_number(args.params, args.r))
         _emit(args, {"feasible": False, "failed_level": result.failed_level},
-              lambda: f"infeasible at level {result.failed_level} (K = {K} > 1)")
+              lambda: f"infeasible at level {result.failed_level} "
+                      f"(K = {_fmt_fraction(codes.kraft_number(args.params, args.r))} > 1)")
         return EXIT_FAIL
     payload = codes.code_to_json_dict(result.code)
     if args.output:

@@ -202,9 +202,29 @@ def parameter_sequence(code: Code) -> ParameterSequence:
 def density(counts: Sequence[int], sizes: Sequence[int]) -> Fraction:
     """Exact sum of count / size over paired entries: the Kraft number against
     r^l, the partial and full permutation constants against k!/(k-l)! and l!,
-    and the LYM number against a graded poset's level sizes."""
-    common = math.lcm(*sizes)  # one division at the end, not one per term
-    return Fraction(sum(a * (common // n) for a, n in zip(counts, sizes, strict=True)), common)
+    and the LYM number against a graded poset's level sizes.
+
+    The terms are summed in balanced halves, each sum kept in lowest terms,
+    so no operand outgrows the part sum it holds; one lcm of every size
+    would cost about L^3 digit operations on L dense terms."""
+    return Fraction(*_sum_halves(list(zip(counts, sizes, strict=True))))
+
+
+def _sum_halves(terms: list[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of the fractions a/n of the (a, n) pairs, in lowest terms.
+    For p/q + s/t in lowest terms and g = gcd(q, t), a common factor of the
+    numerator p(t/g) + s(q/g) and the denominator (q/g)t divides g
+    (Henrici), so dividing by its gcd with g reduces each merge."""
+    if len(terms) < 2:
+        a, n = terms[0] if terms else (0, 1)
+        g = math.gcd(a, n)
+        return a // g, n // g
+    mid = len(terms) // 2
+    (p, q), (s, t) = _sum_halves(terms[:mid]), _sum_halves(terms[mid:])
+    g = math.gcd(q, t)
+    num = p * (t // g) + s * (q // g)
+    g2 = math.gcd(num, g)
+    return num // g2, q // g * (t // g2)
 
 
 def code_constant(kind: str, params, size: int) -> Fraction:

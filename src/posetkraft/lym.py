@@ -11,7 +11,6 @@ assignments were visited.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -333,6 +332,13 @@ def _dense_counts(poset: GradedPoset, counts) -> list[int]:
     return dense
 
 
+def _budget_exceeded(budget: int) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"visited more than {budget} assignments; rerun with a larger "
+        "budget or a smaller instance"
+    )
+
+
 def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> SearchOutcome:
     """Exhaustively decide whether an antichain with the given per-level
     sizes exists.
@@ -352,10 +358,16 @@ def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> S
     Blocked sets are Python-int bit masks over a level's indices.  The
     first time the search enters a level with a populated level below it,
     it builds ``down_masks`` between the two; each node then ORs the masks
-    of its forbidden elements once, and each combination ORs in its own
-    and counts the bits.  Over its budget, or when ``down_masks`` refuses
-    masks above ``poset.MAX_MASK_BITS``, the search raises
-    BudgetExceededError.
+    of its forbidden elements once.  It walks the level's combinations as
+    prefixes in lexicographic order, without recursion, keeping each
+    prefix's blocked mask, so each added element costs one OR and one bit
+    count.  Masks only gain bits, so once a prefix blocks too much of the
+    level below, every completion of it would be tried and pruned: the
+    walk adds their number, C(free positions left, elements still to
+    pick), to ``nodes`` in one step and backtracks.  ``nodes`` thus keeps
+    its meaning, every combination tried, while the work per node falls.
+    Over its budget, or when ``down_masks`` refuses masks above
+    ``poset.MAX_MASK_BITS``, the search raises BudgetExceededError.
     """
     if budget is None:
         budget = DEFAULT_SEARCH_BUDGET
@@ -373,37 +385,58 @@ def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> S
 
     def search(step: int, forbidden: int) -> bool:
         nonlocal nodes
-        p = order[step]
+        p, a = order[step], dense[order[step]]
         # bit i of forbidden, the i-th character: "1" when element i lies
         # below an element chosen higher up
         bits = format(forbidden, "b")[::-1].ljust(len(poset.levels[p]), "0")
         free = [i for i, bit in enumerate(bits) if bit == "0"]
-        if step < last:
-            next_p = order[step + 1]
-            max_blocked = len(poset.levels[next_p]) - dense[next_p]
-            if step == len(masks):
-                masks.append(poset.down_masks(p, next_p))
-            down = masks[step]
-            closed = 0
-            for i, bit in enumerate(bits):
-                if bit == "1":
-                    closed |= down[i]
-        for combo in itertools.combinations(free, dense[p]):
+        if step == last:
             nodes += 1
             if nodes > budget:
-                raise BudgetExceededError(
-                    f"visited more than {budget} assignments; rerun with a larger "
-                    "budget or a smaller instance"
-                )
-            chosen[p] = combo  # stale entries are overwritten on the path that succeeds
-            if step == last:
+                raise _budget_exceeded(budget)
+            chosen[p] = tuple(free[:a])
+            return True
+        next_p = order[step + 1]
+        max_blocked = len(poset.levels[next_p]) - dense[next_p]
+        if step == len(masks):
+            masks.append(poset.down_masks(p, next_p))
+        down = masks[step]
+        closed = 0
+        for i, bit in enumerate(bits):
+            if bit == "1":
+                closed |= down[i]
+        # Walk the combinations of free in lexicographic order by prefixes:
+        # picks holds the positions in free of a prefix's elements and
+        # prefix[d] the blocked mask of its first d, so each step ORs once.
+        picks: list[int] = []
+        prefix = [closed]
+        n, d, j = len(free), 0, 0  # j: the position tried after the prefix
+        while True:
+            if j > n - a + d:  # too few positions left to complete the prefix
+                if not d:
+                    return False
+                j = picks.pop() + 1
+                prefix.pop()
+                d -= 1
+                continue
+            blocked = prefix[d] | down[free[j]]
+            fits = blocked.bit_count() <= max_blocked
+            if fits and d + 1 < a:
+                picks.append(j)
+                prefix.append(blocked)
+                d += 1
+                j += 1
+                continue
+            # A full combination, or a prefix that already blocks too much:
+            # masks only gain bits, so each of its completions would be
+            # tried and pruned.  Count them all at once.
+            nodes += 1 if fits else math.comb(n - j - 1, a - d - 1)
+            if nodes > budget:
+                raise _budget_exceeded(budget)
+            if fits and search(step + 1, blocked):
+                chosen[p] = (*(free[i] for i in picks), free[j])
                 return True
-            blocked = closed
-            for i in combo:
-                blocked |= down[i]
-            if blocked.bit_count() <= max_blocked and search(step + 1, blocked):
-                return True
-        return False
+            j += 1
 
     if search(0, 0):
         return SearchOutcome(True, _members_from_indices(poset, chosen), nodes)

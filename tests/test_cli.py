@@ -204,6 +204,16 @@ def test_mcmillan_decides_then_refuses_too_many_codewords_at_once(capsys, argv, 
     assert time.perf_counter() - start < 1
 
 
+@pytest.mark.parametrize("mode, result", [
+    # K = 1 + 10^-5002, past the digit limit, is formatted only for the text verdict
+    ((), (3, "", "error: the exact value has more than 4300 digits")),
+    (("--json",), (1, '{"feasible": false, "failed_level": 5002}\n', "")),
+])
+def test_mcmillan_formats_k_only_for_the_text_verdict(capsys, mode, result):
+    code, out, err = run(capsys, "mcmillan", "--r", "10", "--params", "0,10," + "0," * 5000 + "1", *mode)
+    assert (code, out, err[:len(result[2])]) == result
+
+
 def test_mcmillan_writes_code_file(tmp_path, capsys):
     out_path = tmp_path / "built.json"
     code, _, _ = run(capsys, "mcmillan", "--r", "2", "--params", "1", "--output", str(out_path))

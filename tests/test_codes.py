@@ -232,6 +232,30 @@ def test_density_matches_the_termwise_sum(pairs):
     assert codes.density(counts, sizes) == termwise
 
 
+# sizes sharing many prime factors, as level sizes r^l, k!/(k-l)! and l! do
+SMOOTH_SIZES = st.builds(lambda e2, e3, e5, e7: 2**e2 * 3**e3 * 5**e5 * 7**e7,
+                         *(st.integers(0, 40) for _ in range(4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**12), SMOOTH_SIZES), max_size=70))
+def test_density_by_halves_matches_a_plain_fraction_sum(pairs):
+    counts, sizes = [a for a, _ in pairs], [n for _, n in pairs]
+    result = codes.density(counts, sizes)
+    assert type(result) is Fraction
+    assert result == sum((Fraction(a, n) for a, n in pairs), Fraction(0))
+
+
+def test_density_of_a_dense_vector_costs_no_lcm_of_every_size():
+    # the sizes of kraft_number([1] * 6000, 10), built outside the clock:
+    # the 6000 powers alone take about 0.2 s
+    sizes = [10**l for l in range(6000)]
+    start = time.perf_counter()
+    K = codes.density([1] * 6000, sizes)
+    assert time.perf_counter() - start < 0.3  # one lcm and 6000 long divisions took ~0.8 s
+    assert K == Fraction((10**6000 - 1) // 9, 10**5999)
+
+
 def test_constants_match_code_parameter_sequences():
     code = Code.of_partial_perms(3, ["1", "21", "312"])
     assert partial_perm_constant(parameter_sequence(code), 3) == Fraction(1, 3) + Fraction(1, 6) + Fraction(1, 6)

@@ -1,5 +1,7 @@
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -574,6 +576,7 @@ def _reference_search(P, dense, budget):
 CROSS_CHECK_HOSTS = (
     [build_subset_poset(n) for n in range(2, 6)]
     + [build_string_poset(2, rel, L) for rel in ("prefix", "subsequence", "substring") for L in range(2, 5)]
+    + [build_partial_perm_poset(4, rel) for rel in ("prefix", "subsequence", "substring")]
     + [build_pattern_poset(4, rel) for rel in ("pattern", "substring_pattern")]
 )
 CROSS_CHECK_BUDGET = 3000
@@ -611,6 +614,50 @@ def test_large_refutations_keep_their_node_counts():
     assert (out.exists, out.nodes) == (False, 85_320)
     out = antichain_exists(build_string_poset(2, "subsequence", 5), (0, 0, 1, 1, 2, 3))
     assert (out.exists, out.nodes) == (False, 207_226)
+
+
+@pytest.mark.parametrize("P", [
+    *(build_string_poset(r, "subsequence", L) for r, L in ((2, 5), (3, 4))),
+    *(build_partial_perm_poset(k, "subsequence") for k in (4, 5)),
+    *(build_subset_poset(n) for n in range(4, 9)),
+    build_pattern_poset(4, "pattern"),
+], ids=repr)
+def test_counterexample_refutations_try_every_upper_choice(P):
+    """Every upper choice of an accepted vector blocks more of the lower
+    level than the vector leaves free, so a refutation tries all C(n_hi,
+    a_hi) of them and descends into none; the pruned walk counts them in
+    closed form, most without building a single combination."""
+    accepted = [c for lo, hi in itertools.combinations(P.ranks, 2) if (c := counterexample_params(P, lo, hi))]
+    assert accepted
+    for c in accepted:
+        combinations = math.comb(len(P.level(c.upper_rank)), c.counts.by_rank(P)[c.upper_rank])
+        out = antichain_exists(P, c.counts, budget=combinations)
+        assert (out.exists, out.nodes) == (False, combinations)
+        with pytest.raises(BudgetExceededError):
+            antichain_exists(P, c.counts, budget=combinations - 1)
+
+
+@pytest.mark.parametrize("P, lower_rank, upper_rank, nodes", [
+    # the paper's counterexample on strings, (a_2, a_4) = (8, 9)
+    (build_string_poset(3, "subsequence", 4), 2, 4, math.comb(81, 9)),
+    # subsets n=10, (a_4, a_5) = (205, 6)
+    (build_subset_poset(10), 4, 5, math.comb(252, 6)),
+])
+def test_large_budgets_refute_in_closed_form(P, lower_rank, upper_rank, nodes):
+    start = time.perf_counter()
+    out = antichain_exists(P, counterexample_params(P, lower_rank, upper_rank).counts, budget=10**18)
+    assert (out.exists, out.nodes) == (False, nodes)
+    assert time.perf_counter() - start < 2
+
+
+def test_deep_prefixes_walk_without_recursion():
+    # the first 1024 strings of length 11 all block only the string "0"
+    # below, so a prefix grows 1024 deep before it blocks too much
+    P = build_string_poset(2, "prefix", 11)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="visited more than 10000000 assignments"):
+        antichain_exists(P, {1: 1, 11: 1100})
+    assert time.perf_counter() - start < 1
 
 
 def test_search_builds_masks_only_for_the_steps_it_reaches(monkeypatch):
