@@ -238,7 +238,7 @@ def code_constant(kind: str, params, size: int) -> Fraction:
     if any(seq.counts[:lo]) or any(seq.counts[len(counts):]):
         raise ValueError(f"parameter support must lie within lengths {lo}..{hi}")
     used = [l for l, a in enumerate(counts) if a]  # a zero count adds nothing, but its size costs
-    return density([counts[l] for l in used], [entry.level_size(l, size) for l in used])
+    return density([counts[l] for l in used], entry.level_sizes(used, size))
 
 
 def kraft_number(params, r: int) -> Fraction:
@@ -269,31 +269,47 @@ class CodomainKind(NamedTuple):
     members: str  # what the members are, formatted with the size
     orders: tuple[str, ...]  # the orders is_free accepts
     label: str  # the code constant's label
-    level_size: Callable  # (length, size) -> number of codewords of that length
+    size_ratio: Callable  # (shorter, longer, size) -> level_size(longer) / level_size(shorter)
     size_bits: Callable  # (length, size) -> an N with 2^N <= level_size, found cheaply
     words: Callable  # (length, size) -> the codewords of that length, lexicographically
     support: Callable  # size -> (shortest, longest or None) parameter length
+
+    def level_size(self, length: int, size: int) -> int:
+        """The number of codewords of one length."""
+        return self.size_ratio(0, length, size)
+
+    def level_sizes(self, lengths: Sequence[int], size: int) -> list[int]:
+        """The level sizes at increasing lengths, as running products: each
+        is the one before times the ratio between them, so a dense run of
+        lengths costs one small multiplication each, not a fresh power."""
+        sizes, shorter, n = [], 0, 1  # every codomain has one word of length 0
+        for length in lengths:
+            n *= self.size_ratio(shorter, length, size)
+            sizes.append(n)
+            shorter = length
+        return sizes
 
 
 CODOMAINS = {
     "string": CodomainKind(
         "r", parse_str, lambda w, r: isinstance(w, Str) and w.universe == r,
         "a string over a {}-digit alphabet", STRING_RELATIONS, "K",
-        lambda l, r: r**l, lambda l, r: (r.bit_length() - 1) * l,
+        lambda l0, l, r: r ** (l - l0), lambda l, r: (r.bit_length() - 1) * l,
         lambda l, r: strings(r, l), lambda r: (0, None),
     ),
     "partial_perm": CodomainKind(
         "k", parse_partial_permutation,
         lambda w, k: isinstance(w, PartialPermutation) and w.universe == k,
         "a partial permutation over [1..{}]", STRING_RELATIONS, "P_partial",
-        lambda l, k: math.perm(k, l), lambda l, k: factorial_bits(l),  # k!/(k-l)! >= l!
+        lambda l0, l, k: math.perm(k - l0, l - l0),  # k!/(k-l)! over k!/(k-l0)!
+        lambda l, k: factorial_bits(l),  # k!/(k-l)! >= l!
         lambda l, k: partial_permutations(k, l), lambda k: (1, k),
     ),
     "perm_pattern": CodomainKind(
         "k", lambda text, k: parse_partial_permutation(text),
         lambda w, k: isinstance(w, PartialPermutation) and w.is_full_permutation and len(w) <= k,
         "a full permutation of size <= {}", CODE_RELATIONS, "P_full",
-        lambda l, k: math.factorial(l), lambda l, k: factorial_bits(l),
+        lambda l0, l, k: math.perm(l, l - l0), lambda l, k: factorial_bits(l),  # l!/l0!
         lambda l, k: full_permutations(l), lambda k: (1, k),
     ),
 }

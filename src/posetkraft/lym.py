@@ -20,9 +20,14 @@ from typing import Iterable, Mapping
 from . import codes
 from .codes import Code, Codomain, ParameterSequence, as_parameter_sequence, density
 from .perm import Str, are_ints, require_ints
-from .poset import BudgetExceededError, GradedPoset, format_poset_element
+from .poset import MAX_MASK_BITS, BudgetExceededError, GradedPoset, format_poset_element
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
+# The bits antichain_exists' failed-subtree memo may hold in one call: each
+# entry is charged its key's level width plus a fixed share for the dict slot
+# and the two ints, so the memo stays within about 128 MiB like the masks.
+_MEMO_BITS = MAX_MASK_BITS
+_MEMO_ENTRY_BITS = 1024
 
 
 class InternalInvariantError(RuntimeError):
@@ -366,6 +371,19 @@ def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> S
     walk adds their number, C(free positions left, elements still to
     pick), to ``nodes`` in one step and backtracks.  ``nodes`` thus keeps
     its meaning, every combination tried, while the work per node falls.
+
+    A subtree's verdict and node count depend only on its step and its
+    forbidden mask: it reads nothing else that changes, and writes its
+    choice only on success.  The poset is graded, so every chain from an
+    element chosen higher up to a level further down passes through the
+    step's level, and the forbidden mask there already holds all the lower
+    steps need.  So each failed subtree below the first step and above the
+    last is remembered with the nodes it spent, and when the search enters
+    it again it adds them to ``nodes``, runs the same budget check and
+    backtracks; successes end the search and are never stored.  Each entry
+    is charged its level's width plus ``_MEMO_ENTRY_BITS``, and once the
+    memo holds ``_MEMO_BITS`` the search stores no more: verdicts, ``nodes``,
+    witnesses and budget points are the same at any size of the memo.
     Over its budget, or when ``down_masks`` refuses masks above
     ``poset.MAX_MASK_BITS``, the search raises BudgetExceededError.
     """
@@ -383,12 +401,23 @@ def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> S
     chosen: dict[int, tuple[int, ...]] = {}
     masks: list[list[int]] = []  # masks[step]: down_masks(order[step], order[step + 1])
 
+    failed: list[dict[int, int]] = [{} for _ in order]  # failed[step][forbidden]: nodes spent
+    memo_bits = 0
+
     def search(step: int, forbidden: int) -> bool:
-        nonlocal nodes
+        nonlocal nodes, memo_bits
         p, a = order[step], dense[order[step]]
+        width = len(poset.levels[p])
+        if step < last:
+            spent = failed[step].get(forbidden)
+            if spent is not None:
+                nodes += spent
+                if nodes > budget:
+                    raise _budget_exceeded(budget)
+                return False
         # bit i of forbidden, the i-th character: "1" when element i lies
         # below an element chosen higher up
-        bits = format(forbidden, "b")[::-1].ljust(len(poset.levels[p]), "0")
+        bits = format(forbidden, "b")[::-1].ljust(width, "0")
         free = [i for i, bit in enumerate(bits) if bit == "0"]
         if step == last:
             nodes += 1
@@ -396,6 +425,7 @@ def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> S
                 raise _budget_exceeded(budget)
             chosen[p] = tuple(free[:a])
             return True
+        start = nodes
         next_p = order[step + 1]
         max_blocked = len(poset.levels[next_p]) - dense[next_p]
         if step == len(masks):
@@ -414,6 +444,9 @@ def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> S
         while True:
             if j > n - a + d:  # too few positions left to complete the prefix
                 if not d:
+                    if step and memo_bits + width + _MEMO_ENTRY_BITS <= _MEMO_BITS:
+                        failed[step][forbidden] = nodes - start
+                        memo_bits += width + _MEMO_ENTRY_BITS
                     return False
                 j = picks.pop() + 1
                 prefix.pop()

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -88,6 +89,33 @@ def test_codomain_size_bits_bound_the_level_sizes(kind):
         lo, hi = entry.support(size)
         for l in range(lo, 31 if hi is None else hi + 1):
             assert 1 << entry.size_bits(l, size) <= entry.level_size(l, size)
+
+
+CLOSED_FORM_SIZES = {
+    "string": lambda l, r: r**l,
+    "partial_perm": lambda l, k: math.perm(k, l),
+    "perm_pattern": lambda l, k: math.factorial(l),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_running_level_sizes_equal_level_size(data):
+    kind = data.draw(st.sampled_from(sorted(CLOSED_FORM_SIZES)), label="kind")
+    entry = codes.CODOMAINS[kind]
+    size = data.draw(st.integers(1, 12), label="size")
+    lo, hi = entry.support(size)
+    lengths = sorted(data.draw(st.sets(st.integers(lo, 80 if hi is None else hi)), label="lengths"))
+    sizes = entry.level_sizes(lengths, size)
+    assert sizes == [entry.level_size(l, size) for l in lengths]
+    assert sizes == [CLOSED_FORM_SIZES[kind](l, size) for l in lengths]
+
+
+def test_dense_level_sizes_cost_no_fresh_powers():
+    start = time.perf_counter()
+    sizes = codes.CODOMAINS["string"].level_sizes(range(6000), 10)
+    assert time.perf_counter() - start < 0.1  # 6000 separate powers 10**l took ~0.25 s
+    assert sizes[-1] == 10**5999 and sizes[:3] == [1, 10, 100]
 
 
 def test_codewords_refuse_listings_above_the_cap(monkeypatch):

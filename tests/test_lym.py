@@ -582,15 +582,27 @@ CROSS_CHECK_HOSTS = (
 CROSS_CHECK_BUDGET = 3000
 
 
+def _draw_counts(data, P, spread):
+    """Mostly small counts, which leave room for multi-level witnesses.  With
+    ``spread``, three drawn levels are populated, so the search has middle
+    steps and meets some of their failed subtrees again."""
+    sizes = [len(level) for level in P.levels]
+    populated = set()
+    if spread:
+        populated = data.draw(st.sets(st.sampled_from(range(len(sizes))), min_size=3, max_size=3),
+                              label="populated")
+    return [
+        data.draw(st.integers(1, min(n, 3)) if p in populated else st.integers(0, min(n, 3)) | st.integers(0, n),
+                  label=f"a_{p}")
+        for p, n in enumerate(sizes)
+    ]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_search_matches_the_set_based_reference(data):
     P = data.draw(st.sampled_from(CROSS_CHECK_HOSTS), label="host")
-    # mostly small counts, which leave room for multi-level witnesses
-    dense = [
-        data.draw(st.integers(0, min(n, 3)) | st.integers(0, n), label=f"a_{p}")
-        for p, n in enumerate(map(len, P.levels))
-    ]
+    dense = _draw_counts(data, P, data.draw(st.booleans(), label="spread"))
     try:
         expected = _reference_search(P, dense, CROSS_CHECK_BUDGET)
     except BudgetExceededError:
@@ -614,6 +626,55 @@ def test_large_refutations_keep_their_node_counts():
     assert (out.exists, out.nodes) == (False, 85_320)
     out = antichain_exists(build_string_poset(2, "subsequence", 5), (0, 0, 1, 1, 2, 3))
     assert (out.exists, out.nodes) == (False, 207_226)
+
+
+def test_memo_keeps_the_node_counts_of_multi_level_refutations():
+    P = build_string_poset(2, "subsequence", 5)
+    out = antichain_exists(P, (0, 1, 0, 2, 3, 6))
+    assert (out.exists, out.nodes) == (False, 7_949_166)
+    assert not antichain_exists(P, (0, 0, 1, 1, 2, 3), budget=207_226)
+    with pytest.raises(BudgetExceededError, match="visited more than 207225 assignments"):
+        antichain_exists(P, (0, 0, 1, 1, 2, 3), budget=207_225)
+
+
+def _outcomes_at_memo_sizes(P, dense, budget):
+    """The search's (exists, nodes, antichain), or its budget message, with
+    the default memo, with no room for an entry and with room for one."""
+    one_entry = lym._MEMO_ENTRY_BITS + max(map(len, P.levels))  # two take at least twice the charge
+    outcomes = []
+    for bits in (lym._MEMO_BITS, 0, one_entry):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lym, "_MEMO_BITS", bits)
+            try:
+                out = antichain_exists(P, dense, budget=budget)
+                outcomes.append((out.exists, out.nodes, out.antichain))
+            except BudgetExceededError as e:
+                outcomes.append(str(e))
+    return outcomes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_memo_size_changes_no_outcome(data):
+    P = data.draw(st.sampled_from(CROSS_CHECK_HOSTS), label="host")
+    default, *bounded = _outcomes_at_memo_sizes(P, _draw_counts(data, P, spread=True), CROSS_CHECK_BUDGET)
+    assert bounded == [default, default]
+
+
+@pytest.mark.parametrize("P, dense, exists", [
+    # witnesses found after the search met failed middle subtrees again
+    (build_partial_perm_poset(4, "subsequence"), (1, 1, 3, 0), True),
+    (build_partial_perm_poset(4, "substring"), (1, 2, 3, 0), True),
+    (build_pattern_poset(4, "substring_pattern"), (0, 0, 0, 2, 1, 2, 2), True),
+    (build_string_poset(2, "subsequence", 5), (0, 0, 1, 1, 2, 3), False),
+], ids=repr)
+def test_memo_size_changes_no_witness_or_budget_point(P, dense, exists):
+    default, *bounded = _outcomes_at_memo_sizes(P, dense, None)
+    assert default[0] == exists and bounded == [default, default]
+    nodes = default[1]
+    assert _outcomes_at_memo_sizes(P, dense, nodes) == [default] * 3
+    tripped = _outcomes_at_memo_sizes(P, dense, nodes - 1)
+    assert tripped == [f"visited more than {nodes - 1} assignments; rerun with a larger budget or a smaller instance"] * 3
 
 
 @pytest.mark.parametrize("P", [
