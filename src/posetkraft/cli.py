@@ -411,6 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", type=_int_list, required=True,
                    help="comma-separated counts from the lowest level up")
     p.add_argument("--budget", type=_int)
+    p.add_argument("--json", action="store_true", help="print JSON, as without the flag")
     p.set_defaults(func=_cmd_antichain_search)
 
     return parser

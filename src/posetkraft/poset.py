@@ -14,19 +14,24 @@ prefix/subsequence/substring orders, partial permutations under the same
 three orders, full permutations under the pattern and substring-pattern
 orders (realized with interleaved helper levels so every consecutive pair is
 biregular), and subsets of [n] ordered by inclusion, which is the
-subsequence order on their increasing sequences.  One routine,
-``_cover_map``, computes the covers of every family from the elements'
+subsequence order on their increasing sequences.  The elements are made
+at once; the covers are made per level pair, on first read.  One routine,
+``_cover_rows``, makes the covers of every family from the elements'
 symbol tuples and a cover step: the order's ``deletions`` from its
 ``perm.ORDERS`` entry, which also gives its containment test and, for
-prefix and substring, the blocks that freeness looks up.
+prefix and substring, the blocks that freeness looks up.  A builder hands
+``GradedPoset`` one call of it per pair, so a search on two levels of a
+tall host pays for the covers of those two levels only.  The builders
+make each level a tuple, which ``GradedPoset`` keeps as it is, so the
+pending calls hold no second copy of a level.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 from .perm import (
     ORDERS,
@@ -108,14 +113,19 @@ class GradedPoset:
 
     ``levels[p]`` holds the elements of the p-th level.  Each edge between
     levels p and p+1 is stored once, as ``lower_index -> multiplicity`` in
-    the down-adjacency dict of its upper element.  ``covers[p]`` maps
+    the down-adjacency dict of its upper element: the pair's *rows*, one
+    per element of level p+1.  The constructor takes each pair's covers as
+    a mapping ``(lower_index, upper_index) -> multiplicity``, grouped into
+    rows and checked at once, or as a zero-argument callable returning the
+    rows, which is called and checked the first time the pair is read;
+    ``_down_rows`` is the one reader of both.  ``covers[p]`` maps
     ``(lower_index, upper_index) -> multiplicity``; it is rebuilt from the
-    adjacencies on every access, at O(edges) cost, and changing it changes
-    nothing.  Levels are addressed publicly by *rank* ``first_rank + p``
-    (partial permutation posets start at rank 1, everything else at 0).  The
-    index-level methods (``down_closure``, ``down_masks``,
-    ``pair_regularity``) take positions ``p`` and element indices into
-    ``levels[p]``.  Degrees are read per level pair, from the cached
+    rows on every access, at O(edges) cost, makes every pair, and changing
+    it changes nothing.  Levels are addressed publicly by *rank*
+    ``first_rank + p`` (partial permutation posets start at rank 1,
+    everything else at 0).  The index-level methods (``down_closure``,
+    ``down_masks``, ``pair_regularity``) take positions ``p`` and element
+    indices into ``levels[p]``.  Degrees are read per level pair, from the cached
     ``pair_regularity`` audit.  Each level's element names are formatted
     once, for the exports and ``resolve_element``.
     """
@@ -140,35 +150,71 @@ class GradedPoset:
                 raise ValueError(f"level {first_rank + p} has duplicate elements")
             self._index.append(idx)
 
-        # _down[p][hi]: lower index -> multiplicity, for the pair (p, p+1)
-        self._down = []
-        for p, cov in enumerate(covers):
-            down = [{} for _ in self.levels[p + 1]]
-            cov = dict(cov)
-            if not are_ints(cov.values()):
-                raise ValueError("edge multiplicities must be integers")
-            n_lo, n_hi = len(self.levels[p]), len(down)
-            for (lo, hi), mult in cov.items():
-                if type(lo) is not int or type(hi) is not int:
-                    raise ValueError(f"edge endpoints must be integers, not ({lo!r}, {hi!r})")
-                if not (0 <= lo < n_lo and 0 <= hi < n_hi):
-                    raise ValueError(f"edge ({lo}, {hi}) out of range between levels {p} and {p + 1}")
-                if mult < 1:
-                    raise ValueError("edge multiplicities must be >= 1")
-                down[hi][lo] = mult
-            self._down.append(down)
+        # _down[p]: the rows of the pair (p, p+1), row hi mapping lower index
+        # -> multiplicity, or until first read the callable that makes them
+        self._down = [cov if callable(cov) else self._checked_rows(p, self._grouped(p, cov))
+                      for p, cov in enumerate(covers)]
         # (lower pos, upper pos) -> the pair's degree audit
         self._pair_audits: dict[tuple[int, int], LevelPairRegularity] = {}
         # pos -> element names; pos -> element index by name (None if shared)
         self._level_names: dict[int, tuple[str, ...]] = {}
         self._name_index: dict[int, dict[str, int | None]] = {}
 
+    def _grouped(self, p: int, cover) -> list[dict]:
+        """A ``(lower, upper) -> multiplicity`` mapping for the pair (p, p+1)
+        as its rows; each key must be a pair whose upper index is in range."""
+        rows = [{} for _ in self.levels[p + 1]]
+        for key, mult in dict(cover).items():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise ValueError(f"cover key {key!r} is not a (lower, upper) index pair")
+            lo, hi = key
+            if type(hi) is not int:
+                raise ValueError(f"edge endpoints must be integers, not ({lo!r}, {hi!r})")
+            if not 0 <= hi < len(rows):
+                raise ValueError(f"edge ({lo}, {hi}) out of range between levels {p} and {p + 1}")
+            rows[hi][lo] = mult
+        return rows
+
+    def _checked_rows(self, p: int, rows) -> list[dict]:
+        """The one check on the rows of the pair (p, p+1), whichever form
+        they came in: one dict per upper element, lower indices plain ints
+        in range, multiplicities plain ints >= 1.  It runs over the pair's
+        chained keys and values at C speed, and walks the edges only to
+        name a bad one."""
+        rows = list(rows)
+        n_lo = len(self.levels[p])
+        if len(rows) != len(self.levels[p + 1]) or not set(map(type, rows)) <= {dict}:
+            raise ValueError(f"need one dict row per element of level {p + 1}, "
+                             f"got {len(rows)} rows between levels {p} and {p + 1}")
+        lows = list(itertools.chain.from_iterable(rows))
+        if not are_ints(lows) or (lows and (min(lows) < 0 or max(lows) >= n_lo)):
+            for hi, row in enumerate(rows):
+                for lo in row:
+                    if type(lo) is not int:
+                        raise ValueError(f"edge endpoints must be integers, not ({lo!r}, {hi!r})")
+                    if not 0 <= lo < n_lo:
+                        raise ValueError(f"edge ({lo}, {hi}) out of range between levels {p} and {p + 1}")
+        mults = list(itertools.chain.from_iterable(map(dict.values, rows)))
+        if not are_ints(mults):
+            raise ValueError("edge multiplicities must be integers")
+        if mults and min(mults) < 1:
+            raise ValueError("edge multiplicities must be >= 1")
+        return rows
+
+    def _down_rows(self, p: int) -> list[dict]:
+        """The rows of the pair (p, p+1), made and checked on first read:
+        the one reader of ``_down``."""
+        rows = self._down[p]
+        if callable(rows):
+            rows = self._down[p] = self._checked_rows(p, rows())
+        return rows
+
     @property
     def covers(self) -> tuple[dict, ...]:
         """Fresh ``(lower_index, upper_index) -> multiplicity`` maps, by upper index."""
         return tuple(
-            {(lo, hi): mult for hi, lows in enumerate(down) for lo, mult in lows.items()}
-            for down in self._down
+            {(lo, hi): mult for hi, lows in enumerate(self._down_rows(p)) for lo, mult in lows.items()}
+            for p in range(len(self.levels) - 1)
         )
 
     # -- level addressing ---------------------------------------------------
@@ -245,7 +291,7 @@ class GradedPoset:
         self._check_downward(pos, to_pos)
         closure = indices
         for q in range(pos, to_pos, -1):
-            down = self._down[q - 1]
+            down = self._down_rows(q - 1)
             closure = {lo for i in closure for lo in down[i]}
         return closure
 
@@ -265,9 +311,9 @@ class GradedPoset:
                 f"{MAX_MASK_BITS}; search a smaller instance"
             )
         masks = [1 << j for j in range(len(self.levels[to_pos]))]
-        for down in self._down[to_pos:pos]:
+        for q in range(to_pos, pos):
             upper = []
-            for lows in down:
+            for lows in self._down_rows(q):
                 mask = 0
                 for lo in lows:
                     mask |= masks[lo]
@@ -292,7 +338,7 @@ class GradedPoset:
         if p == len(self.levels) - 1:
             return set()
         level = self.levels[p + 1]
-        return {level[hi] for hi, lows in enumerate(self._down[p]) if not indices.isdisjoint(lows)}
+        return {level[hi] for hi, lows in enumerate(self._down_rows(p)) if not indices.isdisjoint(lows)}
 
     # -- order ----------------------------------------------------------------
 
@@ -317,14 +363,14 @@ class GradedPoset:
             up_totals = [1] * len(self.levels[upper_pos])
             for q in range(upper_pos - 1, pos - 1, -1):
                 below = [0] * len(self.levels[q])
-                for b, lows in enumerate(self._down[q]):
+                for b, lows in enumerate(self._down_rows(q)):
                     for a, mult in lows.items():
                         below[a] += mult * up_totals[b]
                 up_totals = below
             down_totals = [1] * len(self.levels[pos])
             for q in range(pos, upper_pos):
                 down_totals = [
-                    sum(mult * down_totals[a] for a, mult in lows.items()) for lows in self._down[q]
+                    sum(mult * down_totals[a] for a, mult in lows.items()) for lows in self._down_rows(q)
                 ]
             report = self._pair_audits[(pos, upper_pos)] = LevelPairRegularity(
                 lower_rank=self.rank_of_position(pos),
@@ -379,7 +425,7 @@ class GradedPoset:
             labels = map(_dot_escaped, self._names(p))
             nodes = "; ".join(f'n{p}_{i} [label="{label}"]' for i, label in enumerate(labels))
             lines.append("  { rank=same; " + nodes + "; }")
-        for p in range(len(self._down)):
+        for p in range(len(self.levels) - 1):
             for lo, row in enumerate(self._up_rows(p)):
                 head = f"  n{p}_{lo} -> n{p + 1}_"
                 for hi, mult in row:
@@ -391,7 +437,7 @@ class GradedPoset:
         """Compact interchange form: element strings per level, edge triples."""
         names = [self._names(p) for p in range(len(self.levels))]
         edges = []
-        for p in range(len(self._down)):
+        for p in range(len(self.levels) - 1):
             upper = names[p + 1]
             for name, row in zip(names[p], self._up_rows(p)):
                 for hi, mult in row:
@@ -410,7 +456,7 @@ class GradedPoset:
         gives both exports their edge order, lower then upper index, with
         no sort."""
         rows = [[] for _ in self.levels[p]]
-        for hi, lows in enumerate(self._down[p]):
+        for hi, lows in enumerate(self._down_rows(p)):
             for lo, mult in lows.items():
                 rows[lo].append((hi, mult))
         return rows
@@ -493,12 +539,20 @@ def _require_elements(lengths, size, size_bits) -> None:
                                   f"{MAX_LEVELS}; build a smaller instance")
 
 
-def _cover_map(lower_keys, upper_keys, deletions) -> Counter:
-    """Cover multiplicities between two consecutive levels given by their
-    elements' symbol tuples: ``(i, j) -> m`` when m of the words that
-    ``deletions`` gives for the upper key j are the lower key i."""
-    index = {key: i for i, key in enumerate(lower_keys)}
-    return Counter((index[lower], j) for j, key in enumerate(upper_keys) for lower in deletions(key))
+def _cover_rows(lower, upper, deletions, key=symbols_of) -> list[dict]:
+    """The rows of the pair from level ``lower`` up to level ``upper``, by
+    their elements' symbol tuples ``key(x)``: row j maps i to m when m of
+    the words that ``deletions`` gives for the key of upper element j are
+    the key of lower element i, the i in order of first occurrence."""
+    index = {k: i for i, k in enumerate(map(key, lower))}
+    rows = []
+    for k in map(key, upper):
+        row = {}
+        for word in deletions(k):
+            i = index[word]
+            row[i] = row.get(i, 0) + 1
+        rows.append(row)
+    return rows
 
 
 def build_string_poset(r: int, relation: str, max_level: int) -> GradedPoset:
@@ -511,11 +565,8 @@ def build_string_poset(r: int, relation: str, max_level: int) -> GradedPoset:
         raise ValueError(f"relation must be one of {STRING_RELATIONS}")
     _require_elements(range(max_level + 1), lambda l: r**l, lambda l: (r.bit_length() - 1) * l)
     deletions = ORDERS[relation].deletions
-    levels = [strings(r, l) for l in range(max_level + 1)]
-    covers = [
-        _cover_map(map(symbols_of, levels[l]), map(symbols_of, levels[l + 1]), deletions)
-        for l in range(max_level)
-    ]
+    levels = [tuple(strings(r, l)) for l in range(max_level + 1)]
+    covers = [partial(_cover_rows, levels[l], levels[l + 1], deletions) for l in range(max_level)]
     return GradedPoset(levels, covers, family=f"string({relation}, r={r})", first_rank=0)
 
 
@@ -529,11 +580,8 @@ def build_partial_perm_poset(k: int, relation: str) -> GradedPoset:
         raise ValueError(f"relation must be one of {STRING_RELATIONS}")
     _require_elements(range(1, k + 1), lambda l: math.perm(k, l), factorial_bits)  # k!/(k-l)! >= l!
     deletions = ORDERS[relation].deletions
-    levels = [partial_permutations(k, l) for l in range(1, k + 1)]
-    covers = [
-        _cover_map(map(symbols_of, levels[p]), map(symbols_of, levels[p + 1]), deletions)
-        for p in range(k - 1)
-    ]
+    levels = [tuple(partial_permutations(k, l)) for l in range(1, k + 1)]
+    covers = [partial(_cover_rows, levels[p], levels[p + 1], deletions) for p in range(k - 1)]
     return GradedPoset(levels, covers, family=f"partial_perm({relation}, k={k})", first_rank=1)
 
 
@@ -559,14 +607,13 @@ def build_pattern_poset(k: int, relation: str) -> GradedPoset:
     _require_elements(range(2 * k - 1), lambda p: math.factorial((p + 3) // 2),
                       lambda p: factorial_bits((p + 3) // 2))
     deletions = ORDERS[ORDERS[relation].base].deletions
-    perms = full_permutations(1)
+    perms = tuple(full_permutations(1))
     levels, covers = [perms], []
     for l in range(1, k):
-        helpers = partial_permutations(l + 1, l)
-        longer = full_permutations(l + 1)
-        covers.append(_cover_map(map(symbols_of, perms), map(symbols_of, helpers),
-                                 lambda key: (order_pattern(key),)))
-        covers.append(_cover_map(map(symbols_of, helpers), map(symbols_of, longer), deletions))
+        helpers = tuple(partial_permutations(l + 1, l))
+        longer = tuple(full_permutations(l + 1))
+        covers.append(partial(_cover_rows, perms, helpers, lambda key: (order_pattern(key),)))
+        covers.append(partial(_cover_rows, helpers, longer, deletions))
         levels += [helpers, longer]
         perms = longer
     return GradedPoset(levels, covers, family=f"perm_pattern({relation}, k={k})", first_rank=0)
@@ -583,5 +630,7 @@ def build_subset_poset(n: int) -> GradedPoset:
     _require_elements((n,), lambda n: 2**n, lambda n: n)
     keys = [list(itertools.combinations(range(1, n + 1), i)) for i in range(n + 1)]
     levels = [[frozenset(c) for c in level] for level in keys]
-    covers = [_cover_map(keys[i], keys[i + 1], ORDERS["subsequence"].deletions) for i in range(n)]
+    # the rows read the tuples themselves: key=tuple returns each one as it is
+    covers = [partial(_cover_rows, keys[i], keys[i + 1], ORDERS["subsequence"].deletions, tuple)
+              for i in range(n)]
     return GradedPoset(levels, covers, family=f"subsets(n={n})", first_rank=0)

@@ -596,6 +596,13 @@ def test_antichain_search_witness(capsys):
     assert json.loads(out) == {"exists": True, "antichain": [[1, "{1}"], [1, "{2}"]]}
 
 
+def test_antichain_search_json_flag_prints_the_same_json(capsys):
+    argv = ["antichain-search", "--subsets", "--n", "3", "--counts", "0,1,2,0"]
+    plain = run(capsys, *argv)
+    assert run(capsys, *argv, "--json") == plain
+    assert plain[0] == 1 and json.loads(plain[1]) == {"exists": False, "search_nodes": 3}
+
+
 def test_antichain_search_none(capsys):
     code, out, _ = run(
         capsys, "antichain-search", "--str", "--r", "2", "--relation", "substring",

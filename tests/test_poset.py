@@ -1,6 +1,8 @@
+import functools
 import itertools
 import math
 import random
+import re
 import time
 from collections import Counter
 
@@ -269,30 +271,96 @@ def pattern_covers(relation):
     return multiplicity
 
 
+def exact_case(multiplicity, build, *args):
+    """A host, the multiplicity its covers must have, and a maker of fresh copies."""
+    return build(*args), multiplicity, functools.partial(build, *args)
+
+
 EXACT_COVER_CASES = (
-    [(build_subset_poset(n), lambda p, x, y: int(x < y)) for n in range(6)]
+    [exact_case(lambda p, x, y: int(x < y), build_subset_poset, n) for n in range(6)]
     + [
-        (build_string_poset(r, rel, L), symbol_insertions(rel, range(r)))
+        exact_case(symbol_insertions(rel, range(r)), build_string_poset, r, rel, L)
         for r in (1, 2, 3) for rel in poset.STRING_RELATIONS for L in range(4)
     ]
     + [
-        (build_partial_perm_poset(k, rel), symbol_insertions(rel, range(1, k + 1)))
+        exact_case(symbol_insertions(rel, range(1, k + 1)), build_partial_perm_poset, k, rel)
         for k in range(1, 5) for rel in poset.STRING_RELATIONS
     ]
-    + [(build_pattern_poset(k, rel), pattern_covers(rel)) for k in range(1, 5) for rel in poset.PATTERN_RELATIONS]
+    + [exact_case(pattern_covers(rel), build_pattern_poset, k, rel)
+       for k in range(1, 5) for rel in poset.PATTERN_RELATIONS]
 )
+
+
+def position_pairs(P):
+    return [(lo, hi) for hi in range(P.num_levels) for lo in range(hi)]
+
+
+# Every reader of the covers, over every level pair, adjacent or not.
+READ_PATHS = {
+    "down_closure": lambda P: [P.down_closure(hi, {i}, lo) for lo, hi in position_pairs(P)
+                               for i in range(len(P.levels[hi]))],
+    "down_masks": lambda P: [P.down_masks(hi, lo) for lo, hi in position_pairs(P)],
+    "upper_shadow": lambda P: [P.upper_shadow(rank, [x]) for rank in P.ranks for x in P.level(rank)],
+    "less_than": lambda P: [P.less_than(ra, a, rb, b) for ra in P.ranks for a in P.level(ra)
+                            for rb in P.ranks for b in P.level(rb)],
+    "pair_regularity": lambda P: [P.pair_regularity(lo, hi) for lo, hi in position_pairs(P)],
+    "is_weakly_connected_pair": lambda P: [
+        P.is_weakly_connected_pair(P.rank_of_position(lo), P.rank_of_position(hi))
+        for lo, hi in position_pairs(P)
+    ],
+    "to_json_dict": GradedPoset.to_json_dict,
+    "to_dot": GradedPoset.to_dot,
+}
 
 
 @pytest.mark.parametrize(
-    "host, multiplicity", [pytest.param(*case, id=repr(case[0])) for case in EXACT_COVER_CASES]
+    "host, multiplicity, rebuild", [pytest.param(*case, id=repr(case[0])) for case in EXACT_COVER_CASES]
 )
-def test_cover_maps_match_order_definitions(host, multiplicity):
+def test_cover_maps_match_order_definitions(host, multiplicity, rebuild):
     assert list(host.covers) == defined_covers(host, multiplicity)
     # the derived covers rebuild the same poset, edge order included
     clone = GradedPoset(host.levels, host.covers, host.family, host.first_rank)
     assert clone.to_json_dict() == host.to_json_dict()
     assert clone.to_dot() == host.to_dot()
     assert [list(c.items()) for c in clone.covers] == [list(c.items()) for c in host.covers]
+    # each reader, as the first to make a fresh poset's covers, reads what
+    # it reads once every pair is made
+    made = rebuild()
+    assert made.covers == host.covers
+    for name, path in READ_PATHS.items():
+        assert path(rebuild()) == path(made), name
+
+
+def test_covers_are_made_per_pair_on_first_read(monkeypatch):
+    made, make = [], poset._cover_rows
+
+    def counted(lower, upper, *args):
+        made.append((lower, upper))
+        return make(lower, upper, *args)
+
+    monkeypatch.setattr(poset, "_cover_rows", counted)
+    P = build_string_poset(2, "subsequence", 10)
+    assert made == []
+    found = lym.counterexample_params(P, 2)
+    assert found.accepted
+    assert not lym.antichain_exists(P, found.counts).exists
+    assert made == [(P.level(2), P.level(3))]
+    with pytest.raises(poset.BudgetExceededError):
+        build_subset_poset(13).to_dot()
+    assert len(made) == 1
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([{0: 1}], "one dict row per element of level 1"),
+    ([{0: 1}, {0.0: 1}], r"endpoints must be integers, not \(0.0, 1\)"),
+    ([{0: 1}, {1: 1}], r"edge \(1, 1\) out of range between levels 0 and 1"),
+    ([{0: 1}, {0: 0}], "edge multiplicities must be >= 1"),
+])
+def test_cover_rows_are_checked_on_first_read(rows, message):
+    P = GradedPoset([["a"], ["b", "c"]], [lambda: rows])
+    for _ in range(2):  # a pair whose rows fail stays unread
+        with pytest.raises(ValueError, match=message):
+            P.down_closure(1, {0}, 0)
 
 
 def test_covers_is_a_fresh_view():
@@ -768,6 +836,9 @@ def test_poset_constructor_validation():
     for edge in ((0.0, 0), (True, 0)):
         with pytest.raises(ValueError, match="endpoints must be integers"):
             GradedPoset([["a", "c"], ["b"]], [{edge: 1}])
+    for key in (5, (0, 0, 0)):
+        with pytest.raises(ValueError, match=re.escape(f"cover key {key!r} is not a (lower, upper)")):
+            GradedPoset([["a"], ["b"]], [{key: 1}])
 
 
 @pytest.mark.parametrize("call", [
