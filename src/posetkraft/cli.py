@@ -260,9 +260,9 @@ def _split_elements(text: str) -> list[str]:
 
 def _cmd_local_lym(args) -> int:
     host = _build_poset(args)
-    if args.elements:
+    if args.elements is not None:
         texts = _split_elements(args.elements)
-    elif args.set:
+    elif args.set is not None:
         with open(args.set, "r", encoding="utf-8") as fh:
             texts = json.load(fh)
         if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):

@@ -21,9 +21,10 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .perm import (
     CODE_RELATIONS,
@@ -31,7 +32,6 @@ from .perm import (
     STRING_RELATIONS,
     PartialPermutation,
     Str,
-    are_ints,
     format_element,
     full_permutations,
     parse_partial_permutation,
@@ -56,7 +56,7 @@ class Codomain:
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in CODOMAINS:
             raise ValueError(f"unknown codomain kind {self.kind!r}")
-        if not are_ints((self.size,)) or self.size < 1:
+        if type(self.size) is not int or self.size < 1:
             raise ValueError("codomain size must be an integer >= 1")
 
     def codewords(self, length: int | None = None) -> list:
@@ -160,9 +160,13 @@ class ParameterSequence:
     counts: tuple[int, ...]
 
     def __post_init__(self):
+        if isinstance(self.counts, (Mapping, Set)):
+            raise ValueError("counts are read in level order, not from a mapping or a set; "
+                             "use ParameterSequence.at_ranks for counts by rank")
         counts = tuple(self.counts)
-        if not are_ints(counts) or any(c < 0 for c in counts):
-            raise ValueError("counts must be non-negative integers")
+        for c in counts:
+            if type(c) is not int or c < 0:
+                raise ValueError("counts must be non-negative integers")
         object.__setattr__(self, "counts", counts)
 
     def __getitem__(self, j: int) -> int:
@@ -184,11 +188,6 @@ class ParameterSequence:
 
     def by_rank(self, poset) -> dict[int, int]:
         return {poset.rank_of_position(p): c for p, c in enumerate(self.counts) if c != 0}
-
-
-def as_parameter_sequence(params) -> ParameterSequence:
-    """The one coercion of a sequence of counts to a ``ParameterSequence``."""
-    return params if isinstance(params, ParameterSequence) else ParameterSequence(tuple(params))
 
 
 def parameter_sequence(code: Code) -> ParameterSequence:
@@ -232,7 +231,7 @@ def code_constant(kind: str, params, size: int) -> Fraction:
     the size must be valid and the sequence use only supported lengths."""
     require_ints(size)
     Codomain(kind, size)  # the kind and size rule of every codomain
-    entry, seq = CODOMAINS[kind], as_parameter_sequence(params)
+    entry, seq = CODOMAINS[kind], ParameterSequence(params)
     lo, hi = entry.support(size)
     counts = seq.counts[: None if hi is None else hi + 1]  # zeros past hi are dropped
     if any(seq.counts[:lo]) or any(seq.counts[len(counts):]):
@@ -386,8 +385,7 @@ def is_free(code: Code, relation: str) -> FreenessResult:
 def encode(code: Code, message: Sequence[int]):
     """Concatenate the codewords selected by 1-based source indices."""
     message = tuple(message)
-    if not are_ints(message):
-        require_ints(*message)
+    require_ints(*message)
     words = []
     for s in message:
         if not 1 <= s <= len(code.codewords):

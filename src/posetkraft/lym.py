@@ -18,8 +18,8 @@ from random import Random
 from typing import Iterable, Mapping
 
 from . import codes
-from .codes import Code, Codomain, ParameterSequence, as_parameter_sequence, density
-from .perm import Str, are_ints, require_ints
+from .codes import Code, Codomain, ParameterSequence, density
+from .perm import Str, require_ints
 from .poset import MAX_MASK_BITS, BudgetExceededError, GradedPoset, format_poset_element
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -209,7 +209,7 @@ def mcmillan_construct(r: int, params) -> McMillanResult:
     require_ints(r)
     if r < 1:
         raise ValueError("need r >= 1")
-    seq = as_parameter_sequence(params)
+    seq = ParameterSequence(params)
     start, free = 0, 1  # first unused value at this length, and r^l - start
     runs = []  # (first value, count, length) of the words of each used length
     for length, need in enumerate(seq):
@@ -324,7 +324,7 @@ class SearchOutcome:
 def _dense_counts(poset: GradedPoset, counts) -> list[int]:
     if isinstance(counts, Mapping):
         counts = ParameterSequence.at_ranks(poset, counts)
-    seq, n = as_parameter_sequence(counts), poset.num_levels
+    seq, n = ParameterSequence(counts), poset.num_levels
     if any(seq.counts[n:]):
         raise ValueError("counts extend past the top level of the poset")
     dense = [seq[p] for p in range(n)]
@@ -515,7 +515,7 @@ def antichain_from_json_dict(poset: GradedPoset, data: dict) -> Antichain:
         if not (
             isinstance(entry, list)
             and len(entry) == 2
-            and are_ints(entry[:1])
+            and type(entry[0]) is int
             and isinstance(entry[1], str)
         ):
             raise ValueError(f"antichain entries must be [level, element] pairs, not {entry!r}")

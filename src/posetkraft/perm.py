@@ -25,16 +25,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 
-def are_ints(values) -> bool:
-    """True when every value is a plain ``int`` (no ``bool``, float or
-    string): the one check for the sizes, counts, ranks and multiplicities
-    a caller or a file supplies.  It runs at C speed over many values."""
-    return set(map(type, values)) <= {int}
-
-
 def require_ints(*values) -> None:
-    """Raise ValueError unless every value is a plain ``int``: the check,
-    made once per call, for the sizes, budgets and ranks a caller passes."""
+    """Raise ValueError, naming the first bad value, unless every value is a
+    plain ``int`` (no ``bool``, float or string): the one int check for the
+    sizes, budgets, ranks and symbols a caller or a file supplies."""
     for v in values:
         if type(v) is not int:
             raise ValueError(f"need a plain int, not {v!r} ({type(v).__name__})")

@@ -23,7 +23,9 @@ prefix and substring, the blocks that freeness looks up.  A builder hands
 ``GradedPoset`` one call of it per pair, so a search on two levels of a
 tall host pays for the covers of those two levels only.  The builders
 make each level a tuple, which ``GradedPoset`` keeps as it is, so the
-pending calls hold no second copy of a level.
+pending calls of the string, permutation and pattern builders hold no
+second copy of a level; the subset builder's calls keep the subsets'
+sorted tuples, which its covers are made from.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .perm import (
     STRING_RELATIONS,
     PartialPermutation,
     Str,
-    are_ints,
     format_element,
     full_permutations,
     order_pattern,
@@ -178,27 +179,23 @@ class GradedPoset:
     def _checked_rows(self, p: int, rows) -> list[dict]:
         """The one check on the rows of the pair (p, p+1), whichever form
         they came in: one dict per upper element, lower indices plain ints
-        in range, multiplicities plain ints >= 1.  It runs over the pair's
-        chained keys and values at C speed, and walks the edges only to
-        name a bad one."""
+        in range, multiplicities plain ints >= 1.  It stops at the first bad
+        edge, in row order, and names it."""
         rows = list(rows)
         n_lo = len(self.levels[p])
         if len(rows) != len(self.levels[p + 1]) or not set(map(type, rows)) <= {dict}:
             raise ValueError(f"need one dict row per element of level {p + 1}, "
                              f"got {len(rows)} rows between levels {p} and {p + 1}")
-        lows = list(itertools.chain.from_iterable(rows))
-        if not are_ints(lows) or (lows and (min(lows) < 0 or max(lows) >= n_lo)):
-            for hi, row in enumerate(rows):
-                for lo in row:
-                    if type(lo) is not int:
-                        raise ValueError(f"edge endpoints must be integers, not ({lo!r}, {hi!r})")
-                    if not 0 <= lo < n_lo:
-                        raise ValueError(f"edge ({lo}, {hi}) out of range between levels {p} and {p + 1}")
-        mults = list(itertools.chain.from_iterable(map(dict.values, rows)))
-        if not are_ints(mults):
-            raise ValueError("edge multiplicities must be integers")
-        if mults and min(mults) < 1:
-            raise ValueError("edge multiplicities must be >= 1")
+        for hi, row in enumerate(rows):
+            for lo, mult in row.items():
+                if type(lo) is not int:
+                    raise ValueError(f"edge endpoints must be integers, not ({lo!r}, {hi!r})")
+                if not 0 <= lo < n_lo:
+                    raise ValueError(f"edge ({lo}, {hi}) out of range between levels {p} and {p + 1}")
+                if type(mult) is not int:
+                    raise ValueError("edge multiplicities must be integers")
+                if mult < 1:
+                    raise ValueError("edge multiplicities must be >= 1")
         return rows
 
     def _down_rows(self, p: int) -> list[dict]:
@@ -629,7 +626,7 @@ def build_subset_poset(n: int) -> GradedPoset:
         raise ValueError("need n >= 0")
     _require_elements((n,), lambda n: 2**n, lambda n: n)
     keys = [list(itertools.combinations(range(1, n + 1), i)) for i in range(n + 1)]
-    levels = [[frozenset(c) for c in level] for level in keys]
+    levels = [tuple(map(frozenset, level)) for level in keys]
     # the rows read the tuples themselves: key=tuple returns each one as it is
     covers = [partial(_cover_rows, keys[i], keys[i + 1], ORDERS["subsequence"].deletions, tuple)
               for i in range(n)]

@@ -318,6 +318,8 @@ def test_poset_selector_usage_errors(capsys):
     (["constants"], "give a code file or --params"),
     (["constants", "--params", "0,1"], "--params needs --r (strings) or --k (permutations)"),
     (["local-lym", "--subsets", "--n", "2", "--level", "1"], "give --elements or --set"),
+    (["local-lym", "--subsets", "--n", "2", "--level", "1", "--elements", ""],
+     "need a nonempty set of elements"),
     (["local-lym", "--subsets", "--n", "2", "--level", "1", "--elements", "{3}"],
      "cannot resolve element '{3}' at level 1"),
 ])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from posetkraft import codes, perm, poset
+from posetkraft import codes, lym, perm, poset
 from posetkraft.codes import (
     Code,
     Codomain,
@@ -177,6 +177,33 @@ def test_parameter_sequence_normalization_and_validation():
     assert ParameterSequence((1, 2)).total == 3
     with pytest.raises(ValueError):
         ParameterSequence((-1,))
+
+
+def _chained_rejects_counts(counts) -> bool:
+    """The count check as it was before the one-pass loop: every type at
+    once, then the signs."""
+    return not set(map(type, counts)) <= {int} or any(c < 0 for c in counts)
+
+
+@given(st.lists(st.one_of(st.integers(-2, 5), st.booleans(), st.sampled_from([0.0, 1.0, -1.5])), max_size=6))
+def test_parameter_sequence_check_matches_the_chained_check(counts):
+    if _chained_rejects_counts(counts):
+        with pytest.raises(ValueError, match="counts must be non-negative integers"):
+            ParameterSequence(counts)
+    else:
+        assert ParameterSequence(counts).counts == tuple(counts)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kraft_number({1: 1}, 2),  # would read one word of length 0
+    lambda: codes.code_constant("string", {3: 1}, 2),
+    lambda: kraft_number({0, 3}, 2),
+    lambda: lym.mcmillan_construct(2, {2: 3}),
+    lambda: ParameterSequence({5: 1}),
+])
+def test_unordered_counts_are_refused(call):
+    with pytest.raises(ValueError, match=r"not from a mapping or a set; use ParameterSequence\.at_ranks"):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -833,12 +833,56 @@ def test_poset_constructor_validation():
         GradedPoset([["a"], []], [{}])
     with pytest.raises(ValueError, match="one cover map per"):
         GradedPoset([["a"], ["b"]], [])
-    for edge in ((0.0, 0), (True, 0)):
+    for edge in ((0.0, 0), (True, 0), (0, 0.0), (0, True)):
         with pytest.raises(ValueError, match="endpoints must be integers"):
-            GradedPoset([["a", "c"], ["b"]], [{edge: 1}])
+            GradedPoset([["a", "c"], ["b", "d"]], [{edge: 1}])
     for key in (5, (0, 0, 0)):
         with pytest.raises(ValueError, match=re.escape(f"cover key {key!r} is not a (lower, upper)")):
             GradedPoset([["a"], ["b"]], [{key: 1}])
+
+
+def _chained_rejects_rows(rows, n_lo: int, n_hi: int) -> bool:
+    """The check on a pair's rows as it was before the one-pass loop: the
+    rows' types, then every lower index at once, then every multiplicity."""
+    if len(rows) != n_hi or not set(map(type, rows)) <= {dict}:
+        return True
+    lows = list(itertools.chain.from_iterable(rows))
+    if not set(map(type, lows)) <= {int} or (lows and (min(lows) < 0 or max(lows) >= n_lo)):
+        return True
+    mults = list(itertools.chain.from_iterable(map(dict.values, rows)))
+    return not set(map(type, mults)) <= {int} or (bool(mults) and min(mults) < 1)
+
+
+@st.composite
+def faulty_rows(draw, n_lo: int) -> list:
+    """One to three rows over n_lo lower elements, valid but for up to two
+    faults: a row that is not a dict, a lower index that is a float, a bool
+    or out of range, or a multiplicity that is a float, a bool or zero."""
+    rows = draw(st.lists(st.dictionaries(st.integers(0, n_lo - 1), st.integers(1, 3), max_size=n_lo),
+                         min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        hi, fault = draw(st.integers(0, len(rows) - 1)), draw(st.sampled_from(["row", "lower", "mult"]))
+        if fault == "row":
+            rows[hi] = draw(st.sampled_from([[], [(0, 1)], None]))
+        elif fault == "lower" and isinstance(rows[hi], dict):
+            lo = draw(st.sampled_from([0.5, True, False, -1, n_lo]))
+            rows[hi].pop(lo, None)  # True and False would otherwise keep an equal int key
+            rows[hi][lo] = 1
+        elif isinstance(rows[hi], dict):
+            rows[hi][draw(st.integers(0, n_lo - 1))] = draw(st.sampled_from([0, 1.0, 2.5, True, False]))
+    return rows
+
+
+@settings(max_examples=400)
+@given(st.integers(1, 3), st.data())
+def test_row_check_matches_the_chained_check(n_lo, data):
+    rows = data.draw(faulty_rows(n_lo))
+    P = GradedPoset([[f"l{i}" for i in range(n_lo)], [f"u{j}" for j in range(len(rows))]], [lambda: rows])
+    if _chained_rejects_rows(rows, n_lo, len(rows)):
+        with pytest.raises(ValueError):
+            P.covers
+    else:
+        assert P.covers == ({(lo, hi): m for hi, row in enumerate(rows) for lo, m in row.items()},)
 
 
 @pytest.mark.parametrize("call", [
