@@ -61,14 +61,14 @@ def _members_by_position(poset: GradedPoset, members) -> dict[int, list[int]]:
 
 
 def _members_from_indices(poset: GradedPoset, chosen: Mapping[int, Iterable[int]]) -> Antichain:
-    """The antichain of the elements at the given indices, by level position."""
-    return Antichain(
-        frozenset(
-            (poset.rank_of_position(p), poset.levels[p][i])
-            for p, idx in chosen.items()
-            for i in idx
-        )
-    )
+    """The antichain of the elements at the given indices, by level
+    position; only the levels at those positions are made."""
+    members = set()
+    for p, idx in chosen.items():
+        rank = poset.rank_of_position(p)
+        level = poset.level(rank)
+        members.update((rank, level[i]) for i in idx)
+    return Antichain(frozenset(members))
 
 
 @dataclass(frozen=True)
@@ -94,9 +94,8 @@ def is_antichain(poset: GradedPoset, members) -> AntichainCheck:
                 if pa in by_pos:
                     hits = below.intersection(by_pos[pa])
                     if hits:
-                        ia = min(hits)
-                        lower = (poset.rank_of_position(pa), poset.levels[pa][ia])
-                        upper = (poset.rank_of_position(pb), poset.levels[pb][ib])
+                        ra, rb = poset.rank_of_position(pa), poset.rank_of_position(pb)
+                        lower, upper = (ra, poset.level(ra)[min(hits)]), (rb, poset.level(rb)[ib])
                         return AntichainCheck(False, (lower, upper))
                 if not below:
                     break
@@ -106,7 +105,7 @@ def is_antichain(poset: GradedPoset, members) -> AntichainCheck:
 def lym_number(poset: GradedPoset, members) -> Fraction:
     """Sum over levels of member count divided by level size, exact."""
     by_pos = _members_by_position(poset, members)
-    return density([len(idx) for idx in by_pos.values()], [len(poset.levels[p]) for p in by_pos])
+    return density([len(idx) for idx in by_pos.values()], [poset.sizes[p] for p in by_pos])
 
 
 @dataclass(frozen=True)
@@ -138,8 +137,8 @@ def local_lym_check(poset: GradedPoset, rank: int, elements) -> LocalLym:
     if not indices:
         raise ValueError("need a nonempty set of elements")
     shadow = poset.down_closure(p, indices, p - 1)
-    lhs = Fraction(len(shadow), len(poset.levels[p - 1]))
-    rhs = Fraction(len(indices), len(poset.levels[p]))
+    lhs = Fraction(len(shadow), poset.sizes[p - 1])
+    rhs = Fraction(len(indices), poset.sizes[p])
     return LocalLym(lhs, rhs, lhs >= rhs)
 
 
@@ -328,10 +327,10 @@ def _dense_counts(poset: GradedPoset, counts) -> list[int]:
     if any(seq.counts[n:]):
         raise ValueError("counts extend past the top level of the poset")
     dense = [seq[p] for p in range(n)]
-    for p, a in enumerate(dense):
-        if a > len(poset.levels[p]):
+    for p, (a, size) in enumerate(zip(dense, poset.sizes)):
+        if a > size:
             raise ValueError(
-                f"count {a} exceeds the {len(poset.levels[p])} elements of level "
+                f"count {a} exceeds the {size} elements of level "
                 f"{poset.rank_of_position(p)}"
             )
     return dense
@@ -392,7 +391,7 @@ def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> S
     require_ints(budget)
     if budget < 0:
         raise ValueError(f"search budget must be >= 0, not {budget}")
-    dense = _dense_counts(poset, counts)
+    dense, sizes = _dense_counts(poset, counts), poset.sizes
     order = [p for p in range(poset.num_levels - 1, -1, -1) if dense[p] > 0]
     if not order:
         return SearchOutcome(True, Antichain(frozenset()), 0)
@@ -407,7 +406,7 @@ def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> S
     def search(step: int, forbidden: int) -> bool:
         nonlocal nodes, memo_bits
         p, a = order[step], dense[order[step]]
-        width = len(poset.levels[p])
+        width = sizes[p]
         if step < last:
             spent = failed[step].get(forbidden)
             if spent is not None:
@@ -427,7 +426,7 @@ def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> S
             return True
         start = nodes
         next_p = order[step + 1]
-        max_blocked = len(poset.levels[next_p]) - dense[next_p]
+        max_blocked = sizes[next_p] - dense[next_p]
         if step == len(masks):
             masks.append(poset.down_masks(p, next_p))
         down = masks[step]
@@ -489,7 +488,7 @@ def sample_antichain(poset: GradedPoset, rng: Random) -> Antichain:
     for p in range(poset.num_levels - 1, -1, -1):
         picks = chosen[p] = [
             i
-            for i in range(len(poset.levels[p]))
+            for i in range(poset.sizes[p])
             if rng.random() < chance and i not in blocked
         ]
         if p > 0:

@@ -14,18 +14,17 @@ prefix/subsequence/substring orders, partial permutations under the same
 three orders, full permutations under the pattern and substring-pattern
 orders (realized with interleaved helper levels so every consecutive pair is
 biregular), and subsets of [n] ordered by inclusion, which is the
-subsequence order on their increasing sequences.  The elements are made
-at once; the covers are made per level pair, on first read.  One routine,
-``_cover_rows``, makes the covers of every family from the elements'
-symbol tuples and a cover step: the order's ``deletions`` from its
+subsequence order on their increasing sequences.  A builder hands
+``GradedPoset`` each level as a ``LevelMaker``: its closed-form size and a
+call that makes its elements, and each level pair as a call that makes
+its covers.  Both are made on first read, so a search on two levels of a
+tall host makes those two levels' covers only, and no element at all.
+One routine, ``_cover_rows``, makes the covers of every family from a
+cover step and the two levels' symbol tuples, streamed from the same
+``itertools`` call, in the same lexicographic order, as the elements
+are made from.  The cover step is the order's ``deletions`` from its
 ``perm.ORDERS`` entry, which also gives its containment test and, for
-prefix and substring, the blocks that freeness looks up.  A builder hands
-``GradedPoset`` one call of it per pair, so a search on two levels of a
-tall host pays for the covers of those two levels only.  The builders
-make each level a tuple, which ``GradedPoset`` keeps as it is, so the
-pending calls of the string, permutation and pattern builders hold no
-second copy of a level; the subset builder's calls keep the subsets'
-sorted tuples, which its covers are made from.
+prefix and substring, the blocks that freeness looks up.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from .perm import (
     partial_permutations,
     require_ints,
     strings,
-    symbols_of,
 )
 
 MAX_VERTICES = 5000  # the most vertices a DOT export may draw
@@ -109,47 +107,71 @@ def _dot_escaped(name: str) -> str:
     return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
+class LevelMaker:
+    """A level given by its size and a zero-argument call that makes its
+    elements, in order; ``GradedPoset`` makes it on first read."""
+
+    __slots__ = ("size", "make")
+
+    def __init__(self, size: int, make):
+        self.size, self.make = size, make
+
+
 class GradedPoset:
     """Immutable level-indexed poset with a cover multigraph.
 
-    ``levels[p]`` holds the elements of the p-th level.  Each edge between
-    levels p and p+1 is stored once, as ``lower_index -> multiplicity`` in
-    the down-adjacency dict of its upper element: the pair's *rows*, one
-    per element of level p+1.  The constructor takes each pair's covers as
-    a mapping ``(lower_index, upper_index) -> multiplicity``, grouped into
-    rows and checked at once, or as a zero-argument callable returning the
-    rows, which is called and checked the first time the pair is read;
-    ``_down_rows`` is the one reader of both.  ``covers[p]`` maps
-    ``(lower_index, upper_index) -> multiplicity``; it is rebuilt from the
-    rows on every access, at O(edges) cost, makes every pair, and changing
-    it changes nothing.  Levels are addressed publicly by *rank*
-    ``first_rank + p`` (partial permutation posets start at rank 1,
-    everything else at 0).  The index-level methods (``down_closure``,
+    ``levels[p]`` holds the elements of the p-th level.  The constructor
+    takes each level as a sequence of its elements, checked at once, or as
+    a ``LevelMaker``, made and checked the first time the level is read;
+    ``_level`` is the one reader of both, and ``sizes`` reads every size
+    without making a level.  Each edge between levels p and p+1 is stored
+    once, as ``lower_index -> multiplicity`` in the down-adjacency dict of
+    its upper element: the pair's *rows*, one per element of level p+1.
+    The constructor takes each pair's covers as a mapping ``(lower_index,
+    upper_index) -> multiplicity``, grouped into rows and checked at once,
+    or as a zero-argument callable returning the rows, which is called and
+    checked the first time the pair is read; ``_down_rows`` is the one
+    reader of both.  ``covers[p]`` maps ``(lower_index, upper_index) ->
+    multiplicity``; it is rebuilt from the rows on every access, at
+    O(edges) cost, and changing it changes nothing.  ``covers`` makes
+    every pair and ``levels`` every level.  Levels are addressed publicly
+    by *rank* ``first_rank + p`` (partial permutation posets start at rank
+    1, everything else at 0).  The index-level methods (``down_closure``,
     ``down_masks``, ``pair_regularity``) take positions ``p`` and element
-    indices into ``levels[p]``.  Degrees are read per level pair, from the cached
-    ``pair_regularity`` audit.  Each level's element names are formatted
-    once, for the exports and ``resolve_element``.
+    indices into ``levels[p]``, and make no element.  Degrees are read per
+    level pair, from the cached ``pair_regularity`` audit.  Each level's
+    element names are formatted once, for the exports and
+    ``resolve_element``.
     """
 
     def __init__(self, levels, covers, family="custom", first_rank=0):
         require_ints(first_rank)
-        self.levels = tuple(tuple(level) for level in levels)
-        if not self.levels:
-            raise ValueError("poset needs at least one level")
-        covers = tuple(covers)
-        if len(covers) != len(self.levels) - 1:
-            raise ValueError("need exactly one cover map per consecutive level pair")
         self.family = family
         self.first_rank = first_rank
+        # _levels[p]: the elements of level p, or until first read the call
+        # that makes them; _index[p]: element -> index, once level p is made
+        self._levels, sizes = [], []
+        for level in levels:
+            if isinstance(level, LevelMaker):
+                require_ints(level.size)
+                self._levels.append(level.make)
+                sizes.append(level.size)
+            else:
+                self._levels.append(tuple(level))
+                sizes.append(len(self._levels[-1]))
+        self.sizes = tuple(sizes)  # by position; read without making a level
+        if not self.sizes:
+            raise ValueError("poset needs at least one level")
+        covers = tuple(covers)
+        if len(covers) != len(self.sizes) - 1:
+            raise ValueError("need exactly one cover map per consecutive level pair")
 
-        self._index = []
-        for p, level in enumerate(self.levels):
-            if not level:
+        self._index: list[dict | None] = [None] * len(self.sizes)
+        for p, level in enumerate(self._levels):
+            if not callable(level):
+                self._levels[p] = self._checked_level(p, level)
+            elif self.sizes[p] < 1:
                 raise ValueError(f"level {first_rank + p} is empty")
-            idx = {x: i for i, x in enumerate(level)}
-            if len(idx) != len(level):
-                raise ValueError(f"level {first_rank + p} has duplicate elements")
-            self._index.append(idx)
 
         # _down[p]: the rows of the pair (p, p+1), row hi mapping lower index
         # -> multiplicity, or until first read the callable that makes them
@@ -161,10 +183,39 @@ class GradedPoset:
         self._level_names: dict[int, tuple[str, ...]] = {}
         self._name_index: dict[int, dict[str, int | None]] = {}
 
+    def _checked_level(self, p: int, elements) -> tuple:
+        """The one check on the elements of level position p, whichever form
+        they came in: nonempty, as many as ``sizes[p]`` and no duplicates.
+        The pass that finds duplicates indexes the level; the index is kept
+        only when every check passes."""
+        level, rank = tuple(elements), self.first_rank + p
+        if not level:
+            raise ValueError(f"level {rank} is empty")
+        if len(level) != self.sizes[p]:
+            raise ValueError(f"level {rank} has {len(level)} elements, not its size {self.sizes[p]}")
+        index = {x: i for i, x in enumerate(level)}
+        if len(index) != len(level):
+            raise ValueError(f"level {rank} has duplicate elements")
+        self._index[p] = index
+        return level
+
+    def _level(self, p: int) -> tuple:
+        """The elements of level position p, made, checked and indexed on
+        first read: the one reader of ``_levels``."""
+        level = self._levels[p]
+        if callable(level):
+            level = self._levels[p] = self._checked_level(p, level())
+        return level
+
+    @property
+    def levels(self) -> tuple[tuple, ...]:
+        """Every level's elements, each level made on first read."""
+        return tuple(map(self._level, range(len(self.sizes))))
+
     def _grouped(self, p: int, cover) -> list[dict]:
         """A ``(lower, upper) -> multiplicity`` mapping for the pair (p, p+1)
         as its rows; each key must be a pair whose upper index is in range."""
-        rows = [{} for _ in self.levels[p + 1]]
+        rows = [{} for _ in range(self.sizes[p + 1])]
         for key, mult in dict(cover).items():
             if not (isinstance(key, tuple) and len(key) == 2):
                 raise ValueError(f"cover key {key!r} is not a (lower, upper) index pair")
@@ -182,8 +233,8 @@ class GradedPoset:
         in range, multiplicities plain ints >= 1.  It stops at the first bad
         edge, in row order, and names it."""
         rows = list(rows)
-        n_lo = len(self.levels[p])
-        if len(rows) != len(self.levels[p + 1]) or not set(map(type, rows)) <= {dict}:
+        n_lo = self.sizes[p]
+        if len(rows) != self.sizes[p + 1] or not set(map(type, rows)) <= {dict}:
             raise ValueError(f"need one dict row per element of level {p + 1}, "
                              f"got {len(rows)} rows between levels {p} and {p + 1}")
         for hi, row in enumerate(rows):
@@ -211,23 +262,23 @@ class GradedPoset:
         """Fresh ``(lower_index, upper_index) -> multiplicity`` maps, by upper index."""
         return tuple(
             {(lo, hi): mult for hi, lows in enumerate(self._down_rows(p)) for lo, mult in lows.items()}
-            for p in range(len(self.levels) - 1)
+            for p in range(len(self.sizes) - 1)
         )
 
     # -- level addressing ---------------------------------------------------
 
     @property
     def num_levels(self) -> int:
-        return len(self.levels)
+        return len(self.sizes)
 
     @property
     def ranks(self) -> range:
-        return range(self.first_rank, self.first_rank + len(self.levels))
+        return range(self.first_rank, self.first_rank + len(self.sizes))
 
     def position(self, rank: int) -> int:
         require_ints(rank)
         p = rank - self.first_rank
-        if not 0 <= p < len(self.levels):
+        if not 0 <= p < len(self.sizes):
             raise ValueError(f"no level of rank {rank} (have {self.ranks.start}..{self.ranks.stop - 1})")
         return p
 
@@ -235,10 +286,11 @@ class GradedPoset:
         return self.first_rank + pos
 
     def level(self, rank: int) -> tuple:
-        return self.levels[self.position(rank)]
+        return self._level(self.position(rank))
 
     def index_of(self, rank: int, element) -> int:
         p = self.position(rank)
+        self._level(p)  # makes and indexes the level on first read
         try:
             return self._index[p][element]
         except KeyError:
@@ -267,19 +319,19 @@ class GradedPoset:
         i = table.get(text)
         if i is None:
             raise ValueError(f"cannot resolve element {text!r} at level {rank}")
-        return self.levels[p][i]
+        return self._level(p)[i]
 
     def _names(self, p: int) -> tuple[str, ...]:
         """Names of the elements of level position p, formatted on first use."""
         names = self._level_names.get(p)
         if names is None:
-            names = self._level_names[p] = tuple(map(format_poset_element, self.levels[p]))
+            names = self._level_names[p] = tuple(map(format_poset_element, self._level(p)))
         return names
 
     # -- closures and shadows -------------------------------------------------
 
     def _check_downward(self, pos: int, to_pos: int) -> None:
-        if not 0 <= to_pos < pos < len(self.levels):
+        if not 0 <= to_pos < pos < len(self.sizes):
             raise ValueError(f"cannot close downward from position {pos} to {to_pos}")
 
     def down_closure(self, pos: int, indices, to_pos: int) -> set[int]:
@@ -300,14 +352,14 @@ class GradedPoset:
         Raises BudgetExceededError when the masks would hold more than
         ``MAX_MASK_BITS`` bits."""
         self._check_downward(pos, to_pos)
-        bits = len(self.levels[pos]) * len(self.levels[to_pos])
+        bits = self.sizes[pos] * self.sizes[to_pos]
         if bits > MAX_MASK_BITS:
             raise BudgetExceededError(
                 f"the masks between levels {self.rank_of_position(to_pos)} and "
                 f"{self.rank_of_position(pos)} take {bits} bits, above the cap of "
                 f"{MAX_MASK_BITS}; search a smaller instance"
             )
-        masks = [1 << j for j in range(len(self.levels[to_pos]))]
+        masks = [1 << j for j in range(self.sizes[to_pos])]
         for q in range(to_pos, pos):
             upper = []
             for lows in self._down_rows(q):
@@ -324,7 +376,7 @@ class GradedPoset:
         indices = {self.index_of(rank, x) for x in elements}
         if p == 0:
             return set()
-        level = self.levels[p - 1]
+        level = self._level(p - 1)
         return {level[i] for i in self.down_closure(p, indices, p - 1)}
 
     def upper_shadow(self, rank: int, elements) -> set:
@@ -332,9 +384,9 @@ class GradedPoset:
         found in one scan of the pair's down-adjacencies."""
         p = self.position(rank)
         indices = {self.index_of(rank, x) for x in elements}
-        if p == len(self.levels) - 1:
+        if p == len(self.sizes) - 1:
             return set()
-        level = self.levels[p + 1]
+        level = self._level(p + 1)
         return {level[hi] for hi, lows in enumerate(self._down_rows(p)) if not indices.isdisjoint(lows)}
 
     # -- order ----------------------------------------------------------------
@@ -353,18 +405,18 @@ class GradedPoset:
         multiplicities."""
         if upper_pos is None:
             upper_pos = pos + 1
-        if not 0 <= pos < upper_pos < len(self.levels):
+        if not 0 <= pos < upper_pos < len(self.sizes):
             raise ValueError(f"no level pair at positions ({pos}, {upper_pos})")
         report = self._pair_audits.get((pos, upper_pos))
         if report is None:
-            up_totals = [1] * len(self.levels[upper_pos])
+            up_totals = [1] * self.sizes[upper_pos]
             for q in range(upper_pos - 1, pos - 1, -1):
-                below = [0] * len(self.levels[q])
+                below = [0] * self.sizes[q]
                 for b, lows in enumerate(self._down_rows(q)):
                     for a, mult in lows.items():
                         below[a] += mult * up_totals[b]
                 up_totals = below
-            down_totals = [1] * len(self.levels[pos])
+            down_totals = [1] * self.sizes[pos]
             for q in range(pos, upper_pos):
                 down_totals = [
                     sum(mult * down_totals[a] for a, mult in lows.items()) for lows in self._down_rows(q)
@@ -372,8 +424,8 @@ class GradedPoset:
             report = self._pair_audits[(pos, upper_pos)] = LevelPairRegularity(
                 lower_rank=self.rank_of_position(pos),
                 upper_rank=self.rank_of_position(upper_pos),
-                lower_size=len(self.levels[pos]),
-                upper_size=len(self.levels[upper_pos]),
+                lower_size=self.sizes[pos],
+                upper_size=self.sizes[upper_pos],
                 up_degrees=tuple(sorted(set(up_totals))),
                 down_degrees=tuple(sorted(set(down_totals))),
                 edge_count=sum(up_totals),
@@ -385,27 +437,28 @@ class GradedPoset:
     def is_weakly_connected_pair(self, rank: int, upper_rank: int | None = None) -> bool:
         """True iff the undirected bipartite graph between the levels of rank
         and upper_rank (default rank+1), with an edge wherever a cover chain
-        joins two elements, is connected."""
+        joins two elements, is connected.  One pass over the pair's
+        ``down_masks`` merges the components found so far, each kept as the
+        mask of its lower elements; like ``down_masks`` it raises
+        BudgetExceededError past ``MAX_MASK_BITS``."""
         if upper_rank is None:
             upper_rank = rank + 1
         p_lo, p_hi = self.position(rank), self.position(upper_rank)
         if p_hi <= p_lo:
             raise ValueError("upper rank must be above lower rank")
-        n_lo, n_hi = len(self.levels[p_lo]), len(self.levels[p_hi])
-        parent = list(range(n_lo + n_hi))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for hi in range(n_hi):
-            for lo in self.down_closure(p_hi, (hi,), p_lo):
-                a, b = find(lo), find(n_lo + hi)
-                if a != b:
-                    parent[a] = b
-        return len({find(v) for v in range(n_lo + n_hi)}) == 1
+        parts: list[int] = []  # disjoint: the lower elements of each component
+        for mask in self.down_masks(p_hi, p_lo):
+            if not mask:  # an upper element joined to nothing
+                return False
+            kept = []
+            for part in parts:
+                if part & mask:
+                    mask |= part
+                else:
+                    kept.append(part)
+            kept.append(mask)
+            parts = kept
+        return len(parts) == 1 and parts[0] == (1 << self.sizes[p_lo]) - 1
 
     # -- export -------------------------------------------------------------------
 
@@ -413,16 +466,16 @@ class GradedPoset:
         """DOT digraph with one pinned rank per level and multiplicity labels,
         each label escaped by ``_dot_escaped``.  Raises BudgetExceededError
         when the poset has more than ``MAX_VERTICES`` elements."""
-        total = sum(len(level) for level in self.levels)
+        total = sum(self.sizes)
         if total > MAX_VERTICES:
             raise BudgetExceededError(f"poset has {total} vertices, above the cap of "
                                       f"{MAX_VERTICES}; export a smaller instance")
         lines = ["digraph hasse {", "  rankdir=BT;"]
-        for p in range(len(self.levels)):
+        for p in range(len(self.sizes)):
             labels = map(_dot_escaped, self._names(p))
             nodes = "; ".join(f'n{p}_{i} [label="{label}"]' for i, label in enumerate(labels))
             lines.append("  { rank=same; " + nodes + "; }")
-        for p in range(len(self.levels) - 1):
+        for p in range(len(self.sizes) - 1):
             for lo, row in enumerate(self._up_rows(p)):
                 head = f"  n{p}_{lo} -> n{p + 1}_"
                 for hi, mult in row:
@@ -432,9 +485,9 @@ class GradedPoset:
 
     def to_json_dict(self) -> dict:
         """Compact interchange form: element strings per level, edge triples."""
-        names = [self._names(p) for p in range(len(self.levels))]
+        names = [self._names(p) for p in range(len(self.sizes))]
         edges = []
-        for p in range(len(self.levels) - 1):
+        for p in range(len(self.sizes) - 1):
             upper = names[p + 1]
             for name, row in zip(names[p], self._up_rows(p)):
                 for hi, mult in row:
@@ -452,14 +505,14 @@ class GradedPoset:
         walks the down-adjacencies in upper-index order.  Walking the rows
         gives both exports their edge order, lower then upper index, with
         no sort."""
-        rows = [[] for _ in self.levels[p]]
+        rows = [[] for _ in range(self.sizes[p])]
         for hi, lows in enumerate(self._down_rows(p)):
             for lo, mult in lows.items():
                 rows[lo].append((hi, mult))
         return rows
 
     def __repr__(self):
-        sizes = ",".join(str(len(level)) for level in self.levels)
+        sizes = ",".join(map(str, self.sizes))
         return f"GradedPoset({self.family}; sizes {sizes})"
 
 
@@ -536,20 +589,27 @@ def _require_elements(lengths, size, size_bits) -> None:
                                   f"{MAX_LEVELS}; build a smaller instance")
 
 
-def _cover_rows(lower, upper, deletions, key=symbols_of) -> list[dict]:
-    """The rows of the pair from level ``lower`` up to level ``upper``, by
-    their elements' symbol tuples ``key(x)``: row j maps i to m when m of
-    the words that ``deletions`` gives for the key of upper element j are
-    the key of lower element i, the i in order of first occurrence."""
-    index = {k: i for i, k in enumerate(map(key, lower))}
+def _cover_rows(lower, upper, deletions) -> list[dict]:
+    """The rows of the pair from the symbol tuples ``lower`` of one level up
+    to the symbol tuples ``upper`` of the next, each in its level's order:
+    row j maps i to m when m of the words that ``deletions`` gives for upper
+    word j are lower word i, the i in order of first occurrence."""
+    index = {k: i for i, k in enumerate(lower)}
     rows = []
-    for k in map(key, upper):
+    for k in upper:
         row = {}
         for word in deletions(k):
             i = index[word]
             row[i] = row.get(i, 0) + 1
         rows.append(row)
     return rows
+
+
+def _pair_calls(keys, steps) -> list:
+    """One cover call per level pair (p, p+1): it makes the pair's rows with
+    the cover step ``steps[p]`` from fresh streams of the two levels' symbol
+    tuples, ``keys(p)`` and ``keys(p + 1)``."""
+    return [lambda p=p, step=step: _cover_rows(keys(p), keys(p + 1), step) for p, step in enumerate(steps)]
 
 
 def build_string_poset(r: int, relation: str, max_level: int) -> GradedPoset:
@@ -561,9 +621,9 @@ def build_string_poset(r: int, relation: str, max_level: int) -> GradedPoset:
     if relation not in STRING_RELATIONS:
         raise ValueError(f"relation must be one of {STRING_RELATIONS}")
     _require_elements(range(max_level + 1), lambda l: r**l, lambda l: (r.bit_length() - 1) * l)
-    deletions = ORDERS[relation].deletions
-    levels = [tuple(strings(r, l)) for l in range(max_level + 1)]
-    covers = [partial(_cover_rows, levels[l], levels[l + 1], deletions) for l in range(max_level)]
+    levels = [LevelMaker(r**l, partial(strings, r, l)) for l in range(max_level + 1)]
+    covers = _pair_calls(lambda l: itertools.product(range(r), repeat=l),
+                         [ORDERS[relation].deletions] * max_level)
     return GradedPoset(levels, covers, family=f"string({relation}, r={r})", first_rank=0)
 
 
@@ -576,9 +636,9 @@ def build_partial_perm_poset(k: int, relation: str) -> GradedPoset:
     if relation not in STRING_RELATIONS:
         raise ValueError(f"relation must be one of {STRING_RELATIONS}")
     _require_elements(range(1, k + 1), lambda l: math.perm(k, l), factorial_bits)  # k!/(k-l)! >= l!
-    deletions = ORDERS[relation].deletions
-    levels = [tuple(partial_permutations(k, l)) for l in range(1, k + 1)]
-    covers = [partial(_cover_rows, levels[p], levels[p + 1], deletions) for p in range(k - 1)]
+    levels = [LevelMaker(math.perm(k, l), partial(partial_permutations, k, l)) for l in range(1, k + 1)]
+    covers = _pair_calls(lambda p: itertools.permutations(range(1, k + 1), p + 1),
+                         [ORDERS[relation].deletions] * (k - 1))
     return GradedPoset(levels, covers, family=f"partial_perm({relation}, k={k})", first_rank=1)
 
 
@@ -603,16 +663,14 @@ def build_pattern_poset(k: int, relation: str) -> GradedPoset:
     # position p holds ((p + 3) // 2)! elements: 1!, then (l+1)! helpers and (l+1)! permutations
     _require_elements(range(2 * k - 1), lambda p: math.factorial((p + 3) // 2),
                       lambda p: factorial_bits((p + 3) // 2))
-    deletions = ORDERS[ORDERS[relation].base].deletions
-    perms = tuple(full_permutations(1))
-    levels, covers = [perms], []
+    levels = [LevelMaker(1, partial(full_permutations, 1))]
     for l in range(1, k):
-        helpers = tuple(partial_permutations(l + 1, l))
-        longer = tuple(full_permutations(l + 1))
-        covers.append(partial(_cover_rows, perms, helpers, lambda key: (order_pattern(key),)))
-        covers.append(partial(_cover_rows, helpers, longer, deletions))
-        levels += [helpers, longer]
-        perms = longer
+        levels += [LevelMaker(math.factorial(l + 1), partial(partial_permutations, l + 1, l)),
+                   LevelMaker(math.factorial(l + 1), partial(full_permutations, l + 1))]
+    # a helper covers its pattern; a permutation, the helpers it deletes down to
+    steps = [lambda key: (order_pattern(key),), ORDERS[ORDERS[relation].base].deletions] * (k - 1)
+    # position p holds the (p // 2 + 1)-sequences over [(p + 3) // 2]
+    covers = _pair_calls(lambda p: itertools.permutations(range(1, (p + 3) // 2 + 1), p // 2 + 1), steps)
     return GradedPoset(levels, covers, family=f"perm_pattern({relation}, k={k})", first_rank=0)
 
 
@@ -625,9 +683,7 @@ def build_subset_poset(n: int) -> GradedPoset:
     if n < 0:
         raise ValueError("need n >= 0")
     _require_elements((n,), lambda n: 2**n, lambda n: n)
-    keys = [list(itertools.combinations(range(1, n + 1), i)) for i in range(n + 1)]
-    levels = [tuple(map(frozenset, level)) for level in keys]
-    # the rows read the tuples themselves: key=tuple returns each one as it is
-    covers = [partial(_cover_rows, keys[i], keys[i + 1], ORDERS["subsequence"].deletions, tuple)
-              for i in range(n)]
+    keys = partial(itertools.combinations, range(1, n + 1))
+    levels = [LevelMaker(math.comb(n, i), lambda i=i: map(frozenset, keys(i))) for i in range(n + 1)]
+    covers = _pair_calls(keys, [ORDERS["subsequence"].deletions] * n)
     return GradedPoset(levels, covers, family=f"subsets(n={n})", first_rank=0)

@@ -331,10 +331,28 @@ def test_cover_maps_match_order_definitions(host, multiplicity, rebuild):
         assert path(rebuild()) == path(made), name
 
 
-def test_covers_are_made_per_pair_on_first_read(monkeypatch):
+@pytest.fixture
+def made_levels(monkeypatch):
+    """The calls (name, args) through which hosts built after this make
+    their levels: every builder but the subsets' makes its levels by name."""
+    made = []
+    for name in ("strings", "partial_permutations", "full_permutations"):
+        def counted(*args, make=getattr(poset, name), name=name):
+            made.append((name, args))
+            return make(*args)
+        monkeypatch.setattr(poset, name, counted)
+    return made
+
+
+def symbol_tuples(level):
+    return tuple(map(perm.symbols_of, level))
+
+
+def test_covers_are_made_per_pair_on_first_read(monkeypatch, made_levels):
     made, make = [], poset._cover_rows
 
     def counted(lower, upper, *args):
+        lower, upper = tuple(lower), tuple(upper)
         made.append((lower, upper))
         return make(lower, upper, *args)
 
@@ -344,10 +362,65 @@ def test_covers_are_made_per_pair_on_first_read(monkeypatch):
     found = lym.counterexample_params(P, 2)
     assert found.accepted
     assert not lym.antichain_exists(P, found.counts).exists
-    assert made == [(P.level(2), P.level(3))]
+    # the pair's rows come from the symbol tuples of its two levels, in the
+    # levels' order, and no element was made for them
+    assert made_levels == []
+    assert made == [(symbol_tuples(P.level(2)), symbol_tuples(P.level(3)))]
+    assert made_levels == [("strings", (2, 2)), ("strings", (2, 3))]
     with pytest.raises(poset.BudgetExceededError):
         build_subset_poset(13).to_dot()
     assert len(made) == 1
+
+
+def test_refutation_makes_no_element(made_levels):
+    P = build_partial_perm_poset(5, "subsequence")
+    found = lym.counterexample_params(P, 2, 3)
+    assert found.accepted and found.counts.counts == (0, 19, 3, 0, 0)
+    assert not lym.antichain_exists(P, found.counts).exists
+    assert P.sizes == (5, 20, 60, 120, 120)
+    assert repr(P) == "GradedPoset(partial_perm(subsequence, k=5); sizes 5,20,60,120,120)"
+    assert made_levels == []
+
+
+def test_lookups_make_only_the_levels_they_name(made_levels):
+    P = build_string_poset(2, "subsequence", 6)
+    assert P.index_of(3, Str((0, 1, 0), 2)) == 2
+    assert made_levels == [("strings", (2, 3))]
+    assert P.index_of(3, Str((1, 1, 1), 2)) == 7  # a made level is made once
+    assert P.resolve_element(5, "01010") == Str((0, 1, 0, 1, 0), 2)
+    assert made_levels == [("strings", (2, 3)), ("strings", (2, 5))]
+    found = lym.antichain_exists(P, {2: 1, 4: 1})
+    assert found.exists and {rank for rank, _ in found.antichain} == {2, 4}
+    assert sorted(made_levels[2:]) == [("strings", (2, 2)), ("strings", (2, 4))]
+    Q = build_pattern_poset(4, "pattern")
+    found = lym.antichain_exists(Q, [0, 0, 1, 0, 0, 0, 1])
+    assert found.exists
+    assert sorted(made_levels[4:]) == [("full_permutations", (2,)), ("full_permutations", (4,))]
+    assert Q.levels == Q.levels and len(made_levels) == 4 + 7  # levels makes the other five, once
+
+
+@pytest.mark.parametrize("elements, message", [
+    (["b"], "level 1 has 1 elements, not its size 2"),
+    (["b", "c", "d"], "level 1 has 3 elements, not its size 2"),
+    (["b", "b"], "level 1 has duplicate elements"),
+    ([], "level 1 is empty"),
+])
+def test_level_calls_are_checked_on_first_read(elements, message):
+    calls = []
+
+    def make():
+        calls.append(elements)
+        return iter(elements)
+
+    P = GradedPoset([["a"], poset.LevelMaker(2, make)], [{(0, 0): 1, (0, 1): 1}])
+    assert calls == []
+    for read in (lambda: P.level(1), lambda: P.index_of(1, "b"), lambda: P.levels):
+        with pytest.raises(ValueError, match=message):  # a level whose call fails stays unmade
+            read()
+    assert len(calls) == 3
+    assert P.sizes == (1, 2) and repr(P) == "GradedPoset(custom; sizes 1,2)"
+    assert P.level(0) == ("a",) and P.down_closure(1, {1}, 0) == {0}
+    assert lym.counterexample_params(P, 0).reason == "down-degree not > 1"
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -633,6 +706,129 @@ def test_biregular_pairs_satisfy_the_edge_identity(P):
             assert pair.up_degree * pair.lower_size == pair.edge_count == pair.down_degree * pair.upper_size
 
 
+# ---------------------------------------------------------------------------
+# Lazy hosts against eager ones
+
+def element_keyed_rows(lower, upper, deletions, key=perm.symbols_of):
+    """The rows of a pair as they were made from element objects: the
+    reference for ``_cover_rows`` on symbol tuples."""
+    index = {k: i for i, k in enumerate(map(key, lower))}
+    rows = []
+    for k in map(key, upper):
+        row = {}
+        for word in deletions(k):
+            row[index[word]] = row.get(index[word], 0) + 1
+        rows.append(row)
+    return rows
+
+
+def reference_covers(P, relation):
+    """Every pair's cover map made by ``element_keyed_rows`` from P's levels."""
+    if P.family.startswith("subsets"):
+        steps = [(perm.ORDERS["subsequence"].deletions, lambda x: tuple(sorted(x)))] * (P.num_levels - 1)
+    elif P.family.startswith("perm_pattern"):
+        to_pattern = (lambda key: (perm.order_pattern(key),), perm.symbols_of)
+        steps = [to_pattern, (perm.ORDERS[perm.ORDERS[relation].base].deletions, perm.symbols_of)]
+        steps = steps * (P.num_levels // 2)
+    else:
+        steps = [(perm.ORDERS[relation].deletions, perm.symbols_of)] * (P.num_levels - 1)
+    levels = P.levels
+    return tuple(
+        {(lo, hi): m for hi, row in enumerate(element_keyed_rows(levels[p], levels[p + 1], *step))
+         for lo, m in row.items()}
+        for p, step in enumerate(steps)
+    )
+
+
+LAZY_CASES = (
+    [(functools.partial(build_subset_poset, n), None) for n in range(7)]
+    + [(functools.partial(build_string_poset, r, rel, L), rel)
+       for r in (1, 2, 3) for rel in poset.STRING_RELATIONS for L in range(5 if r < 3 else 4)]
+    + [(functools.partial(build_partial_perm_poset, k, rel), rel)
+       for k in range(1, 5) for rel in poset.STRING_RELATIONS]
+    + [(functools.partial(build_pattern_poset, k, rel), rel)
+       for k in range(1, 5) for rel in poset.PATTERN_RELATIONS]
+)
+
+
+HOST_READS = {
+    "repr": repr,
+    "covers": lambda P: [list(c.items()) for c in P.covers],
+    "levels": lambda P: P.levels,
+    "json": GradedPoset.to_json_dict,
+    "dot": GradedPoset.to_dot,
+    "regularity": regularity_check,
+}
+
+
+@pytest.mark.parametrize("build, relation", [pytest.param(*case, id=repr(case[0]())) for case in LAZY_CASES])
+def test_lazy_hosts_match_eager_rebuilds(build, relation):
+    host = build()
+    eager = GradedPoset(host.levels, host.covers, host.family, host.first_rank)
+    want = {name: read(eager) for name, read in HOST_READS.items()}
+    # each read first on a fresh lazy host, then every read in turn on one
+    assert {name: read(build()) for name, read in HOST_READS.items()} == want
+    lazy = build()
+    assert {name: read(lazy) for name, read in HOST_READS.items()} == want
+    # the rows made from symbol tuples are the rows made from the elements
+    assert [list(c.items()) for c in reference_covers(host, relation)] == want["covers"]
+
+
+def union_find_connected(P, rank, upper_rank):
+    """The connectivity check as it was: one union-find over the pair's
+    down-closures, kept as the reference for the mask merge."""
+    p_lo, p_hi = P.position(rank), P.position(upper_rank)
+    n_lo, n_hi = P.sizes[p_lo], P.sizes[p_hi]
+    parent = list(range(n_lo + n_hi))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for hi in range(n_hi):
+        for lo in P.down_closure(p_hi, (hi,), p_lo):
+            a, b = find(lo), find(n_lo + hi)
+            if a != b:
+                parent[a] = b
+    return len({find(v) for v in range(n_lo + n_hi)}) == 1
+
+
+def check_connectivity_against_union_find(P):
+    for lo, hi in itertools.combinations(P.ranks, 2):
+        assert P.is_weakly_connected_pair(lo, hi) == union_find_connected(P, lo, hi), (P, lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_custom_posets())
+def test_connectivity_matches_the_union_find(P):
+    check_connectivity_against_union_find(P)
+
+
+def test_connectivity_matches_the_union_find_on_fixed_hosts():
+    two_components = GradedPoset([["a", "b"], ["c", "d"]], [{(0, 0): 1, (1, 1): 1}])
+    dead_end = GradedPoset([["a", "b"], ["m", "n", "o"], ["x", "y"]],
+                           [{(0, 0): 1, (1, 0): 1, (0, 1): 2, (1, 2): 1}, {(1, 0): 1, (2, 1): 1}])
+    for P in [two_components, dead_end, *ALL_FAMILY_INSTANCES]:
+        check_connectivity_against_union_find(P)
+
+
+def test_connectivity_refuses_pairs_past_the_mask_cap(monkeypatch):
+    Q = build_subset_poset(4)  # levels 1 and 2 hold 4 and 6 elements: 24 mask bits
+    monkeypatch.setattr(poset, "MAX_MASK_BITS", 24)
+    assert Q.is_weakly_connected_pair(1) and lym.counterexample_params(Q, 1).accepted
+    monkeypatch.setattr(poset, "MAX_MASK_BITS", 23)
+    message = ("the masks between levels 1 and 2 take 24 bits, above the cap of 23; "
+               "search a smaller instance")
+    for call in (lambda: Q.is_weakly_connected_pair(1), lambda: lym.counterexample_params(Q, 1),
+                 lambda: lym.antichain_exists(Q, [0, 3, 1, 0, 0])):
+        with pytest.raises(poset.BudgetExceededError, match=re.escape(message)):
+            call()
+    # the checks before connectivity still reject first
+    assert lym.counterexample_params(Q, 0).reason == "down-degree not > 1"
+
+
 def test_json_names_unique_for_pattern_poset():
     data = build_pattern_poset(3, "pattern").to_json_dict()
     flat = [name for level in data["levels"] for name in level]
@@ -839,6 +1035,13 @@ def test_poset_constructor_validation():
     for key in (5, (0, 0, 0)):
         with pytest.raises(ValueError, match=re.escape(f"cover key {key!r} is not a (lower, upper)")):
             GradedPoset([["a"], ["b"]], [{key: 1}])
+    with pytest.raises(ValueError, match="level 1 is empty"):
+        GradedPoset([["a"], poset.LevelMaker(0, list)], [{}])
+    for size in (1.0, True):
+        with pytest.raises(ValueError, match="need a plain int"):
+            GradedPoset([poset.LevelMaker(size, lambda: ["a"])], [])
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) out of range"):
+        GradedPoset([["a"], poset.LevelMaker(1, lambda: ["b"])], [{(0, 1): 1}])
 
 
 def _chained_rejects_rows(rows, n_lo: int, n_hi: int) -> bool:
