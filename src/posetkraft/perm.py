@@ -21,6 +21,7 @@ its names, ``STRING_RELATIONS`` and ``PATTERN_RELATIONS`` the two halves.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
@@ -200,14 +201,44 @@ def is_substring_pattern_in(sigma: PartialPermutation, tau: PartialPermutation) 
 
 
 # ---------------------------------------------------------------------------
-# Enumeration (always in lexicographic order)
+# Enumeration (always in lexicographic order).  The symbol streams fix the
+# order; the element lists map over them, and the index functions invert them.
+
+def string_symbols(r: int, l: int):
+    """The symbol tuples of the strings of length l over {0, .., r-1}, lexicographically."""
+    return itertools.product(range(r), repeat=l)
+
+
+def sequence_symbols(k: int, l: int):
+    """The injective length-l symbol tuples over [1..k], lexicographically."""
+    return itertools.permutations(range(1, k + 1), l)
+
+
+def string_index(syms: Sequence[int], r: int) -> int:
+    """The position of ``syms`` in ``string_symbols(r, len(syms))``: its digits in base r."""
+    i = 0
+    for s in syms:
+        i = i * r + s
+    return i
+
+
+def sequence_index(syms: Sequence[int], k: int) -> int:
+    """The position of the injective ``syms`` in ``sequence_symbols(k,
+    len(syms))``: each entry adds the unused entries below it times the
+    number of ways to fill the positions after it."""
+    l, i = len(syms), 0
+    for t, s in enumerate(syms):
+        unused_below = s - 1 - sum(u < s for u in syms[:t])
+        i += unused_below * math.perm(k - t - 1, l - t - 1)
+    return i
+
 
 def strings(r: int, l: int) -> list[Str]:
     """All strings of length l over {0, .., r-1}, lexicographically."""
     require_ints(r, l)
     if r < 1 or l < 0:
         raise ValueError("need r >= 1 and l >= 0")
-    return [Str(p, r) for p in itertools.product(range(r), repeat=l)]
+    return [Str(p, r) for p in string_symbols(r, l)]
 
 
 def partial_permutations(k: int, l: int) -> list[PartialPermutation]:
@@ -215,7 +246,7 @@ def partial_permutations(k: int, l: int) -> list[PartialPermutation]:
     require_ints(k, l)
     if not 1 <= l <= k:
         raise ValueError(f"need 1 <= l <= k, got l={l}, k={k}")
-    return [PartialPermutation(p, k) for p in itertools.permutations(range(1, k + 1), l)]
+    return [PartialPermutation(p, k) for p in sequence_symbols(k, l)]
 
 
 def full_permutations(l: int) -> list[PartialPermutation]:

@@ -15,15 +15,17 @@ three orders, full permutations under the pattern and substring-pattern
 orders (realized with interleaved helper levels so every consecutive pair is
 biregular), and subsets of [n] ordered by inclusion, which is the
 subsequence order on their increasing sequences.  A builder hands
-``GradedPoset`` each level as a ``LevelMaker``: its closed-form size and a
-call that makes its elements, and each level pair as a call that makes
-its covers.  Both are made on first read, so a search on two levels of a
-tall host makes those two levels' covers only, and no element at all.
-One routine, ``_cover_rows``, makes the covers of every family from a
-cover step and the two levels' symbol tuples, streamed from the same
-``itertools`` call, in the same lexicographic order, as the elements
-are made from.  The cover step is the order's ``deletions`` from its
-``perm.ORDERS`` entry, which also gives its containment test and, for
+``GradedPoset`` each level as a ``_LevelMaker``: its closed-form size, a
+call that makes its elements, the stream of their symbol tuples, and
+lookups by rank arithmetic from an element or a name to its index; and
+each level pair as a call that makes its covers.  Levels and covers are
+made on first read, and lookups make nothing, so a search on two levels
+of a tall host makes those two levels' covers only, and no element at
+all.  One routine, ``_cover_rows``, makes the covers of every family from
+a cover step and the two levels' symbol streams, which ``perm`` (or, for
+subsets, ``itertools.combinations``) gives in the lexicographic order the
+elements are made in.  The cover step is the order's ``deletions`` from
+its ``perm.ORDERS`` entry, which also gives its containment test and, for
 prefix and substring, the blocks that freeness looks up.
 """
 
@@ -43,8 +45,15 @@ from .perm import (
     format_element,
     full_permutations,
     order_pattern,
+    parse_number,
+    parse_partial_permutation,
+    parse_str,
     partial_permutations,
     require_ints,
+    sequence_index,
+    sequence_symbols,
+    string_index,
+    string_symbols,
     strings,
 )
 
@@ -107,26 +116,33 @@ def _dot_escaped(name: str) -> str:
     return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
-class LevelMaker:
-    """A level given by its size and a zero-argument call that makes its
-    elements, in order; ``GradedPoset`` makes it on first read."""
+class _LevelMaker:
+    """A builder's level, which ``GradedPoset`` makes on first read: its
+    size, trusted until then; ``make``, a call that makes its elements;
+    ``keys``, a call that streams their symbol tuples in the same order;
+    and two lookups that make nothing: ``find(x)``, the index of element
+    x or None, and ``parse(text)``, the element a name spells (ValueError
+    when it spells none)."""
 
-    __slots__ = ("size", "make")
+    __slots__ = ("size", "make", "keys", "find", "parse")
 
-    def __init__(self, size: int, make):
-        self.size, self.make = size, make
+    def __init__(self, size: int, make, keys, find, parse):
+        self.size, self.make, self.keys, self.find, self.parse = size, make, keys, find, parse
 
 
 class GradedPoset:
     """Immutable level-indexed poset with a cover multigraph.
 
     ``levels[p]`` holds the elements of the p-th level.  The constructor
-    takes each level as a sequence of its elements, checked at once, or as
-    a ``LevelMaker``, made and checked the first time the level is read;
-    ``_level`` is the one reader of both, and ``sizes`` reads every size
-    without making a level.  Each edge between levels p and p+1 is stored
-    once, as ``lower_index -> multiplicity`` in the down-adjacency dict of
-    its upper element: the pair's *rows*, one per element of level p+1.
+    takes each level as a sequence of its elements, checked and indexed at
+    once, or, from a builder, as a ``_LevelMaker``, made and checked the
+    first time the level is read; ``_level`` is the one reader of both, and
+    ``sizes`` reads every size without making a level.  ``index_of`` and
+    ``resolve_element`` look a builder level's elements up by rank
+    arithmetic, so they make no level.  Each edge between levels p and p+1
+    is stored once, as ``lower_index -> multiplicity`` in the down-adjacency
+    dict of its upper element: the pair's *rows*, one per element of level
+    p+1.
     The constructor takes each pair's covers as a mapping ``(lower_index,
     upper_index) -> multiplicity``, grouped into rows and checked at once,
     or as a zero-argument callable returning the rows, which is called and
@@ -140,8 +156,8 @@ class GradedPoset:
     ``down_masks``, ``pair_regularity``) take positions ``p`` and element
     indices into ``levels[p]``, and make no element.  Degrees are read per
     level pair, from the cached ``pair_regularity`` audit.  Each level's
-    element names are formatted once, for the exports and
-    ``resolve_element``.
+    element names are formatted once for the exports and, on a level given
+    as a sequence, for ``resolve_element``.
     """
 
     def __init__(self, levels, covers, family="custom", first_rank=0):
@@ -149,15 +165,19 @@ class GradedPoset:
         self.family = family
         self.first_rank = first_rank
         # _levels[p]: the elements of level p, or until first read the call
-        # that makes them; _index[p]: element -> index, once level p is made
-        self._levels, sizes = [], []
+        # that makes them; _find[p]: element -> index, or None for a
+        # non-element; _parse[p]: a builder level's name -> element parse
+        self._levels, self._find, self._parse, sizes = [], [], [], []
         for level in levels:
-            if isinstance(level, LevelMaker):
-                require_ints(level.size)
+            if isinstance(level, _LevelMaker):
                 self._levels.append(level.make)
+                self._find.append(level.find)
+                self._parse.append(level.parse)
                 sizes.append(level.size)
             else:
                 self._levels.append(tuple(level))
+                self._find.append(None)
+                self._parse.append(None)
                 sizes.append(len(self._levels[-1]))
         self.sizes = tuple(sizes)  # by position; read without making a level
         if not self.sizes:
@@ -165,13 +185,9 @@ class GradedPoset:
         covers = tuple(covers)
         if len(covers) != len(self.sizes) - 1:
             raise ValueError("need exactly one cover map per consecutive level pair")
-
-        self._index: list[dict | None] = [None] * len(self.sizes)
-        for p, level in enumerate(self._levels):
-            if not callable(level):
-                self._levels[p] = self._checked_level(p, level)
-            elif self.sizes[p] < 1:
-                raise ValueError(f"level {first_rank + p} is empty")
+        for p, find in enumerate(self._find):
+            if find is None:
+                self._find[p] = self._checked_level(p, self._levels[p]).get
 
         # _down[p]: the rows of the pair (p, p+1), row hi mapping lower index
         # -> multiplicity, or until first read the callable that makes them
@@ -179,16 +195,17 @@ class GradedPoset:
                       for p, cov in enumerate(covers)]
         # (lower pos, upper pos) -> the pair's degree audit
         self._pair_audits: dict[tuple[int, int], LevelPairRegularity] = {}
-        # pos -> element names; pos -> element index by name (None if shared)
+        # pos -> element names; pos -> element index by name (None if shared),
+        # for a level given as a sequence
         self._level_names: dict[int, tuple[str, ...]] = {}
         self._name_index: dict[int, dict[str, int | None]] = {}
 
-    def _checked_level(self, p: int, elements) -> tuple:
+    def _checked_level(self, p: int, level: tuple) -> dict:
         """The one check on the elements of level position p, whichever form
         they came in: nonempty, as many as ``sizes[p]`` and no duplicates.
-        The pass that finds duplicates indexes the level; the index is kept
-        only when every check passes."""
-        level, rank = tuple(elements), self.first_rank + p
+        Returns the level's element -> index dict, which the duplicate
+        check builds."""
+        rank = self.first_rank + p
         if not level:
             raise ValueError(f"level {rank} is empty")
         if len(level) != self.sizes[p]:
@@ -196,15 +213,17 @@ class GradedPoset:
         index = {x: i for i, x in enumerate(level)}
         if len(index) != len(level):
             raise ValueError(f"level {rank} has duplicate elements")
-        self._index[p] = index
-        return level
+        return index
 
     def _level(self, p: int) -> tuple:
-        """The elements of level position p, made, checked and indexed on
-        first read: the one reader of ``_levels``."""
+        """The elements of level position p, made and checked on first
+        read: the one reader of ``_levels``.  A level whose check fails
+        stays unmade."""
         level = self._levels[p]
         if callable(level):
-            level = self._levels[p] = self._checked_level(p, level())
+            made = tuple(level())
+            self._checked_level(p, made)
+            level = self._levels[p] = made
         return level
 
     @property
@@ -289,21 +308,47 @@ class GradedPoset:
         return self._level(self.position(rank))
 
     def index_of(self, rank: int, element) -> int:
+        """The index of ``element`` in its level; a builder level finds it by
+        rank arithmetic, without being made."""
         p = self.position(rank)
-        self._level(p)  # makes and indexes the level on first read
-        try:
-            return self._index[p][element]
-        except KeyError:
+        i = self._find[p](element)
+        if i is None:
             raise ValueError(
                 f"{format_poset_element(element)} is not an element of level {rank} of this poset"
-            ) from None
+            )
+        return i
 
     def resolve_element(self, rank: int, text: str):
         """The element of level ``rank`` named ``text``, or else the one whose
         name without its ``@k`` universe suffix is ``text``; the match must be
-        unique.  Each level's names are indexed on first use, so a lookup
-        costs O(1) after one O(|level|) pass."""
+        unique.  A builder level parses ``text`` and keeps the element only if
+        it is in the level and formats to ``text`` with or without its suffix;
+        its elements share one type and universe, so an exact name and a
+        bare one never meet.  A level given as a sequence indexes its names on
+        first use, so a lookup costs O(1) after one O(|level|) pass."""
         p = self.position(rank)
+        text = text.strip()
+        if self._parse[p] is None:
+            i = self._name_table(p).get(text)
+            x = None if i is None else self._level(p)[i]
+        else:
+            x = self._parsed(p, text)
+        if x is None:
+            raise ValueError(f"cannot resolve element {text!r} at level {rank}")
+        return x
+
+    def _parsed(self, p: int, text: str):
+        """The element of builder level p that ``text`` names, or None."""
+        try:
+            x = self._parse[p](text)
+        except ValueError:
+            return None
+        name = format_poset_element(x)
+        return x if text in (name, name.partition("@")[0]) and self._find[p](x) is not None else None
+
+    def _name_table(self, p: int) -> dict[str, int | None]:
+        """Name -> index for level position p, made on first use: each exact
+        name, then each bare name no exact one shadows; None when shared."""
         table = self._name_index.get(p)
         if table is None:
             table = self._name_index[p] = {}
@@ -315,11 +360,7 @@ class GradedPoset:
                 bare, at, _ = name.partition("@")
                 if at and bare not in exact:
                     table[bare] = None if bare in table else i
-        text = text.strip()
-        i = table.get(text)
-        if i is None:
-            raise ValueError(f"cannot resolve element {text!r} at level {rank}")
-        return self._level(p)[i]
+        return table
 
     def _names(self, p: int) -> tuple[str, ...]:
         """Names of the elements of level position p, formatted on first use."""
@@ -438,27 +479,38 @@ class GradedPoset:
         """True iff the undirected bipartite graph between the levels of rank
         and upper_rank (default rank+1), with an edge wherever a cover chain
         joins two elements, is connected.  One pass over the pair's
-        ``down_masks`` merges the components found so far, each kept as the
-        mask of its lower elements; like ``down_masks`` it raises
-        BudgetExceededError past ``MAX_MASK_BITS``."""
+        ``down_masks`` merges components in a union-find over the lower
+        elements, each root keeping the mask of its component; a mask visits
+        only the lowest bit of each component or new lower element it
+        meets, so the pass takes O(upper + lower) mask operations.  Like
+        ``down_masks`` it raises BudgetExceededError past ``MAX_MASK_BITS``."""
         if upper_rank is None:
             upper_rank = rank + 1
         p_lo, p_hi = self.position(rank), self.position(upper_rank)
         if p_hi <= p_lo:
             raise ValueError("upper rank must be above lower rank")
-        parts: list[int] = []  # disjoint: the lower elements of each component
+        parent = list(range(self.sizes[p_lo]))
+        parts: dict[int, int] = {}  # root -> the mask of its component's lower elements
+        last = 0  # the component merged last; a mask inside it merges nothing
         for mask in self.down_masks(p_hi, p_lo):
             if not mask:  # an upper element joined to nothing
                 return False
-            kept = []
-            for part in parts:
-                if part & mask:
-                    mask |= part
+            if mask & last == mask:
+                continue
+            top, rest = None, mask
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
+                while parent[j] != j:
+                    parent[j] = j = parent[parent[j]]
+                part = parts.pop(j, low)  # a lower element no mask met yet is a part of its own
+                rest ^= rest & part
+                if top is None:
+                    top, merged = j, part
                 else:
-                    kept.append(part)
-            kept.append(mask)
-            parts = kept
-        return len(parts) == 1 and parts[0] == (1 << self.sizes[p_lo]) - 1
+                    parent[j], merged = top, merged | part
+            parts[top] = last = merged
+        return len(parts) == 1 and last == (1 << self.sizes[p_lo]) - 1
 
     # -- export -------------------------------------------------------------------
 
@@ -605,11 +657,57 @@ def _cover_rows(lower, upper, deletions) -> list[dict]:
     return rows
 
 
-def _pair_calls(keys, steps) -> list:
+def _pair_calls(levels, steps) -> list:
     """One cover call per level pair (p, p+1): it makes the pair's rows with
     the cover step ``steps[p]`` from fresh streams of the two levels' symbol
-    tuples, ``keys(p)`` and ``keys(p + 1)``."""
-    return [lambda p=p, step=step: _cover_rows(keys(p), keys(p + 1), step) for p, step in enumerate(steps)]
+    tuples."""
+    return [lambda lo=lo, hi=hi, step=step: _cover_rows(lo.keys(), hi.keys(), step)
+            for lo, hi, step in zip(levels, levels[1:], steps)]
+
+
+def _string_level(r: int, l: int, size: int) -> _LevelMaker:
+    """Level l of the strings over {0, .., r-1}."""
+    def find(x):
+        if type(x) is Str and x.universe == r and len(x.symbols) == l:
+            return string_index(x.symbols, r)
+        return None
+    return _LevelMaker(size, partial(strings, r, l), partial(string_symbols, r, l), find,
+                       partial(parse_str, universe=r))
+
+
+def _sequence_level(k: int, l: int, size: int, make) -> _LevelMaker:
+    """The injective l-sequences over [1..k], as partial permutations of
+    universe k that ``make`` makes."""
+    def find(x):
+        if type(x) is PartialPermutation and x.universe == k and len(x.entries) == l:
+            return sequence_index(x.entries, k)
+        return None
+    return _LevelMaker(size, make, partial(sequence_symbols, k, l), find,
+                       partial(parse_partial_permutation, universe=k))
+
+
+def _subset_level(n: int, i: int, size: int) -> _LevelMaker:
+    """The i-subsets of [1..n], in the lexicographic order of their
+    increasing sequences."""
+    universe = frozenset(range(1, n + 1))
+    keys = partial(itertools.combinations, range(1, n + 1), i)
+
+    def find(x):
+        if isinstance(x, frozenset) and len(x) == i and x <= universe:
+            # the rank of c_0 < .. < c_(i-1) is C(n, i) - 1 - sum over t of C(n - c_t, i - t);
+            # int() maps a member equal to one of 1..n (True, 2.0) to it, as a dict lookup would
+            return math.comb(n, i) - 1 - sum(math.comb(n - c, i - t) for t, c in enumerate(sorted(map(int, x))))
+        return None
+    return _LevelMaker(size, lambda: map(frozenset, keys()), keys, find, _parse_subset)
+
+
+def _parse_subset(text: str) -> frozenset:
+    """The subset a name spells: ``∅`` or ``{a,b,..}``."""
+    if text == "∅":
+        return frozenset()
+    if not (text.startswith("{") and text.endswith("}")):
+        raise ValueError(f"cannot parse subset {text!r}")
+    return frozenset(map(parse_number, text[1:-1].split(",")))
 
 
 def build_string_poset(r: int, relation: str, max_level: int) -> GradedPoset:
@@ -620,10 +718,10 @@ def build_string_poset(r: int, relation: str, max_level: int) -> GradedPoset:
         raise ValueError("need r >= 1 and max_level >= 0")
     if relation not in STRING_RELATIONS:
         raise ValueError(f"relation must be one of {STRING_RELATIONS}")
-    _require_elements(range(max_level + 1), lambda l: r**l, lambda l: (r.bit_length() - 1) * l)
-    levels = [LevelMaker(r**l, partial(strings, r, l)) for l in range(max_level + 1)]
-    covers = _pair_calls(lambda l: itertools.product(range(r), repeat=l),
-                         [ORDERS[relation].deletions] * max_level)
+    size = lambda l: r**l
+    _require_elements(range(max_level + 1), size, lambda l: (r.bit_length() - 1) * l)
+    levels = [_string_level(r, l, size(l)) for l in range(max_level + 1)]
+    covers = _pair_calls(levels, [ORDERS[relation].deletions] * max_level)
     return GradedPoset(levels, covers, family=f"string({relation}, r={r})", first_rank=0)
 
 
@@ -635,10 +733,10 @@ def build_partial_perm_poset(k: int, relation: str) -> GradedPoset:
         raise ValueError("need k >= 1")
     if relation not in STRING_RELATIONS:
         raise ValueError(f"relation must be one of {STRING_RELATIONS}")
-    _require_elements(range(1, k + 1), lambda l: math.perm(k, l), factorial_bits)  # k!/(k-l)! >= l!
-    levels = [LevelMaker(math.perm(k, l), partial(partial_permutations, k, l)) for l in range(1, k + 1)]
-    covers = _pair_calls(lambda p: itertools.permutations(range(1, k + 1), p + 1),
-                         [ORDERS[relation].deletions] * (k - 1))
+    size = partial(math.perm, k)
+    _require_elements(range(1, k + 1), size, factorial_bits)  # k!/(k-l)! >= l!
+    levels = [_sequence_level(k, l, size(l), partial(partial_permutations, k, l)) for l in range(1, k + 1)]
+    covers = _pair_calls(levels, [ORDERS[relation].deletions] * (k - 1))
     return GradedPoset(levels, covers, family=f"partial_perm({relation}, k={k})", first_rank=1)
 
 
@@ -660,18 +758,18 @@ def build_pattern_poset(k: int, relation: str) -> GradedPoset:
         raise ValueError("need k >= 1")
     if relation not in PATTERN_RELATIONS:
         raise ValueError(f"relation must be one of {PATTERN_RELATIONS}")
-    # position p holds ((p + 3) // 2)! elements: 1!, then (l+1)! helpers and (l+1)! permutations
-    _require_elements(range(2 * k - 1), lambda p: math.factorial((p + 3) // 2),
-                      lambda p: factorial_bits((p + 3) // 2))
-    levels = [LevelMaker(1, partial(full_permutations, 1))]
-    for l in range(1, k):
-        levels += [LevelMaker(math.factorial(l + 1), partial(partial_permutations, l + 1, l)),
-                   LevelMaker(math.factorial(l + 1), partial(full_permutations, l + 1))]
+    # position p holds the (p // 2 + 1)-sequences over [(p + 3) // 2]: ((p + 3) // 2)! of them
+    size = lambda p: math.factorial((p + 3) // 2)
+    _require_elements(range(2 * k - 1), size, lambda p: factorial_bits((p + 3) // 2))
+    levels = []
+    for p in range(2 * k - 1):
+        m, l = (p + 3) // 2, p // 2 + 1
+        make = partial(full_permutations, m) if l == m else partial(partial_permutations, m, l)
+        levels.append(_sequence_level(m, l, size(p), make))
     # a helper covers its pattern; a permutation, the helpers it deletes down to
     steps = [lambda key: (order_pattern(key),), ORDERS[ORDERS[relation].base].deletions] * (k - 1)
-    # position p holds the (p // 2 + 1)-sequences over [(p + 3) // 2]
-    covers = _pair_calls(lambda p: itertools.permutations(range(1, (p + 3) // 2 + 1), p // 2 + 1), steps)
-    return GradedPoset(levels, covers, family=f"perm_pattern({relation}, k={k})", first_rank=0)
+    return GradedPoset(levels, _pair_calls(levels, steps), family=f"perm_pattern({relation}, k={k})",
+                       first_rank=0)
 
 
 def build_subset_poset(n: int) -> GradedPoset:
@@ -683,7 +781,6 @@ def build_subset_poset(n: int) -> GradedPoset:
     if n < 0:
         raise ValueError("need n >= 0")
     _require_elements((n,), lambda n: 2**n, lambda n: n)
-    keys = partial(itertools.combinations, range(1, n + 1))
-    levels = [LevelMaker(math.comb(n, i), lambda i=i: map(frozenset, keys(i))) for i in range(n + 1)]
-    covers = _pair_calls(keys, [ORDERS["subsequence"].deletions] * n)
+    levels = [_subset_level(n, i, math.comb(n, i)) for i in range(n + 1)]
+    covers = _pair_calls(levels, [ORDERS["subsequence"].deletions] * n)
     return GradedPoset(levels, covers, family=f"subsets(n={n})", first_rank=0)

@@ -364,3 +364,16 @@ def test_parse_round_trip():
 def test_parse_symbols_coerces_nothing(text):
     with pytest.raises(ValueError, match="cannot parse"):
         perm.parse_symbols(text)
+
+
+def test_index_functions_invert_the_symbol_streams():
+    for r in (1, 2, 3, 11):
+        for l in range(4):
+            syms = list(perm.string_symbols(r, l))
+            assert [perm.string_index(t, r) for t in syms] == list(range(r**l))
+            assert [x.symbols for x in perm.strings(r, l)] == syms
+    for k in range(1, 7):
+        for l in range(1, k + 1):
+            syms = list(perm.sequence_symbols(k, l))
+            assert [perm.sequence_index(t, k) for t in syms] == list(range(len(syms)))
+            assert [x.entries for x in perm.partial_permutations(k, l)] == syms

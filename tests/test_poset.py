@@ -5,6 +5,7 @@ import random
 import re
 import time
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -382,21 +383,26 @@ def test_refutation_makes_no_element(made_levels):
     assert made_levels == []
 
 
-def test_lookups_make_only_the_levels_they_name(made_levels):
+def test_lookups_make_no_level_and_a_witness_only_its_own(made_levels):
     P = build_string_poset(2, "subsequence", 6)
-    assert P.index_of(3, Str((0, 1, 0), 2)) == 2
-    assert made_levels == [("strings", (2, 3))]
-    assert P.index_of(3, Str((1, 1, 1), 2)) == 7  # a made level is made once
+    assert P.index_of(3, Str((0, 1, 0), 2)) == 2 and P.index_of(3, Str((1, 1, 1), 2)) == 7
     assert P.resolve_element(5, "01010") == Str((0, 1, 0, 1, 0), 2)
-    assert made_levels == [("strings", (2, 3)), ("strings", (2, 5))]
+    Q = build_pattern_poset(4, "pattern")
+    assert Q.resolve_element(3, "21") == PartialPermutation((2, 1), 3)
+    assert Q.index_of(3, Q.resolve_element(3, "32@3")) == 5
+    S = build_subset_poset(6)
+    assert S.resolve_element(3, "{2,4,6}") == {2, 4, 6} and S.index_of(3, frozenset({4, 5, 6})) == 19
+    chain = lym.antichain_from_json_dict(P, {"antichain": [[2, "01"], [3, "111"], [4, "0000"]]})
+    assert lym.is_antichain(P, chain) and lym.lym_number(P, chain) == Fraction(7, 16)
+    assert lym.local_lym_check(P, 3, [Str((0, 1, 0), 2)]).holds
+    assert made_levels == []
     found = lym.antichain_exists(P, {2: 1, 4: 1})
     assert found.exists and {rank for rank, _ in found.antichain} == {2, 4}
-    assert sorted(made_levels[2:]) == [("strings", (2, 2)), ("strings", (2, 4))]
-    Q = build_pattern_poset(4, "pattern")
+    assert sorted(made_levels) == [("strings", (2, 2)), ("strings", (2, 4))]
     found = lym.antichain_exists(Q, [0, 0, 1, 0, 0, 0, 1])
     assert found.exists
-    assert sorted(made_levels[4:]) == [("full_permutations", (2,)), ("full_permutations", (4,))]
-    assert Q.levels == Q.levels and len(made_levels) == 4 + 7  # levels makes the other five, once
+    assert sorted(made_levels[2:]) == [("full_permutations", (2,)), ("full_permutations", (4,))]
+    assert Q.levels == Q.levels and len(made_levels) == 2 + 7  # levels makes the other five, once
 
 
 @pytest.mark.parametrize("elements, message", [
@@ -412,9 +418,10 @@ def test_level_calls_are_checked_on_first_read(elements, message):
         calls.append(elements)
         return iter(elements)
 
-    P = GradedPoset([["a"], poset.LevelMaker(2, make)], [{(0, 0): 1, (0, 1): 1}])
-    assert calls == []
-    for read in (lambda: P.level(1), lambda: P.index_of(1, "b"), lambda: P.levels):
+    level = poset._LevelMaker(2, make, None, {"b": 0, "c": 1}.get, str)
+    P = GradedPoset([["a"], level], [{(0, 0): 1, (0, 1): 1}])
+    assert calls == [] and P.index_of(1, "c") == 1 and P.resolve_element(1, "b") == "b"
+    for read in (lambda: P.level(1), P.to_json_dict, lambda: P.levels):
         with pytest.raises(ValueError, match=message):  # a level whose call fails stays unmade
             read()
     assert len(calls) == 3
@@ -774,6 +781,42 @@ def test_lazy_hosts_match_eager_rebuilds(build, relation):
     assert [list(c.items()) for c in reference_covers(host, relation)] == want["covers"]
 
 
+def outcome(call, *args):
+    """What a lookup returns, or the type of error it raises."""
+    try:
+        return call(*args)
+    except (ValueError, TypeError) as error:
+        return type(error)
+
+
+# Names that spell no element, or a non-canonical spelling of one
+NEAR_MISS_NAMES = ["", "ε", "eps", "∅", "{}", "{1, 2}", "{2,1}", "{0}", "{1,1}", "{1,2", "(1,2)", "(0)",
+                   "(10,0)", "(1,0)", "0@1", "01@2", "01@3", "1@2", "12@3", "12@4", "21@2", "213@5", "1@",
+                   "@3", "x", "9", "00", "11", "123", "1,2", "(01)", "1 2", "{1,2,3}", "{1,2}@3"]
+
+
+@pytest.mark.parametrize("build", [pytest.param(case[0], id=repr(case[0]())) for case in LAZY_CASES])
+def test_lazy_lookups_match_eager_rebuilds(build):
+    host = build()
+    eager = GradedPoset(host.levels, host.covers, host.family, host.first_rank)
+    lazy = build()  # never made: its lookups go by rank arithmetic and parsing
+    names = {name for level in host.to_json_dict()["levels"] for name in level}
+    texts = sorted(names | {name.split("@")[0] for name in names} | set(NEAR_MISS_NAMES))
+    foreign = [x for other in (build_string_poset(2, "prefix", 2), build_string_poset(3, "prefix", 1),
+                               build_partial_perm_poset(3, "prefix"), build_partial_perm_poset(2, "prefix"),
+                               build_subset_poset(3))
+               for x in itertools.chain.from_iterable(other.levels)]
+    foreign += [frozenset({True, 2}), frozenset({1.0}), frozenset({2.5}), "01", (0, 1), 5, None]
+    for rank in host.ranks:
+        for x in itertools.chain(host.level(rank), foreign):
+            assert outcome(lazy.index_of, rank, x) == outcome(eager.index_of, rank, x), (rank, x)
+        for text in texts:
+            got = outcome(lazy.resolve_element, rank, f" {text} ")
+            assert got == outcome(eager.resolve_element, rank, text), (rank, text)
+            assert type(got) is type(outcome(eager.resolve_element, rank, text))
+    assert all(callable(level) for level in lazy._levels)
+
+
 def union_find_connected(P, rank, upper_rank):
     """The connectivity check as it was: one union-find over the pair's
     down-closures, kept as the reference for the mask merge."""
@@ -806,12 +849,39 @@ def test_connectivity_matches_the_union_find(P):
     check_connectivity_against_union_find(P)
 
 
+@st.composite
+def sparse_pairs(draw):
+    """One level pair of up to 40 elements a side whose upper elements each
+    cover up to three lower ones: many components, merged in a drawn order."""
+    n_lo, n_hi = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rows = draw(st.lists(st.sets(st.integers(0, n_lo - 1), max_size=3), min_size=n_hi, max_size=n_hi))
+    return GradedPoset([range(n_lo), range(100, 100 + n_hi)],
+                       [{(lo, hi): 1 for hi, row in enumerate(rows) for lo in row}])
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_pairs())
+def test_connectivity_matches_the_union_find_on_sparse_pairs(P):
+    check_connectivity_against_union_find(P)
+
+
+def disjoint_blocks(blocks: int, joined: bool = False) -> GradedPoset:
+    """Copies of K_{2,2}, the last upper element of each block also covering
+    the first lower one of the next when ``joined``."""
+    covers = {(2 * b + lo, 2 * b + hi): 1 for b in range(blocks) for lo in (0, 1) for hi in (0, 1)}
+    if joined:
+        covers.update({(2 * b + 2, 2 * b + 1): 1 for b in range(blocks - 1)})
+    return GradedPoset([range(2 * blocks), range(2 * blocks, 4 * blocks)], [covers])
+
+
 def test_connectivity_matches_the_union_find_on_fixed_hosts():
     two_components = GradedPoset([["a", "b"], ["c", "d"]], [{(0, 0): 1, (1, 1): 1}])
     dead_end = GradedPoset([["a", "b"], ["m", "n", "o"], ["x", "y"]],
                            [{(0, 0): 1, (1, 0): 1, (0, 1): 2, (1, 2): 1}, {(1, 0): 1, (2, 1): 1}])
-    for P in [two_components, dead_end, *ALL_FAMILY_INSTANCES]:
+    blocks = [disjoint_blocks(n, joined) for n in (1, 2, 50) for joined in (False, True)]
+    for P in [two_components, dead_end, *blocks, *ALL_FAMILY_INSTANCES]:
         check_connectivity_against_union_find(P)
+    assert [P.is_weakly_connected_pair(0) for P in blocks] == [True, True, False, True, False, True]
 
 
 def test_connectivity_refuses_pairs_past_the_mask_cap(monkeypatch):
@@ -868,7 +938,10 @@ def test_element_names_formatted_once_per_poset(monkeypatch):
         P.to_dot()
         assert P.resolve_element(1, "1") == PartialPermutation((1,), 3)
         assert P.resolve_element(3, "231") == PartialPermutation((2, 3, 1), 3)
-    assert Counter(calls) == Counter(x for level in P.levels for x in level)
+    # the exports format each element once; a builder level's lookup parses
+    # its name and formats only the element it parsed
+    resolved = [PartialPermutation((1,), 3), PartialPermutation((2, 3, 1), 3)] * 2
+    assert Counter(calls) == Counter(x for level in P.levels for x in level) + Counter(resolved)
 
 
 def test_every_exact_and_unique_bare_name_resolves_on_built_families():
@@ -1035,13 +1108,6 @@ def test_poset_constructor_validation():
     for key in (5, (0, 0, 0)):
         with pytest.raises(ValueError, match=re.escape(f"cover key {key!r} is not a (lower, upper)")):
             GradedPoset([["a"], ["b"]], [{key: 1}])
-    with pytest.raises(ValueError, match="level 1 is empty"):
-        GradedPoset([["a"], poset.LevelMaker(0, list)], [{}])
-    for size in (1.0, True):
-        with pytest.raises(ValueError, match="need a plain int"):
-            GradedPoset([poset.LevelMaker(size, lambda: ["a"])], [])
-    with pytest.raises(ValueError, match=r"edge \(0, 1\) out of range"):
-        GradedPoset([["a"], poset.LevelMaker(1, lambda: ["b"])], [{(0, 1): 1}])
 
 
 def _chained_rejects_rows(rows, n_lo: int, n_hi: int) -> bool:
