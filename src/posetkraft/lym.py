@@ -62,12 +62,11 @@ def _members_by_position(poset: GradedPoset, members) -> dict[int, list[int]]:
 
 def _members_from_indices(poset: GradedPoset, chosen: Mapping[int, Iterable[int]]) -> Antichain:
     """The antichain of the elements at the given indices, by level
-    position; only the levels at those positions are made."""
+    position; only those elements are made, and no level."""
     members = set()
     for p, idx in chosen.items():
         rank = poset.rank_of_position(p)
-        level = poset.level(rank)
-        members.update((rank, level[i]) for i in idx)
+        members.update((rank, x) for x in poset.elements(p, idx))
     return Antichain(frozenset(members))
 
 
@@ -94,8 +93,8 @@ def is_antichain(poset: GradedPoset, members) -> AntichainCheck:
                 if pa in by_pos:
                     hits = below.intersection(by_pos[pa])
                     if hits:
-                        ra, rb = poset.rank_of_position(pa), poset.rank_of_position(pb)
-                        lower, upper = (ra, poset.level(ra)[min(hits)]), (rb, poset.level(rb)[ib])
+                        (a,), (b,) = poset.elements(pa, [min(hits)]), poset.elements(pb, [ib])
+                        lower, upper = (poset.rank_of_position(pa), a), (poset.rank_of_position(pb), b)
                         return AntichainCheck(False, (lower, upper))
                 if not below:
                     break

@@ -16,6 +16,12 @@ blocks that freeness looks up; and for a pattern order, to the symbol order
 whose sub-words it compares by relative order.  The predicates below, the
 poset builders and ``codes.is_free`` all read it; ``CODE_RELATIONS`` lists
 its names, ``STRING_RELATIONS`` and ``PATTERN_RELATIONS`` the two halves.
+
+The elements of one length are enumerated as symbol tuples in
+lexicographic order.  ``StringLevel`` and ``SequenceLevel`` hand such a
+level to the poset builders: its symbol stream, its element names (where
+each symbol is one digit, the digits joined in the same order, with no
+element made) and lookups by rank arithmetic.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 
@@ -44,12 +51,15 @@ class Str:
     universe: int
 
     def __post_init__(self):
-        if type(self.universe) is not int or self.universe < 1:
+        universe, symbols = self.universe, self.symbols
+        if type(universe) is not int or universe < 1:
             raise ValueError("universe size must be an integer >= 1")
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        for s in self.symbols:
-            if not (type(s) is int and 0 <= s < self.universe):
-                raise ValueError(f"symbol {s!r} outside 0..{self.universe - 1}")
+        if type(symbols) is not tuple:
+            symbols = tuple(symbols)
+            object.__setattr__(self, "symbols", symbols)
+        for s in symbols:
+            if not (type(s) is int and 0 <= s < universe):
+                raise ValueError(f"symbol {s!r} outside 0..{universe - 1}")
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -66,16 +76,19 @@ class PartialPermutation:
     universe: int
 
     def __post_init__(self):
-        if type(self.universe) is not int or self.universe < 1:
+        universe, entries = self.universe, self.entries
+        if type(universe) is not int or universe < 1:
             raise ValueError("universe size must be an integer >= 1")
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not self.entries:
+        if type(entries) is not tuple:
+            entries = tuple(entries)
+            object.__setattr__(self, "entries", entries)
+        if not entries:
             raise ValueError("empty partial permutation")
-        if len(set(self.entries)) != len(self.entries):
-            raise ValueError(f"entries {self.entries} are not distinct")
-        for s in self.entries:
-            if not (type(s) is int and 1 <= s <= self.universe):
-                raise ValueError(f"entry {s!r} outside [1, {self.universe}]")
+        if len(set(entries)) != len(entries):
+            raise ValueError(f"entries {entries} are not distinct")
+        for s in entries:
+            if not (type(s) is int and 1 <= s <= universe):
+                raise ValueError(f"entry {s!r} outside [1, {universe}]")
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -252,6 +265,87 @@ def partial_permutations(k: int, l: int) -> list[PartialPermutation]:
 def full_permutations(l: int) -> list[PartialPermutation]:
     """All permutations of [1..l], lexicographically."""
     return partial_permutations(l, l)
+
+
+# ---------------------------------------------------------------------------
+# Levels: what a poset builder hands ``poset.GradedPoset`` for one level
+
+DIGITS = "0123456789"  # the texts of the one-digit symbols, which name streams join
+
+
+class Level:
+    """A builder's level, which ``poset.GradedPoset`` makes when its
+    ``levels`` or ``level`` first reads it.  A subclass holds the level's
+    size, trusted until then, and the numbers that fix the level, and
+    makes nothing until asked: ``keys()`` streams the symbol tuples of the
+    elements in level order, ``element`` is the call that makes the
+    element of a key, ``names()`` streams the elements' names in the same
+    order, and two lookups make nothing: ``find(x)``, the index of element
+    x or None, and ``parse(text)``, the element a name spells (ValueError
+    when it spells none)."""
+
+    __slots__ = ("size",)
+
+
+class StringLevel(Level):
+    """The strings of length l over {0, .., r-1}."""
+
+    __slots__ = ("r", "l")
+
+    def __init__(self, r: int, l: int, size: int):
+        self.r, self.l, self.size = r, l, size
+
+    def keys(self):
+        return string_symbols(self.r, self.l)
+
+    @property
+    def element(self):
+        return partial(Str, universe=self.r)
+
+    def names(self):
+        if not self.l:
+            return iter(("ε",))
+        if self.r > 10:  # a symbol past 9 is written in parentheses
+            return map(format_element, map(self.element, self.keys()))
+        return map("".join, itertools.product(DIGITS[: self.r], repeat=self.l))
+
+    def find(self, x):
+        if type(x) is Str and x.universe == self.r and len(x.symbols) == self.l:
+            return string_index(x.symbols, self.r)
+        return None
+
+    def parse(self, text: str) -> Str:
+        return parse_str(text, self.r)
+
+
+class SequenceLevel(Level):
+    """The injective l-sequences over [1..k], as partial permutations of
+    universe k, named with their universe unless l = k."""
+
+    __slots__ = ("k", "l")
+
+    def __init__(self, k: int, l: int, size: int):
+        self.k, self.l, self.size = k, l, size
+
+    def keys(self):
+        return sequence_symbols(self.k, self.l)
+
+    @property
+    def element(self):
+        return partial(PartialPermutation, universe=self.k)
+
+    def names(self):
+        # poset.MAX_ELEMENTS keeps k <= 8, so every symbol is one digit
+        names = map("".join, itertools.permutations(DIGITS[1 : self.k + 1], self.l))
+        return names if self.l == self.k else map(f"%s@{self.k}".__mod__, names)
+
+    def find(self, x):
+        if type(x) is PartialPermutation and x.universe == self.k and len(x.entries) == self.l:
+            return sequence_index(x.entries, self.k)
+        return None
+
+    def parse(self, text: str) -> PartialPermutation:
+        return parse_partial_permutation(text, self.k)
 
 
 # ---------------------------------------------------------------------------

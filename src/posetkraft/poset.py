@@ -15,13 +15,17 @@ three orders, full permutations under the pattern and substring-pattern
 orders (realized with interleaved helper levels so every consecutive pair is
 biregular), and subsets of [n] ordered by inclusion, which is the
 subsequence order on their increasing sequences.  A builder hands
-``GradedPoset`` each level as a ``_LevelMaker``: its closed-form size, a
-call that makes its elements, the stream of their symbol tuples, and
-lookups by rank arithmetic from an element or a name to its index; and
-each level pair as a call that makes its covers.  Levels and covers are
-made on first read, and lookups make nothing, so a search on two levels
-of a tall host makes those two levels' covers only, and no element at
-all.  One routine, ``_cover_rows``, makes the covers of every family from
+``GradedPoset`` each level as a ``perm.Level`` (``StringLevel``,
+``SequenceLevel``, or ``_SubsetLevel`` here): its closed-form size, the
+stream of its elements' symbol tuples, the call that makes an element
+from its tuple, the stream of the elements' names, and lookups by rank
+arithmetic from an element or a name to its index; and each level pair
+as a call that makes its covers.  Only ``levels`` and ``level`` make a
+level, and covers are made on first read.  The exports read the name
+streams, lookups make nothing, and shadows and witnesses make only the
+elements they return, so a search on two levels of a tall host makes
+those two levels' covers only, and an export or an audit makes no
+level.  One routine, ``_cover_rows``, makes the covers of every family from
 a cover step and the two levels' symbol streams, which ``perm`` (or, for
 subsets, ``itertools.combinations``) gives in the lexicographic order the
 elements are made in.  The cover step is the order's ``deletions`` from
@@ -40,22 +44,18 @@ from .perm import (
     ORDERS,
     PATTERN_RELATIONS,
     STRING_RELATIONS,
+    Level,
     PartialPermutation,
+    SequenceLevel,
     Str,
+    StringLevel,
     format_element,
-    full_permutations,
     order_pattern,
     parse_number,
-    parse_partial_permutation,
-    parse_str,
-    partial_permutations,
     require_ints,
-    sequence_index,
-    sequence_symbols,
-    string_index,
-    string_symbols,
-    strings,
 )
+# the builders no longer call these, but bench/tracer.py wraps them under these names
+from .perm import full_permutations, partial_permutations, strings  # noqa: F401
 
 MAX_VERTICES = 5000  # the most vertices a DOT export may draw
 MAX_MASK_BITS = 1 << 30  # the cap on down_masks' bits: at most 128 MiB of masks
@@ -116,33 +116,20 @@ def _dot_escaped(name: str) -> str:
     return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
-class _LevelMaker:
-    """A builder's level, which ``GradedPoset`` makes on first read: its
-    size, trusted until then; ``make``, a call that makes its elements;
-    ``keys``, a call that streams their symbol tuples in the same order;
-    and two lookups that make nothing: ``find(x)``, the index of element
-    x or None, and ``parse(text)``, the element a name spells (ValueError
-    when it spells none)."""
-
-    __slots__ = ("size", "make", "keys", "find", "parse")
-
-    def __init__(self, size: int, make, keys, find, parse):
-        self.size, self.make, self.keys, self.find, self.parse = size, make, keys, find, parse
-
-
 class GradedPoset:
     """Immutable level-indexed poset with a cover multigraph.
 
     ``levels[p]`` holds the elements of the p-th level.  The constructor
     takes each level as a sequence of its elements, checked and indexed at
-    once, or, from a builder, as a ``_LevelMaker``, made and checked the
-    first time the level is read; ``_level`` is the one reader of both, and
-    ``sizes`` reads every size without making a level.  ``index_of`` and
-    ``resolve_element`` look a builder level's elements up by rank
-    arithmetic, so they make no level.  Each edge between levels p and p+1
-    is stored once, as ``lower_index -> multiplicity`` in the down-adjacency
-    dict of its upper element: the pair's *rows*, one per element of level
-    p+1.
+    once, or, from a builder, as a ``perm.Level``, made and checked the
+    first time ``levels`` or ``level`` reads it, through ``_level``.
+    ``sizes`` reads every size without making a level, and ``elements``
+    picks elements by index, from a builder level's key stream while the
+    level is unmade.  ``index_of`` and ``resolve_element`` look a builder
+    level's elements up by rank arithmetic, so they make no level.  Each
+    edge between levels p and p+1 is stored once, as ``lower_index ->
+    multiplicity`` in the down-adjacency dict of its upper element: the
+    pair's *rows*, one per element of level p+1.
     The constructor takes each pair's covers as a mapping ``(lower_index,
     upper_index) -> multiplicity``, grouped into rows and checked at once,
     or as a zero-argument callable returning the rows, which is called and
@@ -153,31 +140,34 @@ class GradedPoset:
     every pair and ``levels`` every level.  Levels are addressed publicly
     by *rank* ``first_rank + p`` (partial permutation posets start at rank
     1, everything else at 0).  The index-level methods (``down_closure``,
-    ``down_masks``, ``pair_regularity``) take positions ``p`` and element
-    indices into ``levels[p]``, and make no element.  Degrees are read per
-    level pair, from the cached ``pair_regularity`` audit.  Each level's
-    element names are formatted once for the exports and, on a level given
-    as a sequence, for ``resolve_element``.
+    ``down_masks``, ``pair_regularity``, ``elements``) take positions ``p``
+    and element indices into ``levels[p]``; all but ``elements`` make no
+    element.  Degrees are read per level pair, from the cached
+    ``pair_regularity`` audit.  Each level's element names are made once
+    for the exports and, on a level given as a sequence, for
+    ``resolve_element``: a builder level reads its ``names()`` stream,
+    which passes the level check, and a level given as a sequence formats
+    each element.
     """
 
     def __init__(self, levels, covers, family="custom", first_rank=0):
         require_ints(first_rank)
         self.family = family
         self.first_rank = first_rank
-        # _levels[p]: the elements of level p, or until first read the call
-        # that makes them; _find[p]: element -> index, or None for a
-        # non-element; _parse[p]: a builder level's name -> element parse
-        self._levels, self._find, self._parse, sizes = [], [], [], []
+        # _levels[p]: the elements of level p, or None until a builder level
+        # is made; _makers[p]: a builder level's perm.Level, else None;
+        # _find[p]: element -> index, or None for a non-element
+        self._levels, self._makers, self._find, sizes = [], [], [], []
         for level in levels:
-            if isinstance(level, _LevelMaker):
-                self._levels.append(level.make)
+            if isinstance(level, Level):
+                self._levels.append(None)
+                self._makers.append(level)
                 self._find.append(level.find)
-                self._parse.append(level.parse)
                 sizes.append(level.size)
             else:
                 self._levels.append(tuple(level))
+                self._makers.append(None)
                 self._find.append(None)
-                self._parse.append(None)
                 sizes.append(len(self._levels[-1]))
         self.sizes = tuple(sizes)  # by position; read without making a level
         if not self.sizes:
@@ -217,14 +207,37 @@ class GradedPoset:
 
     def _level(self, p: int) -> tuple:
         """The elements of level position p, made and checked on first
-        read: the one reader of ``_levels``.  A level whose check fails
-        stays unmade."""
+        read: the one place a builder level is made.  A level whose check
+        fails stays unmade."""
         level = self._levels[p]
-        if callable(level):
-            made = tuple(level())
+        if level is None:
+            maker = self._makers[p]
+            made = tuple(map(maker.element, maker.keys()))
             self._checked_level(p, made)
             level = self._levels[p] = made
         return level
+
+    def elements(self, pos: int, indices) -> list:
+        """The elements at ``indices`` of level position ``pos``, in the
+        order asked: from the level if it has been made, else from one pass
+        over the builder level's key stream up to the largest index, which
+        makes only the picked elements.  An index outside 0..size-1 raises
+        ValueError; a negative one does not wrap."""
+        indices = list(indices)
+        require_ints(pos, *indices)
+        if not 0 <= pos < len(self.sizes):
+            raise ValueError(f"no level at position {pos}")
+        size = self.sizes[pos]
+        bad = [i for i in indices if not 0 <= i < size]
+        if bad:
+            raise ValueError(f"no element {bad[0]} in level {self.rank_of_position(pos)}, "
+                             f"whose indices run 0..{size - 1}")
+        level = self._levels[pos]
+        if level is None:
+            maker = self._makers[pos]
+            keys = tuple(itertools.islice(maker.keys(), max(indices, default=-1) + 1))
+            return list(map(maker.element, map(keys.__getitem__, indices)))
+        return list(map(level.__getitem__, indices))
 
     @property
     def levels(self) -> tuple[tuple, ...]:
@@ -328,9 +341,9 @@ class GradedPoset:
         first use, so a lookup costs O(1) after one O(|level|) pass."""
         p = self.position(rank)
         text = text.strip()
-        if self._parse[p] is None:
+        if self._makers[p] is None:
             i = self._name_table(p).get(text)
-            x = None if i is None else self._level(p)[i]
+            x = None if i is None else self._levels[p][i]
         else:
             x = self._parsed(p, text)
         if x is None:
@@ -340,7 +353,7 @@ class GradedPoset:
     def _parsed(self, p: int, text: str):
         """The element of builder level p that ``text`` names, or None."""
         try:
-            x = self._parse[p](text)
+            x = self._makers[p].parse(text)
         except ValueError:
             return None
         name = format_poset_element(x)
@@ -363,10 +376,18 @@ class GradedPoset:
         return table
 
     def _names(self, p: int) -> tuple[str, ...]:
-        """Names of the elements of level position p, formatted on first use."""
+        """Names of the elements of level position p, made on first use: a
+        builder level's name stream, which passes its level check and makes
+        no level, or else each element formatted."""
         names = self._level_names.get(p)
         if names is None:
-            names = self._level_names[p] = tuple(map(format_poset_element, self._level(p)))
+            maker = self._makers[p]
+            if maker is None:
+                names = tuple(map(format_poset_element, self._levels[p]))
+            else:
+                names = tuple(maker.names())
+                self._checked_level(p, names)
+            self._level_names[p] = names
         return names
 
     # -- closures and shadows -------------------------------------------------
@@ -417,8 +438,7 @@ class GradedPoset:
         indices = {self.index_of(rank, x) for x in elements}
         if p == 0:
             return set()
-        level = self._level(p - 1)
-        return {level[i] for i in self.down_closure(p, indices, p - 1)}
+        return set(self.elements(p - 1, self.down_closure(p, indices, p - 1)))
 
     def upper_shadow(self, rank: int, elements) -> set:
         """Set of elements one level up covering some element of the input,
@@ -427,8 +447,8 @@ class GradedPoset:
         indices = {self.index_of(rank, x) for x in elements}
         if p == len(self.sizes) - 1:
             return set()
-        level = self._level(p + 1)
-        return {level[hi] for hi, lows in enumerate(self._down_rows(p)) if not indices.isdisjoint(lows)}
+        covering = [hi for hi, lows in enumerate(self._down_rows(p)) if not indices.isdisjoint(lows)]
+        return set(self.elements(p + 1, covering))
 
     # -- order ----------------------------------------------------------------
 
@@ -665,49 +685,41 @@ def _pair_calls(levels, steps) -> list:
             for lo, hi, step in zip(levels, levels[1:], steps)]
 
 
-def _string_level(r: int, l: int, size: int) -> _LevelMaker:
-    """Level l of the strings over {0, .., r-1}."""
-    def find(x):
-        if type(x) is Str and x.universe == r and len(x.symbols) == l:
-            return string_index(x.symbols, r)
-        return None
-    return _LevelMaker(size, partial(strings, r, l), partial(string_symbols, r, l), find,
-                       partial(parse_str, universe=r))
+class _SubsetLevel(Level):
+    """The i-subsets of ``universe`` = [1..n], in the lexicographic order
+    of their increasing sequences."""
 
+    __slots__ = ("universe", "i")
+    element = frozenset  # a key is a subset's increasing sequence
 
-def _sequence_level(k: int, l: int, size: int, make) -> _LevelMaker:
-    """The injective l-sequences over [1..k], as partial permutations of
-    universe k that ``make`` makes."""
-    def find(x):
-        if type(x) is PartialPermutation and x.universe == k and len(x.entries) == l:
-            return sequence_index(x.entries, k)
-        return None
-    return _LevelMaker(size, make, partial(sequence_symbols, k, l), find,
-                       partial(parse_partial_permutation, universe=k))
+    def __init__(self, universe: frozenset, i: int, size: int):
+        self.universe, self.i, self.size = universe, i, size
 
+    def keys(self):
+        return itertools.combinations(range(1, len(self.universe) + 1), self.i)
 
-def _subset_level(n: int, i: int, size: int) -> _LevelMaker:
-    """The i-subsets of [1..n], in the lexicographic order of their
-    increasing sequences."""
-    universe = frozenset(range(1, n + 1))
-    keys = partial(itertools.combinations, range(1, n + 1), i)
+    def names(self):
+        if not self.i:
+            return iter(("∅",))
+        texts = map(str, range(1, len(self.universe) + 1))
+        return map("{%s}".__mod__, map(",".join, itertools.combinations(texts, self.i)))
 
-    def find(x):
-        if isinstance(x, frozenset) and len(x) == i and x <= universe:
+    def find(self, x):
+        n, i = len(self.universe), self.i
+        if isinstance(x, frozenset) and len(x) == i and x <= self.universe:
             # the rank of c_0 < .. < c_(i-1) is C(n, i) - 1 - sum over t of C(n - c_t, i - t);
             # int() maps a member equal to one of 1..n (True, 2.0) to it, as a dict lookup would
             return math.comb(n, i) - 1 - sum(math.comb(n - c, i - t) for t, c in enumerate(sorted(map(int, x))))
         return None
-    return _LevelMaker(size, lambda: map(frozenset, keys()), keys, find, _parse_subset)
 
-
-def _parse_subset(text: str) -> frozenset:
-    """The subset a name spells: ``∅`` or ``{a,b,..}``."""
-    if text == "∅":
-        return frozenset()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"cannot parse subset {text!r}")
-    return frozenset(map(parse_number, text[1:-1].split(",")))
+    @staticmethod
+    def parse(text: str) -> frozenset:
+        """The subset a name spells: ``∅`` or ``{a,b,..}``."""
+        if text == "∅":
+            return frozenset()
+        if not (text.startswith("{") and text.endswith("}")):
+            raise ValueError(f"cannot parse subset {text!r}")
+        return frozenset(map(parse_number, text[1:-1].split(",")))
 
 
 def build_string_poset(r: int, relation: str, max_level: int) -> GradedPoset:
@@ -720,7 +732,7 @@ def build_string_poset(r: int, relation: str, max_level: int) -> GradedPoset:
         raise ValueError(f"relation must be one of {STRING_RELATIONS}")
     size = lambda l: r**l
     _require_elements(range(max_level + 1), size, lambda l: (r.bit_length() - 1) * l)
-    levels = [_string_level(r, l, size(l)) for l in range(max_level + 1)]
+    levels = [StringLevel(r, l, size(l)) for l in range(max_level + 1)]
     covers = _pair_calls(levels, [ORDERS[relation].deletions] * max_level)
     return GradedPoset(levels, covers, family=f"string({relation}, r={r})", first_rank=0)
 
@@ -735,7 +747,7 @@ def build_partial_perm_poset(k: int, relation: str) -> GradedPoset:
         raise ValueError(f"relation must be one of {STRING_RELATIONS}")
     size = partial(math.perm, k)
     _require_elements(range(1, k + 1), size, factorial_bits)  # k!/(k-l)! >= l!
-    levels = [_sequence_level(k, l, size(l), partial(partial_permutations, k, l)) for l in range(1, k + 1)]
+    levels = [SequenceLevel(k, l, size(l)) for l in range(1, k + 1)]
     covers = _pair_calls(levels, [ORDERS[relation].deletions] * (k - 1))
     return GradedPoset(levels, covers, family=f"partial_perm({relation}, k={k})", first_rank=1)
 
@@ -761,11 +773,7 @@ def build_pattern_poset(k: int, relation: str) -> GradedPoset:
     # position p holds the (p // 2 + 1)-sequences over [(p + 3) // 2]: ((p + 3) // 2)! of them
     size = lambda p: math.factorial((p + 3) // 2)
     _require_elements(range(2 * k - 1), size, lambda p: factorial_bits((p + 3) // 2))
-    levels = []
-    for p in range(2 * k - 1):
-        m, l = (p + 3) // 2, p // 2 + 1
-        make = partial(full_permutations, m) if l == m else partial(partial_permutations, m, l)
-        levels.append(_sequence_level(m, l, size(p), make))
+    levels = [SequenceLevel((p + 3) // 2, p // 2 + 1, size(p)) for p in range(2 * k - 1)]
     # a helper covers its pattern; a permutation, the helpers it deletes down to
     steps = [lambda key: (order_pattern(key),), ORDERS[ORDERS[relation].base].deletions] * (k - 1)
     return GradedPoset(levels, _pair_calls(levels, steps), family=f"perm_pattern({relation}, k={k})",
@@ -781,6 +789,7 @@ def build_subset_poset(n: int) -> GradedPoset:
     if n < 0:
         raise ValueError("need n >= 0")
     _require_elements((n,), lambda n: 2**n, lambda n: n)
-    levels = [_subset_level(n, i, math.comb(n, i)) for i in range(n + 1)]
+    universe = frozenset(range(1, n + 1))
+    levels = [_SubsetLevel(universe, i, math.comb(n, i)) for i in range(n + 1)]
     covers = _pair_calls(levels, [ORDERS["subsequence"].deletions] * n)
     return GradedPoset(levels, covers, family=f"subsets(n={n})", first_rank=0)

@@ -23,12 +23,13 @@ from posetkraft.poset import (
     regularity_check,
 )
 
-ALL_FAMILY_INSTANCES = (
-    [build_subset_poset(n) for n in range(9)]
-    + [build_string_poset(r, rel, 4) for r in (2, 3) for rel in poset.STRING_RELATIONS]
-    + [build_partial_perm_poset(k, rel) for k in range(1, 6) for rel in poset.STRING_RELATIONS]
-    + [build_pattern_poset(k, rel) for k in range(1, 5) for rel in poset.PATTERN_RELATIONS]
+ALL_FAMILY_BUILDS = (
+    [functools.partial(build_subset_poset, n) for n in range(9)]
+    + [functools.partial(build_string_poset, r, rel, 4) for r in (2, 3) for rel in poset.STRING_RELATIONS]
+    + [functools.partial(build_partial_perm_poset, k, rel) for k in range(1, 6) for rel in poset.STRING_RELATIONS]
+    + [functools.partial(build_pattern_poset, k, rel) for k in range(1, 5) for rel in poset.PATTERN_RELATIONS]
 )
+ALL_FAMILY_INSTANCES = [build() for build in ALL_FAMILY_BUILDS]
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +335,15 @@ def test_cover_maps_match_order_definitions(host, multiplicity, rebuild):
 
 @pytest.fixture
 def made_levels(monkeypatch):
-    """The calls (name, args) through which hosts built after this make
-    their levels: every builder but the subsets' makes its levels by name."""
-    made = []
-    for name in ("strings", "partial_permutations", "full_permutations"):
-        def counted(*args, make=getattr(poset, name), name=name):
-            made.append((name, args))
-            return make(*args)
-        monkeypatch.setattr(poset, name, counted)
+    """The levels, as (family, rank), that hosts built after this make:
+    ``_level`` is the one place a builder level is made."""
+    made, read = [], GradedPoset._level
+
+    def counted(self, p):
+        if self._levels[p] is None:
+            made.append((self.family, self.first_rank + p))
+        return read(self, p)
+    monkeypatch.setattr(GradedPoset, "_level", counted)
     return made
 
 
@@ -367,7 +369,7 @@ def test_covers_are_made_per_pair_on_first_read(monkeypatch, made_levels):
     # levels' order, and no element was made for them
     assert made_levels == []
     assert made == [(symbol_tuples(P.level(2)), symbol_tuples(P.level(3)))]
-    assert made_levels == [("strings", (2, 2)), ("strings", (2, 3))]
+    assert made_levels == [(P.family, 2), (P.family, 3)]
     with pytest.raises(poset.BudgetExceededError):
         build_subset_poset(13).to_dot()
     assert len(made) == 1
@@ -383,7 +385,7 @@ def test_refutation_makes_no_element(made_levels):
     assert made_levels == []
 
 
-def test_lookups_make_no_level_and_a_witness_only_its_own(made_levels):
+def test_lookups_and_witnesses_make_no_level(made_levels):
     P = build_string_poset(2, "subsequence", 6)
     assert P.index_of(3, Str((0, 1, 0), 2)) == 2 and P.index_of(3, Str((1, 1, 1), 2)) == 7
     assert P.resolve_element(5, "01010") == Str((0, 1, 0, 1, 0), 2)
@@ -395,14 +397,59 @@ def test_lookups_make_no_level_and_a_witness_only_its_own(made_levels):
     chain = lym.antichain_from_json_dict(P, {"antichain": [[2, "01"], [3, "111"], [4, "0000"]]})
     assert lym.is_antichain(P, chain) and lym.lym_number(P, chain) == Fraction(7, 16)
     assert lym.local_lym_check(P, 3, [Str((0, 1, 0), 2)]).holds
-    assert made_levels == []
+    # witnesses, shadows and reductions pick their elements from the key stream
     found = lym.antichain_exists(P, {2: 1, 4: 1})
-    assert found.exists and {rank for rank, _ in found.antichain} == {2, 4}
-    assert sorted(made_levels) == [("strings", (2, 2)), ("strings", (2, 4))]
+    assert found.antichain.members == {(2, Str((0, 1), 2)), (4, Str((0, 0, 0, 0), 2))}
     found = lym.antichain_exists(Q, [0, 0, 1, 0, 0, 0, 1])
-    assert found.exists
-    assert sorted(made_levels[2:]) == [("full_permutations", (2,)), ("full_permutations", (4,))]
-    assert Q.levels == Q.levels and len(made_levels) == 2 + 7  # levels makes the other five, once
+    assert found.antichain.members == {(2, PartialPermutation((2, 1), 2)),
+                                       (6, PartialPermutation((1, 2, 3, 4), 4))}
+    check = lym.is_antichain(P, [(3, Str((0, 1, 1), 2)), (5, Str((0, 1, 1, 0, 1), 2))])
+    assert check.witness == ((3, Str((0, 1, 1), 2)), (5, Str((0, 1, 1, 0, 1), 2)))
+    assert P.lower_shadow(3, [Str((1, 0, 1), 2)]) == {Str((1, 0), 2), Str((1, 1), 2), Str((0, 1), 2)}
+    assert S.upper_shadow(5, [frozenset({1, 2, 3, 4, 5})]) == {frozenset(range(1, 7))}
+    reduced = lym.reduce_top_level(S, [(3, frozenset({1, 2, 3})), (1, frozenset({6}))])
+    assert reduced.members == {(1, frozenset({6}))} | {(2, frozenset(pair)) for pair in ((1, 2), (1, 3), (2, 3))}
+    assert lym.sample_antichain(Q, random.Random(5)).members
+    for host in (P, Q, S):
+        host.to_json_dict(), host.to_dot()
+    assert made_levels == []
+    assert Q.levels == Q.levels and len(made_levels) == 7  # levels makes every level, once
+
+
+@pytest.mark.parametrize("build, t, lo", [
+    (functools.partial(build_string_poset, 3, "substring", 4), 4, 2),
+    (functools.partial(build_partial_perm_poset, 4, "subsequence"), 2, 1),
+    (functools.partial(build_pattern_poset, 4, "substring_pattern"), 6, 4),
+    (functools.partial(build_subset_poset, 6), 4, 2),
+])
+def test_a_build_and_audit_makes_no_level(made_levels, build, t, lo):
+    host = build()
+    top = host.elements(t, [0, host.sizes[t] - 1])
+    blocked = host.down_closure(t, {0, host.sizes[t] - 1}, lo)
+    low = host.elements(lo, [i for i in range(host.sizes[lo]) if i not in blocked][:2])
+    rank_t, rank_lo = host.rank_of_position(t), host.rank_of_position(lo)
+    chain = lym.Antichain(frozenset([(rank_t, x) for x in top] + [(rank_lo, y) for y in low]))
+    chain = lym.antichain_from_json_dict(host, lym.antichain_to_json_dict(chain))
+    assert regularity_check(host).is_level_regular
+    assert host.to_json_dict()["levels"] and host.to_dot()
+    assert lym.is_antichain(host, chain) and lym.lym_number(host, chain) > 0
+    assert lym.reduce_top_level(host, chain) and lym.local_lym_check(host, rank_t, top)
+    below = host.lower_shadow(rank_t, top[:1])
+    assert below and host.upper_shadow(rank_lo, low)
+    witness = lym.is_antichain(host, [(rank_t, top[0]), (rank_t - 1, min(below, key=format_poset_element))])
+    assert witness.witness[1] == (rank_t, top[0])
+    assert host.less_than(rank_t - 1, witness.witness[0][1], rank_t, top[0])
+    assert made_levels == []
+
+
+class ListedLevel(perm.Level):
+    """A builder-style level of size 2 whose streams a test gives: keys
+    that are their own elements, and names."""
+
+    element, find, parse = str, {"b": 0, "c": 1}.get, str
+
+    def __init__(self, keys, names):
+        self.size, self.keys, self.names = 2, keys, names
 
 
 @pytest.mark.parametrize("elements, message", [
@@ -414,12 +461,11 @@ def test_lookups_make_no_level_and_a_witness_only_its_own(made_levels):
 def test_level_calls_are_checked_on_first_read(elements, message):
     calls = []
 
-    def make():
+    def keys():
         calls.append(elements)
         return iter(elements)
 
-    level = poset._LevelMaker(2, make, None, {"b": 0, "c": 1}.get, str)
-    P = GradedPoset([["a"], level], [{(0, 0): 1, (0, 1): 1}])
+    P = GradedPoset([["a"], ListedLevel(keys, lambda: map(str, keys()))], [{(0, 0): 1, (0, 1): 1}])
     assert calls == [] and P.index_of(1, "c") == 1 and P.resolve_element(1, "b") == "b"
     for read in (lambda: P.level(1), P.to_json_dict, lambda: P.levels):
         with pytest.raises(ValueError, match=message):  # a level whose call fails stays unmade
@@ -428,6 +474,49 @@ def test_level_calls_are_checked_on_first_read(elements, message):
     assert P.sizes == (1, 2) and repr(P) == "GradedPoset(custom; sizes 1,2)"
     assert P.level(0) == ("a",) and P.down_closure(1, {1}, 0) == {0}
     assert lym.counterexample_params(P, 0).reason == "down-degree not > 1"
+
+
+@pytest.mark.parametrize("names, message", [
+    (["b"], "level 1 has 1 elements, not its size 2"),
+    (["b", "c", "d"], "level 1 has 3 elements, not its size 2"),
+    (["c", "c"], "level 1 has duplicate elements"),
+    ([], "level 1 is empty"),
+])
+def test_name_streams_are_checked_on_first_export(names, message):
+    level = ListedLevel(functools.partial(iter, ("b", "c")), functools.partial(iter, names))
+    P = GradedPoset([["a"], level], [{(0, 0): 1, (0, 1): 1}])
+    for export in (P.to_json_dict, P.to_dot, P.to_json_dict):  # names that fail stay unstored
+        with pytest.raises(ValueError, match=message):
+            export()
+    assert P.level(1) == ("b", "c")  # the elements pass the check the names failed
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_picked_elements_match_the_levels_and_make_none(data):
+    build = data.draw(st.sampled_from(ALL_FAMILY_BUILDS))
+    host, made = build(), build()
+    pos = data.draw(st.integers(0, host.num_levels - 1))
+    size = host.sizes[pos]
+    index = st.integers(0, size - 1)
+    indices = data.draw(st.lists(index, max_size=6) | st.lists(st.sampled_from([0, size - 1]), max_size=3))
+    picked = host.elements(pos, indices)
+    assert host._levels == [None] * host.num_levels  # picked from the key stream: no level made
+    level = made.levels[pos]
+    assert picked == [level[i] for i in indices] == made.elements(pos, indices)
+
+
+@pytest.mark.parametrize("indices", [[-1], [0, -2], [3], [0, 7], [1.0], [True]])
+def test_picked_indices_outside_the_level_are_refused(indices):
+    unmade, made = build_string_poset(2, "prefix", 2), build_string_poset(2, "prefix", 2)
+    made.levels
+    for host in (unmade, made):
+        with pytest.raises(ValueError):
+            host.elements(1, indices)
+    for pos in (-1, 3, 1.0):
+        with pytest.raises(ValueError):
+            unmade.elements(pos, [0])
+    assert unmade._levels == [None] * 3 and made.elements(1, [1, 0]) == [Str((1,), 2), Str((0,), 2)]
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -814,7 +903,7 @@ def test_lazy_lookups_match_eager_rebuilds(build):
             got = outcome(lazy.resolve_element, rank, f" {text} ")
             assert got == outcome(eager.resolve_element, rank, text), (rank, text)
             assert type(got) is type(outcome(eager.resolve_element, rank, text))
-    assert all(callable(level) for level in lazy._levels)
+    assert lazy._levels == [None] * lazy.num_levels
 
 
 def union_find_connected(P, rank, upper_rank):
@@ -924,24 +1013,68 @@ def test_custom_poset_exports_and_resolves_names():
     assert 'n1_1 [label="c"]' in P.to_dot()
 
 
-def test_element_names_formatted_once_per_poset(monkeypatch):
-    P = build_partial_perm_poset(3, "subsequence")
+@pytest.fixture
+def formatted(monkeypatch):
+    """The elements formatted after this: by ``format_poset_element`` for
+    ``poset``, or by ``format_element`` for ``perm``'s name streams."""
     calls = []
+    for module, name in ((poset, "format_poset_element"), (perm, "format_element")):
+        def counting_format(x, format=getattr(module, name)):
+            calls.append(x)
+            return format(x)
+        monkeypatch.setattr(module, name, counting_format)
+    return calls
 
-    def counting_format(x):
-        calls.append(x)
-        return format_poset_element(x)
 
-    monkeypatch.setattr(poset, "format_poset_element", counting_format)
+def test_builder_exports_format_no_element(formatted):
+    P = build_partial_perm_poset(3, "subsequence")
     for _ in range(2):
         P.to_json_dict()
         P.to_dot()
         assert P.resolve_element(1, "1") == PartialPermutation((1,), 3)
         assert P.resolve_element(3, "231") == PartialPermutation((2, 3, 1), 3)
-    # the exports format each element once; a builder level's lookup parses
-    # its name and formats only the element it parsed
-    resolved = [PartialPermutation((1,), 3), PartialPermutation((2, 3, 1), 3)] * 2
-    assert Counter(calls) == Counter(x for level in P.levels for x in level) + Counter(resolved)
+    # the exports read name streams; a builder level's lookup parses its name
+    # and formats only the element it parsed
+    assert formatted == [PartialPermutation((1,), 3), PartialPermutation((2, 3, 1), 3)] * 2
+    formatted.clear()
+    for build in (functools.partial(build_string_poset, 10, "prefix", 3), *ALL_FAMILY_BUILDS):
+        host = build()
+        host.to_json_dict(), host.to_dot()
+    assert formatted == []
+
+
+def test_custom_poset_exports_format_each_element_once(formatted):
+    level = [PartialPermutation((1, 2), 3), Str((1, 2), 3), frozenset({1, 2}), "a"]
+    P = GradedPoset([["x"], level], [{(0, i): 1 for i in range(4)}])
+    for _ in range(2):
+        assert P.to_json_dict()["levels"] == [["x"], ["12@3", "12", "{1,2}", "a"]]
+        P.to_dot()
+        assert P.resolve_element(1, "12") == level[1]
+    assert Counter(formatted) == Counter(["x", *level])
+
+
+# past ALL_FAMILY_BUILDS, which hold ∅ (n = 0), k = 1 and the "@m" helper
+# levels: the one-digit boundary r = 10, ε alone, and two-digit symbols
+NAME_BOUNDARY_HOSTS = (
+    [functools.partial(build_string_poset, r, "prefix", 2) for r in (9, 10, 11, 12)]
+    + [functools.partial(build_string_poset, r, rel, 0) for r in (1, 2, 11) for rel in poset.STRING_RELATIONS]
+    + [functools.partial(build_subset_poset, 12)]
+    + [functools.partial(build_pattern_poset, 5, rel) for rel in poset.PATTERN_RELATIONS]
+)
+
+
+@pytest.mark.parametrize("build", ALL_FAMILY_BUILDS + NAME_BOUNDARY_HOSTS, ids=lambda build: repr(build()))
+def test_name_streams_match_formatted_elements(formatted, build):
+    host = build()
+    names = host.to_json_dict()["levels"]  # read before any level is made
+    assert host._levels == [None] * host.num_levels
+    for p, level in enumerate(host.levels):
+        assert tuple(names[p]) == tuple(map(format_poset_element, level))
+    # the names of a level that holds a string with a symbol past 9 are
+    # formatted element by element; every other level's come from joining
+    # its symbols' digits
+    assert formatted == [x for level in host.levels
+                         if any(type(y) is Str and max(y.symbols, default=0) > 9 for y in level) for x in level]
 
 
 def test_every_exact_and_unique_bare_name_resolves_on_built_families():
