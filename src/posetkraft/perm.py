@@ -11,11 +11,13 @@ symbols and require equal universes) and pattern / substring-pattern (these
 compare relative order only, so the left side must be a full permutation).
 ``ORDERS`` is the one table of them: it maps each order's name to its
 containment test on symbol tuples; for a symbol order, to its cover step
-(the one-shorter words a word covers) and, for prefix and substring, to the
-blocks that freeness looks up; and for a pattern order, to the symbol order
-whose sub-words it compares by relative order.  The predicates below, the
-poset builders and ``codes.is_free`` all read it; ``CODE_RELATIONS`` lists
-its names, ``STRING_RELATIONS`` and ``PATTERN_RELATIONS`` the two halves.
+(the one-shorter words a word covers, in the order of the deleted
+position, which fixes the order of each cover row) and, for prefix and
+substring, to the blocks that freeness looks up; and for a pattern order,
+to the symbol order whose sub-words it compares by relative order.  The
+predicates below, the poset builders and ``codes.is_free`` all read it;
+``CODE_RELATIONS`` lists its names, ``STRING_RELATIONS`` and
+``PATTERN_RELATIONS`` the two halves.
 
 The elements of one length are enumerated as symbol tuples in
 lexicographic order.  ``StringLevel`` and ``SequenceLevel`` hand such a
@@ -121,9 +123,12 @@ def pattern_of(tau: PartialPermutation) -> PartialPermutation:
 
 def order_pattern(seq: Sequence[int]) -> tuple[int, ...]:
     """The ranks of seq's distinct entries among themselves, in seq's order:
-    ``order_pattern((5, 2, 7)) == (2, 1, 3)``."""
-    order = sorted(seq)
-    return tuple(order.index(e) + 1 for e in seq)
+    ``order_pattern((5, 2, 7)) == (2, 1, 3)``.  One C-level ``map`` looks
+    each entry up in a sorted copy behind a placeholder, so the index found
+    is the one-based rank; at the lengths the builders reach (at most 8) the
+    linear ``index`` scan costs less than a rank dict."""
+    order = [None, *sorted(seq)]
+    return tuple(map(order.index, seq))
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +144,19 @@ def _subsequence_in(ss: tuple, ts: tuple) -> bool:
     return all(s in it for s in ss)
 
 
+def _one_deletions(ts: tuple):
+    """The words one deletion makes from ts, deleting position 0 first:
+    ``combinations`` gives them from the last position to the first, so
+    the reversed list is the order of ``ts[:p] + ts[p+1:]`` over p."""
+    return reversed(list(itertools.combinations(ts, len(ts) - 1))) if ts else ()
+
+
 class Order(NamedTuple):
     """An order's test on (inner, outer) symbol tuples; for a symbol order,
     the one-shorter words a word covers (one per deletion, so a repeat is a
-    multiplicity) and, for prefix and substring, the length-m words inside a
-    word, which freeness looks up; for a pattern order, its base order."""
+    multiplicity, in a fixed order that fixes each cover row's order) and,
+    for prefix and substring, the length-m words inside a word, which
+    freeness looks up; for a pattern order, its base order."""
 
     contains: Callable[[tuple, tuple], bool]
     deletions: Callable[[tuple], Iterable[tuple]] | None = None
@@ -153,7 +166,7 @@ class Order(NamedTuple):
 
 ORDERS = {
     "prefix": Order(lambda ss, ts: ts[: len(ss)] == ss, lambda ts: (ts[:-1],), lambda ts, m: (ts[:m],)),
-    "subsequence": Order(_subsequence_in, lambda ts: (ts[:p] + ts[p + 1 :] for p in range(len(ts)))),
+    "subsequence": Order(_subsequence_in, _one_deletions),
     "substring": Order(lambda ss, ts: ss in _blocks(ts, len(ss)),
                        lambda ts: (ts[1:], ts[:-1]) if len(ts) > 1 else ((),), _blocks),
     "pattern": Order(lambda ss, ts: ss in map(order_pattern, itertools.combinations(ts, len(ss))),

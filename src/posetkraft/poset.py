@@ -463,22 +463,27 @@ class GradedPoset:
         defaults to pos+1.  Between non-adjacent levels the degrees count
         cover chains through the levels in between: a chain climbs one cover
         edge per level and counts with the product of its edges'
-        multiplicities."""
+        multiplicities.  Every chain total starts at 1, so the step next to
+        the starting level in each direction sums plain multiplicities; only
+        the steps past it weight them by the totals so far."""
         if upper_pos is None:
             upper_pos = pos + 1
         if not 0 <= pos < upper_pos < len(self.sizes):
             raise ValueError(f"no level pair at positions ({pos}, {upper_pos})")
         report = self._pair_audits.get((pos, upper_pos))
         if report is None:
-            up_totals = [1] * self.sizes[upper_pos]
-            for q in range(upper_pos - 1, pos - 1, -1):
+            up_totals = [0] * self.sizes[upper_pos - 1]
+            for lows in self._down_rows(upper_pos - 1):
+                for a, mult in lows.items():
+                    up_totals[a] += mult
+            for q in range(upper_pos - 2, pos - 1, -1):
                 below = [0] * self.sizes[q]
                 for b, lows in enumerate(self._down_rows(q)):
                     for a, mult in lows.items():
                         below[a] += mult * up_totals[b]
                 up_totals = below
-            down_totals = [1] * self.sizes[pos]
-            for q in range(pos, upper_pos):
+            down_totals = list(map(sum, map(dict.values, self._down_rows(pos))))
+            for q in range(pos + 1, upper_pos):
                 down_totals = [
                     sum(mult * down_totals[a] for a, mult in lows.items()) for lows in self._down_rows(q)
                 ]
@@ -535,9 +540,10 @@ class GradedPoset:
     # -- export -------------------------------------------------------------------
 
     def to_dot(self) -> str:
-        """DOT digraph with one pinned rank per level and multiplicity labels,
-        each label escaped by ``_dot_escaped``.  Raises BudgetExceededError
-        when the poset has more than ``MAX_VERTICES`` elements."""
+        """DOT digraph with one pinned rank per level and multiplicity labels
+        read from the pair's rows, each node label escaped by
+        ``_dot_escaped``.  Raises BudgetExceededError when the poset has more
+        than ``MAX_VERTICES`` elements."""
         total = sum(self.sizes)
         if total > MAX_VERTICES:
             raise BudgetExceededError(f"poset has {total} vertices, above the cap of "
@@ -548,22 +554,26 @@ class GradedPoset:
             nodes = "; ".join(f'n{p}_{i} [label="{label}"]' for i, label in enumerate(labels))
             lines.append("  { rank=same; " + nodes + "; }")
         for p in range(len(self.sizes) - 1):
-            for lo, row in enumerate(self._up_rows(p)):
+            down = self._down_rows(p)
+            for lo, highs in enumerate(self._up_rows(p)):
                 head = f"  n{p}_{lo} -> n{p + 1}_"
-                for hi, mult in row:
+                for hi in highs:
+                    mult = down[hi][lo]
                     lines.append(f'{head}{hi} [label="{mult}"];' if mult > 1 else f"{head}{hi};")
         lines.append("}")
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
-        """Compact interchange form: element strings per level, edge triples."""
+        """Compact interchange form: element strings per level, edge triples
+        (lower name, upper name, multiplicity), the multiplicity read from
+        the pair's rows."""
         names = [self._names(p) for p in range(len(self.sizes))]
         edges = []
         for p in range(len(self.sizes) - 1):
-            upper = names[p + 1]
-            for name, row in zip(names[p], self._up_rows(p)):
-                for hi, mult in row:
-                    edges.append([name, upper[hi], mult])
+            upper, down = names[p + 1], self._down_rows(p)
+            for lo, (name, highs) in enumerate(zip(names[p], self._up_rows(p))):
+                for hi in highs:
+                    edges.append([name, upper[hi], down[hi][lo]])
         return {
             "family": self.family,
             "first_rank": self.first_rank,
@@ -571,16 +581,18 @@ class GradedPoset:
             "edges": edges,
         }
 
-    def _up_rows(self, p: int) -> list[list[tuple[int, int]]]:
+    def _up_rows(self, p: int) -> list[list[int]]:
         """The edges between positions p and p+1 by lower index: row lo lists
-        (upper index, multiplicity) by upper index, since one O(edges) pass
-        walks the down-adjacencies in upper-index order.  Walking the rows
-        gives both exports their edge order, lower then upper index, with
-        no sort."""
+        the upper indices of lo's edges in increasing order, since one
+        O(edges) pass walks the rows in upper-index order.  It holds indices
+        only; an export reads each multiplicity from the pair's rows.
+        Walking these rows gives both exports their edge order, lower then
+        upper index, with no sort.  Nothing keeps them, so one pair's
+        transpose is alive at a time."""
         rows = [[] for _ in range(self.sizes[p])]
         for hi, lows in enumerate(self._down_rows(p)):
-            for lo, mult in lows.items():
-                rows[lo].append((hi, mult))
+            for lo in lows:
+                rows[lo].append(hi)
         return rows
 
     def __repr__(self):

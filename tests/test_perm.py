@@ -113,6 +113,17 @@ def test_pattern_of_result_is_full_permutation():
         assert perm.pattern_of(sigma) == sigma
 
 
+def test_order_pattern_matches_the_rank_scan():
+    # every full permutation of length <= 7 and every injective l-sequence
+    # over [l+1] (the pattern posets' helper keys)
+    for l in range(1, 8):
+        for seq in itertools.chain(itertools.permutations(range(1, l + 1)),
+                                   itertools.permutations(range(1, l + 2), l)):
+            assert perm.order_pattern(seq) == oracle_rank_pattern(seq), seq
+    assert perm.order_pattern(()) == ()
+    assert perm.order_pattern((0, -3, 9)) == (2, 1, 3)  # no entry is taken for the placeholder
+
+
 # ---------------------------------------------------------------------------
 # The five relations
 
@@ -207,6 +218,17 @@ def test_order_names_each_entry_point_accepts(entry, name):
     else:
         with pytest.raises(ValueError):
             call(name)
+
+
+def test_subsequence_deletions_match_the_slicing_reference():
+    # the one independent oracle of the cover step: order included, since it
+    # fixes the order of every cover row's items
+    deletions = perm.ORDERS["subsequence"].deletions
+    words = [ts for l in range(1, 7) for ts in itertools.product(range(3), repeat=l)]  # repeats
+    words += [ts for l in range(1, 6) for ts in itertools.permutations(range(1, 6), l)]
+    for ts in words:
+        assert list(deletions(ts)) == [ts[:p] + ts[p + 1 :] for p in range(len(ts))], ts
+    assert list(deletions(())) == []
 
 
 def test_relation_name_lists_are_the_order_table():

@@ -802,6 +802,45 @@ def test_biregular_pairs_satisfy_the_edge_identity(P):
             assert pair.up_degree * pair.lower_size == pair.edge_count == pair.down_degree * pair.upper_size
 
 
+def chain_count_reference(P, pos, upper_pos):
+    """The degree audit by brute force: every cover chain from level pos up
+    to level upper_pos, enumerated one edge at a time, counts with the
+    product of its edges' multiplicities."""
+    up_edges = [[[] for _ in range(n)] for n in P.sizes]
+    for p, cov in enumerate(P.covers):
+        for (lo, hi), mult in cov.items():
+            up_edges[p][lo].append((hi, mult))
+
+    def chain_ends(q, i, weight):
+        if q == upper_pos:
+            yield i, weight
+            return
+        for hi, mult in up_edges[q][i]:
+            yield from chain_ends(q + 1, hi, weight * mult)
+
+    up, down = [0] * P.sizes[pos], [0] * P.sizes[upper_pos]
+    for a in range(P.sizes[pos]):
+        for b, weight in chain_ends(pos, a, 1):
+            up[a] += weight
+            down[b] += weight
+    return poset.LevelPairRegularity(
+        lower_rank=P.rank_of_position(pos), upper_rank=P.rank_of_position(upper_pos),
+        lower_size=P.sizes[pos], upper_size=P.sizes[upper_pos],
+        up_degrees=tuple(sorted(set(up))), down_degrees=tuple(sorted(set(down))), edge_count=sum(up),
+    )
+
+
+def check_audit_against_chain_counts(P):
+    for pos, upper_pos in itertools.combinations(range(P.num_levels), 2):
+        assert P.pair_regularity(pos, upper_pos) == chain_count_reference(P, pos, upper_pos), (P, pos, upper_pos)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_custom_posets())
+def test_pair_audits_match_the_chain_counts(P):
+    check_audit_against_chain_counts(P)
+
+
 # ---------------------------------------------------------------------------
 # Lazy hosts against eager ones
 
@@ -868,6 +907,8 @@ def test_lazy_hosts_match_eager_rebuilds(build, relation):
     assert {name: read(lazy) for name, read in HOST_READS.items()} == want
     # the rows made from symbol tuples are the rows made from the elements
     assert [list(c.items()) for c in reference_covers(host, relation)] == want["covers"]
+    # every pair's audit, adjacent or not, counts the cover chains
+    check_audit_against_chain_counts(build())
 
 
 def outcome(call, *args):
