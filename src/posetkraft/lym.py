@@ -23,9 +23,11 @@ from .perm import Str, require_ints
 from .poset import MAX_MASK_BITS, BudgetExceededError, GradedPoset, format_poset_element
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
-# The bits antichain_exists' failed-subtree memo may hold in one call: each
-# entry is charged its key's level width plus a fixed share for the dict slot
-# and the two ints, so the memo stays within about 128 MiB like the masks.
+# The bits antichain_exists' two memos, of failed subtrees and of failed
+# sub-walks, may hold together in one call: each entry is charged the width
+# of the level its key's mask covers plus a fixed share for the dict slot,
+# the key and the count, so the memos stay within about 128 MiB like the
+# masks.
 _MEMO_BITS = MAX_MASK_BITS
 _MEMO_ENTRY_BITS = 1024
 
@@ -370,18 +372,28 @@ def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> S
     pick), to ``nodes`` in one step and backtracks.  ``nodes`` thus keeps
     its meaning, every combination tried, while the work per node falls.
 
-    A subtree's verdict and node count depend only on its step and its
-    forbidden mask: it reads nothing else that changes, and writes its
-    choice only on success.  The poset is graded, so every chain from an
-    element chosen higher up to a level further down passes through the
+    Two memos count a failed part of the search again in one step: they add
+    the nodes it spent to ``nodes``, run the same budget check and
+    backtrack.  A subtree's verdict and node count depend only on its step
+    and its forbidden mask: it reads nothing else that changes, and writes
+    its choice only on success.  The poset is graded, so every chain from
+    an element chosen higher up to a level further down passes through the
     step's level, and the forbidden mask there already holds all the lower
     steps need.  So each failed subtree below the first step and above the
-    last is remembered with the nodes it spent, and when the search enters
-    it again it adds them to ``nodes``, runs the same budget check and
-    backtracks; successes end the search and are never stored.  Each entry
-    is charged its level's width plus ``_MEMO_ENTRY_BITS``, and once the
-    memo holds ``_MEMO_BITS`` the search stores no more: verdicts, ``nodes``,
-    witnesses and budget points are the same at any size of the memo.
+    last is stored under its step and forbidden mask.  Within one step's
+    walk, likewise, the sub-walk that completes a prefix depends only on
+    the number of picks made, the next position in the level and the
+    prefix's blocked mask on the level below, since the levels, masks and
+    counts are fixed and the subtrees below read only that mask.  So each
+    failed sub-walk of a prefix with two or more picks is stored under
+    those three until its walk ends; a one-pick prefix is the only one at
+    its position.  Successes end the search and are never stored.  Each
+    entry is charged the width of the level its mask covers plus
+    ``_MEMO_ENTRY_BITS``, a walk's entries are released when it ends, and
+    while the two memos hold ``_MEMO_BITS`` together the search stores no
+    more: verdicts, ``nodes``, witnesses and budget points are the same at
+    any size of the memos.
+
     Over its budget, or when ``down_masks`` refuses masks above
     ``poset.MAX_MASK_BITS``, the search raises BudgetExceededError.
     """
@@ -436,23 +448,46 @@ def antichain_exists(poset: GradedPoset, counts, budget: int | None = None) -> S
         # Walk the combinations of free in lexicographic order by prefixes:
         # picks holds the positions in free of a prefix's elements and
         # prefix[d] the blocked mask of its first d, so each step ORs once.
+        # walked[d, j, blocked] holds the nodes spent by the failed sub-walk
+        # that extends a prefix of d + 1 picks, the last at j, blocking
+        # blocked.  A one-pick prefix has one state per j, so only longer
+        # ones are stored.
         picks: list[int] = []
         prefix = [closed]
+        pushed: list[int] = []  # nodes when each pick after the first was pushed
+        walked: dict[tuple[int, int, int], int] = {}
         n, d, j = len(free), 0, 0  # j: the position tried after the prefix
         while True:
             if j > n - a + d:  # too few positions left to complete the prefix
                 if not d:
+                    if walked:
+                        memo_bits -= len(walked) * (sizes[next_p] + _MEMO_ENTRY_BITS)
                     if step and memo_bits + width + _MEMO_ENTRY_BITS <= _MEMO_BITS:
                         failed[step][forbidden] = nodes - start
                         memo_bits += width + _MEMO_ENTRY_BITS
                     return False
-                j = picks.pop() + 1
-                prefix.pop()
+                j = picks.pop()
+                blocked = prefix.pop()
                 d -= 1
+                if d:
+                    spent = nodes - pushed.pop()
+                    if memo_bits + sizes[next_p] + _MEMO_ENTRY_BITS <= _MEMO_BITS:
+                        walked[d, j, blocked] = spent
+                        memo_bits += sizes[next_p] + _MEMO_ENTRY_BITS
+                j += 1
                 continue
             blocked = prefix[d] | down[free[j]]
             fits = blocked.bit_count() <= max_blocked
             if fits and d + 1 < a:
+                if d:
+                    spent = walked.get((d, j, blocked))
+                    if spent is not None:
+                        nodes += spent
+                        if nodes > budget:
+                            raise _budget_exceeded(budget)
+                        j += 1
+                        continue
+                    pushed.append(nodes)
                 picks.append(j)
                 prefix.append(blocked)
                 d += 1

@@ -598,16 +598,15 @@ def _draw_counts(data, P, spread):
     ]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_search_matches_the_set_based_reference(data):
-    P = data.draw(st.sampled_from(CROSS_CHECK_HOSTS), label="host")
-    dense = _draw_counts(data, P, data.draw(st.booleans(), label="spread"))
+def _check_against_reference(P, dense, budget):
+    """The search and ``_reference_search`` agree on the verdict, ``nodes``
+    and witness, and both trip one node before the end; over ``budget``,
+    both refuse."""
     try:
-        expected = _reference_search(P, dense, CROSS_CHECK_BUDGET)
+        expected = _reference_search(P, dense, budget)
     except BudgetExceededError:
         with pytest.raises(BudgetExceededError):
-            antichain_exists(P, dense, budget=CROSS_CHECK_BUDGET)
+            antichain_exists(P, dense, budget=budget)
         return
     exists, nodes, _ = expected
     out = antichain_exists(P, dense, budget=nodes)
@@ -620,12 +619,41 @@ def test_search_matches_the_set_based_reference(data):
             antichain_exists(P, dense, budget=nodes - 1)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_search_matches_the_set_based_reference(data):
+    P = data.draw(st.sampled_from(CROSS_CHECK_HOSTS), label="host")
+    dense = _draw_counts(data, P, data.draw(st.booleans(), label="spread"))
+    _check_against_reference(P, dense, CROSS_CHECK_BUDGET)
+
+
+WALK_MEMO_HOSTS = [build_pattern_poset(4, rel) for rel in ("pattern", "substring_pattern")] + [build_subset_poset(5)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_search_matches_the_reference_with_three_to_five_picks_on_top(data):
+    """Three to five picks on the highest populated level give prefixes of
+    two or more picks, whose sub-walks the walk meets again and counts in
+    one step; the levels below keep small counts."""
+    P = data.draw(st.sampled_from(WALK_MEMO_HOSTS), label="host")
+    sizes = P.sizes
+    top = data.draw(st.sampled_from([p for p, n in enumerate(sizes) if n >= 5]), label="top")
+    dense = [data.draw(st.integers(0, min(n, 3)), label=f"a_{p}") for p, n in enumerate(sizes[:top])]
+    dense += [data.draw(st.integers(3, 5), label=f"a_{top}")] + [0] * (len(sizes) - top - 1)
+    _check_against_reference(P, dense, 20_000)
+
+
 def test_large_refutations_keep_their_node_counts():
     P = build_string_poset(3, "subsequence", 4)
     out = antichain_exists(P, counterexample_params(P, 3, 4).counts)
     assert (out.exists, out.nodes) == (False, 85_320)
     out = antichain_exists(build_string_poset(2, "subsequence", 5), (0, 0, 1, 1, 2, 3))
     assert (out.exists, out.nodes) == (False, 207_226)
+    # the benchmark's three-level profiles, whose walks meet many sub-walks again
+    for relation, nodes in (("pattern", 43_148), ("substring_pattern", 47_152)):
+        out = antichain_exists(build_pattern_poset(4, relation), (0, 0, 1, 0, 2, 0, 5))
+        assert (out.exists, out.nodes) == (False, nodes)
 
 
 def test_memo_keeps_the_node_counts_of_multi_level_refutations():
@@ -639,8 +667,12 @@ def test_memo_keeps_the_node_counts_of_multi_level_refutations():
 
 def _outcomes_at_memo_sizes(P, dense, budget):
     """The search's (exists, nodes, antichain), or its budget message, with
-    the default memo, with no room for an entry and with room for one."""
-    one_entry = lym._MEMO_ENTRY_BITS + max(map(len, P.levels))  # two take at least twice the charge
+    the default memos, with no room for an entry and with room for one
+    entry of either memo.  A failed subtree is charged the width of its
+    level and a failed sub-walk that of the level below, each plus
+    ``_MEMO_ENTRY_BITS``, so the widest level's charge admits one entry of
+    either kind, and two entries take at least twice the smallest charge."""
+    one_entry = lym._MEMO_ENTRY_BITS + max(P.sizes)
     outcomes = []
     for bits in (lym._MEMO_BITS, 0, one_entry):
         with pytest.MonkeyPatch.context() as mp:
@@ -667,11 +699,20 @@ def test_memo_size_changes_no_outcome(data):
     (build_partial_perm_poset(4, "substring"), (1, 2, 3, 0), True),
     (build_pattern_poset(4, "substring_pattern"), (0, 0, 0, 2, 1, 2, 2), True),
     (build_string_poset(2, "subsequence", 5), (0, 0, 1, 1, 2, 3), False),
+    # witnesses found after the walk counted failed sub-walks in one step
+    (build_subset_poset(6), (0, 1, 4, 3, 0, 0, 0), True),
+    (build_pattern_poset(4, "substring_pattern"), (0, 0, 0, 1, 1, 0, 6), True),
+    # two levels: only sub-walks are stored, so room for one entry holds one sub-walk
+    (build_subset_poset(5), (0, 0, 2, 6, 0, 0), False),
+    # the benchmark's profile, whose walk counts 336 sub-walks in one step each
+    (build_pattern_poset(4, "pattern"), (0, 0, 1, 0, 2, 0, 5), False),
 ], ids=repr)
 def test_memo_size_changes_no_witness_or_budget_point(P, dense, exists):
     default, *bounded = _outcomes_at_memo_sizes(P, dense, None)
     assert default[0] == exists and bounded == [default, default]
     nodes = default[1]
+    if exists:  # the lexicographically least witness, as the reference finds it
+        assert default[2] == _reference_search(P, dense, nodes)[2]
     assert _outcomes_at_memo_sizes(P, dense, nodes) == [default] * 3
     tripped = _outcomes_at_memo_sizes(P, dense, nodes - 1)
     assert tripped == [f"visited more than {nodes - 1} assignments; rerun with a larger budget or a smaller instance"] * 3
