@@ -7,11 +7,15 @@ levels indexed by length (or subset size).  Stored as explicit levels plus a
 cover multigraph, these posets can be audited for level-regularity: every
 element of a level has the same up-degree and the same down-degree, counted
 with multiplicity.  That uniformity is exactly what makes the density
-argument of the next demos work.
+argument of the next demos work.  The last poset is given as plain lists,
+the divisors of 12, and need not be regular.
 """
+
+import json
 
 from posetkraft import poset
 from posetkraft.poset import (
+    GradedPoset,
     build_partial_perm_poset,
     build_pattern_poset,
     build_string_poset,
@@ -62,3 +66,19 @@ level2 = [x for x in strings.level(2)]
 print("level 2:", [str(x) for x in level2])
 shadow = strings.lower_shadow(2, level2[:2])
 print("lower shadow of the first two:", sorted(str(x) for x in shadow))
+print()
+
+# any graded poset given as plain lists of elements: the divisors of 12 under
+# divisibility, level k holding those with k prime factors (with repeats);
+# one divides the next level's element exactly when it covers it
+divisors = [[1], [2, 3], [4, 6], [12]]
+covers = [{(i, j): 1 for j, hi in enumerate(upper) for i, lo in enumerate(lower) if hi % lo == 0}
+          for lower, upper in zip(divisors, divisors[1:])]
+divides = GradedPoset(divisors, covers, family="divisors(12)")
+report = regularity_check(divides)
+print(f"{divides.family}: level-regular {report.is_level_regular}")
+for pair in report.pairs:
+    print(f"    ({pair.lower_rank},{pair.upper_rank}): up degrees {pair.up_degrees}, "
+          f"down degrees {pair.down_degrees}, edges {pair.edge_count}")
+print(json.dumps(divides.to_json_dict()))
+print("resolve_element(2, '6'):", repr(divides.resolve_element(2, "6")))

@@ -287,17 +287,26 @@ DIGITS = "0123456789"  # the texts of the one-digit symbols, which name streams 
 
 
 class Level:
-    """A builder's level, which ``poset.GradedPoset`` makes when its
-    ``levels`` or ``level`` first reads it.  A subclass holds the level's
-    size, trusted until then, and the numbers that fix the level, and
-    makes nothing until asked: ``keys()`` streams the symbol tuples of the
-    elements in level order, ``element`` is the call that makes the
-    element of a key, ``names()`` streams the elements' names in the same
-    order, and two lookups make nothing: ``find(x)``, the index of element
-    x or None, and ``parse(text)``, the element a name spells (ValueError
-    when it spells none)."""
+    """The one protocol of a ``poset.GradedPoset`` level.  A subclass holds
+    the level's size, trusted until the poset makes the level, and what
+    fixes it, and makes nothing until asked: ``keys()`` streams the keys of
+    the elements in level order, ``element`` makes the element of a key,
+    ``names()`` streams their names in the same order, and two lookups make
+    nothing: ``find(x)``, the index of element x or None, and ``named``,
+    below, which a builder's level answers with ``parse(text)``, the element
+    a name spells (ValueError when it spells none)."""
 
     __slots__ = ("size",)
+
+    def named(self, text: str, name_of):
+        """The element that ``name_of`` names ``text``, with or without its
+        ``@k`` universe suffix, or None: parsed and found, so nothing is made."""
+        try:
+            x = self.parse(text)
+        except ValueError:
+            return None
+        name = name_of(x)
+        return x if text in (name, name.partition("@")[0]) and self.find(x) is not None else None
 
 
 class StringLevel(Level):

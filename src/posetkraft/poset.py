@@ -14,14 +14,16 @@ prefix/subsequence/substring orders, partial permutations under the same
 three orders, full permutations under the pattern and substring-pattern
 orders (realized with interleaved helper levels so every consecutive pair is
 biregular), and subsets of [n] ordered by inclusion, which is the
-subsequence order on their increasing sequences.  A builder hands
-``GradedPoset`` each level as a ``perm.Level`` (``StringLevel``,
-``SequenceLevel``, or ``_SubsetLevel`` here): its closed-form size, the
-stream of its elements' symbol tuples, the call that makes an element
+subsequence order on their increasing sequences.  Every level is a
+``perm.Level``, one protocol.  A builder's (``StringLevel``,
+``SequenceLevel``, or ``_SubsetLevel`` here) holds its closed-form size,
+the stream of its elements' symbol tuples, the call that makes an element
 from its tuple, the stream of the elements' names, and lookups by rank
-arithmetic from an element or a name to its index; and each level pair
-as a call that makes its covers.  Only ``levels`` and ``level`` make a
-level, and covers are made on first read.  The exports read the name
+arithmetic from an element or a name to its index, and the builder hands
+each level pair as a call that makes its covers.  A level given as a
+sequence of its elements is a ``_TableLevel``, made at once; only
+``levels`` and ``level`` make a builder's level, and covers are made on
+first read.  The exports read the name
 streams, lookups make nothing, and shadows and witnesses make only the
 elements they return, so a search on two levels of a tall host makes
 those two levels' covers only, and an export or an audit makes no
@@ -116,17 +118,53 @@ def _dot_escaped(name: str) -> str:
     return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
+class _TableLevel(Level):
+    """A level given to ``GradedPoset`` as a sequence of its elements, which
+    are its keys; the poset checks it and hands ``find`` the element -> index
+    dict.  ``named`` reads a table of the names: exact names first, then bare
+    ones (without ``@k``) that no exact name shadows; a shared name names none."""
+
+    __slots__ = ("elements", "index", "labels", "by_name")
+    element = staticmethod(lambda x: x)  # a key is its own element
+
+    def __init__(self, elements: tuple, index: dict):
+        self.elements, self.size, self.index = elements, len(elements), index
+        self.labels, self.by_name = tuple(self.names()), {}
+        for i, name in enumerate(self.labels):
+            self.by_name[name] = None if name in self.by_name else i
+        exact = set(self.by_name)  # an exact name wins over a bare one
+        for i, name in enumerate(self.labels):
+            bare, at, _ = name.partition("@")
+            if at and bare not in exact:
+                self.by_name[bare] = None if bare in self.by_name else i
+
+    def keys(self):
+        return iter(self.elements)
+
+    def names(self):
+        return map(format_poset_element, self.elements)
+
+    def find(self, x):
+        try:
+            return self.index.get(x)
+        except TypeError:  # an unhashable value is no element
+            return None
+
+    def named(self, text: str, name_of):
+        i = self.by_name.get(text)
+        return None if i is None else self.elements[i]
+
+
 class GradedPoset:
     """Immutable level-indexed poset with a cover multigraph.
 
-    ``levels[p]`` holds the elements of the p-th level.  The constructor
-    takes each level as a sequence of its elements, checked and indexed at
-    once, or, from a builder, as a ``perm.Level``, made and checked the
-    first time ``levels`` or ``level`` reads it, through ``_level``.
-    ``sizes`` reads every size without making a level, and ``elements``
-    picks elements by index, from a builder level's key stream while the
-    level is unmade.  ``index_of`` and ``resolve_element`` look a builder
-    level's elements up by rank arithmetic, so they make no level.  Each
+    ``levels[p]`` holds the elements of the p-th level.  Every level is a
+    ``perm.Level``; the constructor wraps one given as a sequence in a
+    ``_TableLevel``, made, checked and named at once, and past it every read
+    asks the level.  ``levels`` and ``level`` make a builder's level on
+    first read, through ``_level``; ``sizes`` makes none, ``elements`` picks
+    from an unmade level's key stream, and ``index_of`` and
+    ``resolve_element`` ask the level's ``find`` and ``named``.  Each
     edge between levels p and p+1 is stored once, as ``lower_index ->
     multiplicity`` in the down-adjacency dict of its upper element: the
     pair's *rows*, one per element of level p+1.
@@ -143,41 +181,33 @@ class GradedPoset:
     ``down_masks``, ``pair_regularity``, ``elements``) take positions ``p``
     and element indices into ``levels[p]``; all but ``elements`` make no
     element.  Degrees are read per level pair, from the cached
-    ``pair_regularity`` audit.  Each level's element names are made once
-    for the exports and, on a level given as a sequence, for
-    ``resolve_element``: a builder level reads its ``names()`` stream,
-    which passes the level check, and a level given as a sequence formats
-    each element.
+    ``pair_regularity`` audit.  Each level's element names are made once:
+    a table level's with it, any other's from its checked ``names()`` stream.
     """
 
     def __init__(self, levels, covers, family="custom", first_rank=0):
         require_ints(first_rank)
         self.family = family
         self.first_rank = first_rank
-        # _levels[p]: the elements of level p, or None until a builder level
-        # is made; _makers[p]: a builder level's perm.Level, else None;
-        # _find[p]: element -> index, or None for a non-element
-        self._levels, self._makers, self._find, sizes = [], [], [], []
-        for level in levels:
-            if isinstance(level, Level):
-                self._levels.append(None)
-                self._makers.append(level)
-                self._find.append(level.find)
-                sizes.append(level.size)
-            else:
-                self._levels.append(tuple(level))
-                self._makers.append(None)
-                self._find.append(None)
-                sizes.append(len(self._levels[-1]))
+        # _sources[p]: level p as a perm.Level; _levels[p]: its elements, or None until made
+        self._sources, self._levels, sizes = [], [], []
+        for level in levels:  # the one place a level given as a sequence is told apart
+            made = None if isinstance(level, Level) else tuple(level)
+            self._sources.append(level)  # a sequence is wrapped below, once checked
+            self._levels.append(made)
+            sizes.append(level.size if made is None else len(made))
         self.sizes = tuple(sizes)  # by position; read without making a level
         if not self.sizes:
             raise ValueError("poset needs at least one level")
         covers = tuple(covers)
         if len(covers) != len(self.sizes) - 1:
             raise ValueError("need exactly one cover map per consecutive level pair")
-        for p, find in enumerate(self._find):
-            if find is None:
-                self._find[p] = self._checked_level(p, self._levels[p]).get
+        # pos -> element names: a table level's, which may repeat, made here
+        self._level_names: dict[int, tuple[str, ...]] = {}
+        for p, made in enumerate(self._levels):
+            if made is not None:
+                table = self._sources[p] = _TableLevel(made, self._checked_level(p, made))
+                self._level_names[p] = table.labels
 
         # _down[p]: the rows of the pair (p, p+1), row hi mapping lower index
         # -> multiplicity, or until first read the callable that makes them
@@ -185,10 +215,6 @@ class GradedPoset:
                       for p, cov in enumerate(covers)]
         # (lower pos, upper pos) -> the pair's degree audit
         self._pair_audits: dict[tuple[int, int], LevelPairRegularity] = {}
-        # pos -> element names; pos -> element index by name (None if shared),
-        # for a level given as a sequence
-        self._level_names: dict[int, tuple[str, ...]] = {}
-        self._name_index: dict[int, dict[str, int | None]] = {}
 
     def _checked_level(self, p: int, level: tuple) -> dict:
         """The one check on the elements of level position p, whichever form
@@ -211,8 +237,8 @@ class GradedPoset:
         fails stays unmade."""
         level = self._levels[p]
         if level is None:
-            maker = self._makers[p]
-            made = tuple(map(maker.element, maker.keys()))
+            source = self._sources[p]
+            made = tuple(map(source.element, source.keys()))
             self._checked_level(p, made)
             level = self._levels[p] = made
         return level
@@ -220,8 +246,8 @@ class GradedPoset:
     def elements(self, pos: int, indices) -> list:
         """The elements at ``indices`` of level position ``pos``, in the
         order asked: from the level if it has been made, else from one pass
-        over the builder level's key stream up to the largest index, which
-        makes only the picked elements.  An index outside 0..size-1 raises
+        over the level's key stream up to the largest index, which makes
+        only the picked elements.  An index outside 0..size-1 raises
         ValueError; a negative one does not wrap."""
         indices = list(indices)
         require_ints(pos, *indices)
@@ -234,9 +260,9 @@ class GradedPoset:
                              f"whose indices run 0..{size - 1}")
         level = self._levels[pos]
         if level is None:
-            maker = self._makers[pos]
-            keys = tuple(itertools.islice(maker.keys(), max(indices, default=-1) + 1))
-            return list(map(maker.element, map(keys.__getitem__, indices)))
+            source = self._sources[pos]
+            keys = tuple(itertools.islice(source.keys(), max(indices, default=-1) + 1))
+            return list(map(source.element, map(keys.__getitem__, indices)))
         return list(map(level.__getitem__, indices))
 
     @property
@@ -321,10 +347,10 @@ class GradedPoset:
         return self._level(self.position(rank))
 
     def index_of(self, rank: int, element) -> int:
-        """The index of ``element`` in its level; a builder level finds it by
-        rank arithmetic, without being made."""
+        """The index of ``element`` in its level, from the level's ``find``;
+        a builder level finds it by rank arithmetic, without being made."""
         p = self.position(rank)
-        i = self._find[p](element)
+        i = self._sources[p].find(element)
         if i is None:
             raise ValueError(
                 f"{format_poset_element(element)} is not an element of level {rank} of this poset"
@@ -334,59 +360,23 @@ class GradedPoset:
     def resolve_element(self, rank: int, text: str):
         """The element of level ``rank`` named ``text``, or else the one whose
         name without its ``@k`` universe suffix is ``text``; the match must be
-        unique.  A builder level parses ``text`` and keeps the element only if
-        it is in the level and formats to ``text`` with or without its suffix;
-        its elements share one type and universe, so an exact name and a
-        bare one never meet.  A level given as a sequence indexes its names on
-        first use, so a lookup costs O(1) after one O(|level|) pass."""
+        unique.  The level's ``named`` finds it: a builder level parses
+        ``text``, which makes no level and no name, and a table level reads
+        its table of names."""
         p = self.position(rank)
         text = text.strip()
-        if self._makers[p] is None:
-            i = self._name_table(p).get(text)
-            x = None if i is None else self._levels[p][i]
-        else:
-            x = self._parsed(p, text)
+        x = self._sources[p].named(text, format_poset_element)
         if x is None:
             raise ValueError(f"cannot resolve element {text!r} at level {rank}")
         return x
 
-    def _parsed(self, p: int, text: str):
-        """The element of builder level p that ``text`` names, or None."""
-        try:
-            x = self._makers[p].parse(text)
-        except ValueError:
-            return None
-        name = format_poset_element(x)
-        return x if text in (name, name.partition("@")[0]) and self._find[p](x) is not None else None
-
-    def _name_table(self, p: int) -> dict[str, int | None]:
-        """Name -> index for level position p, made on first use: each exact
-        name, then each bare name no exact one shadows; None when shared."""
-        table = self._name_index.get(p)
-        if table is None:
-            table = self._name_index[p] = {}
-            names = self._names(p)
-            for i, name in enumerate(names):
-                table[name] = None if name in table else i
-            exact = set(table)  # an exact name wins over a bare one
-            for i, name in enumerate(names):
-                bare, at, _ = name.partition("@")
-                if at and bare not in exact:
-                    table[bare] = None if bare in table else i
-        return table
-
     def _names(self, p: int) -> tuple[str, ...]:
-        """Names of the elements of level position p, made on first use: a
-        builder level's name stream, which passes its level check and makes
-        no level, or else each element formatted."""
+        """Names of the elements of level position p: a table level's, or else
+        the level's name stream, read and checked on first use: no level is made."""
         names = self._level_names.get(p)
         if names is None:
-            maker = self._makers[p]
-            if maker is None:
-                names = tuple(map(format_poset_element, self._levels[p]))
-            else:
-                names = tuple(maker.names())
-                self._checked_level(p, names)
+            names = tuple(self._sources[p].names())
+            self._checked_level(p, names)
             self._level_names[p] = names
         return names
 

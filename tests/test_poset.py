@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from posetkraft import lym, perm, poset
@@ -491,23 +491,25 @@ def test_name_streams_are_checked_on_first_export(names, message):
     assert P.level(1) == ("b", "c")  # the elements pass the check the names failed
 
 
-@settings(max_examples=200, deadline=None)
+# made_levels is shared by the examples, so each compares it before and after
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
-def test_picked_elements_match_the_levels_and_make_none(data):
+def test_picked_elements_match_the_levels_and_make_none(made_levels, data):
     build = data.draw(st.sampled_from(ALL_FAMILY_BUILDS))
     host, made = build(), build()
     pos = data.draw(st.integers(0, host.num_levels - 1))
     size = host.sizes[pos]
     index = st.integers(0, size - 1)
     indices = data.draw(st.lists(index, max_size=6) | st.lists(st.sampled_from([0, size - 1]), max_size=3))
+    made_before = list(made_levels)
     picked = host.elements(pos, indices)
-    assert host._levels == [None] * host.num_levels  # picked from the key stream: no level made
+    assert made_levels == made_before  # picked from the key stream: no level made
     level = made.levels[pos]
     assert picked == [level[i] for i in indices] == made.elements(pos, indices)
 
 
 @pytest.mark.parametrize("indices", [[-1], [0, -2], [3], [0, 7], [1.0], [True]])
-def test_picked_indices_outside_the_level_are_refused(indices):
+def test_picked_indices_outside_the_level_are_refused(made_levels, indices):
     unmade, made = build_string_poset(2, "prefix", 2), build_string_poset(2, "prefix", 2)
     made.levels
     for host in (unmade, made):
@@ -516,7 +518,9 @@ def test_picked_indices_outside_the_level_are_refused(indices):
     for pos in (-1, 3, 1.0):
         with pytest.raises(ValueError):
             unmade.elements(pos, [0])
-    assert unmade._levels == [None] * 3 and made.elements(1, [1, 0]) == [Str((1,), 2), Str((0,), 2)]
+    # only made's levels are made
+    assert made_levels == [(made.family, rank) for rank in made.ranks]
+    assert made.elements(1, [1, 0]) == [Str((1,), 2), Str((0,), 2)]
 
 
 @pytest.mark.parametrize("rows, message", [
@@ -926,7 +930,7 @@ NEAR_MISS_NAMES = ["", "ε", "eps", "∅", "{}", "{1, 2}", "{2,1}", "{0}", "{1,1
 
 
 @pytest.mark.parametrize("build", [pytest.param(case[0], id=repr(case[0]())) for case in LAZY_CASES])
-def test_lazy_lookups_match_eager_rebuilds(build):
+def test_lazy_lookups_match_eager_rebuilds(made_levels, build):
     host = build()
     eager = GradedPoset(host.levels, host.covers, host.family, host.first_rank)
     lazy = build()  # never made: its lookups go by rank arithmetic and parsing
@@ -936,7 +940,9 @@ def test_lazy_lookups_match_eager_rebuilds(build):
                                build_partial_perm_poset(3, "prefix"), build_partial_perm_poset(2, "prefix"),
                                build_subset_poset(3))
                for x in itertools.chain.from_iterable(other.levels)]
-    foreign += [frozenset({True, 2}), frozenset({1.0}), frozenset({2.5}), "01", (0, 1), 5, None]
+    foreign += [frozenset({True, 2}), frozenset({1.0}), frozenset({2.5}), "01", (0, 1), 5, None,
+                [0, 1], {1, 2}, {"01": 1}]
+    made_before = list(made_levels)
     for rank in host.ranks:
         for x in itertools.chain(host.level(rank), foreign):
             assert outcome(lazy.index_of, rank, x) == outcome(eager.index_of, rank, x), (rank, x)
@@ -944,7 +950,7 @@ def test_lazy_lookups_match_eager_rebuilds(build):
             got = outcome(lazy.resolve_element, rank, f" {text} ")
             assert got == outcome(eager.resolve_element, rank, text), (rank, text)
             assert type(got) is type(outcome(eager.resolve_element, rank, text))
-    assert lazy._levels == [None] * lazy.num_levels
+    assert made_levels == made_before  # the lazy host's lookups made no level
 
 
 def union_find_connected(P, rank, upper_rank):
@@ -1054,6 +1060,18 @@ def test_custom_poset_exports_and_resolves_names():
     assert 'n1_1 [label="c"]' in P.to_dot()
 
 
+@pytest.mark.parametrize("value", [["b"], {"b"}, {"b": 0}])
+def test_custom_level_refuses_an_unhashable_value(value):
+    P = GradedPoset([["a"], ["b", "c"]], [{(0, 0): 1, (0, 1): 1}])
+    with pytest.raises(ValueError, match=re.escape(f"{value} is not an element of level 1 of this poset")):
+        P.index_of(1, value)
+    for call in (lambda: lym.is_antichain(P, [(1, value)]), lambda: P.lower_shadow(1, [value]),
+                 lambda: P.upper_shadow(0, [value]), lambda: P.less_than(0, "a", 1, value),
+                 lambda: lym.local_lym_check(P, 1, [value])):
+        with pytest.raises(ValueError, match="is not an element of level"):
+            call()
+
+
 @pytest.fixture
 def formatted(monkeypatch):
     """The elements formatted after this: by ``format_poset_element`` for
@@ -1105,10 +1123,10 @@ NAME_BOUNDARY_HOSTS = (
 
 
 @pytest.mark.parametrize("build", ALL_FAMILY_BUILDS + NAME_BOUNDARY_HOSTS, ids=lambda build: repr(build()))
-def test_name_streams_match_formatted_elements(formatted, build):
+def test_name_streams_match_formatted_elements(formatted, made_levels, build):
     host = build()
     names = host.to_json_dict()["levels"]  # read before any level is made
-    assert host._levels == [None] * host.num_levels
+    assert made_levels == []
     for p, level in enumerate(host.levels):
         assert tuple(names[p]) == tuple(map(format_poset_element, level))
     # the names of a level that holds a string with a symbol past 9 are
