@@ -7,8 +7,8 @@ levels indexed by length (or subset size).  Stored as explicit levels plus a
 cover multigraph, these posets can be audited for level-regularity: every
 element of a level has the same up-degree and the same down-degree, counted
 with multiplicity.  That uniformity is exactly what makes the density
-argument of the next demos work.  The last poset is given as plain lists,
-the divisors of 12, and need not be regular.
+argument of the next demos work.  The last poset is given as plain lists
+and a cover step, the divisors of 12, and need not be regular.
 """
 
 import json
@@ -68,13 +68,13 @@ shadow = strings.lower_shadow(2, level2[:2])
 print("lower shadow of the first two:", sorted(str(x) for x in shadow))
 print()
 
-# any graded poset given as plain lists of elements: the divisors of 12 under
-# divisibility, level k holding those with k prime factors (with repeats);
-# one divides the next level's element exactly when it covers it
+# any graded poset given as plain lists of elements and one cover step per
+# level pair: the divisors of 12 under divisibility, level k holding those
+# with k prime factors (with repeats); the step maps each divisor to those
+# it covers, the divisors one prime factor short
 divisors = [[1], [2, 3], [4, 6], [12]]
-covers = [{(i, j): 1 for j, hi in enumerate(upper) for i, lo in enumerate(lower) if hi % lo == 0}
-          for lower, upper in zip(divisors, divisors[1:])]
-divides = GradedPoset(divisors, covers, family="divisors(12)")
+step = lambda d: [d // q for q in (2, 3) if d % q == 0]
+divides = GradedPoset(divisors, [step] * 3, family="divisors(12)")
 report = regularity_check(divides)
 print(f"{divides.family}: level-regular {report.is_level_regular}")
 for pair in report.pairs:

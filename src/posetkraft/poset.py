@@ -19,20 +19,21 @@ subsequence order on their increasing sequences.  Every level is a
 ``SequenceLevel``, or ``_SubsetLevel`` here) holds its closed-form size,
 the stream of its elements' symbol tuples, the call that makes an element
 from its tuple, the stream of the elements' names, and lookups by rank
-arithmetic from an element or a name to its index, and the builder hands
-each level pair as a call that makes its covers.  A level given as a
+arithmetic from an element or a name to its index.  A level given as a
 sequence of its elements is a ``_TableLevel``, made at once; only
-``levels`` and ``level`` make a builder's level, and covers are made on
-first read.  The exports read the name
-streams, lookups make nothing, and shadows and witnesses make only the
-elements they return, so a search on two levels of a tall host makes
-those two levels' covers only, and an export or an audit makes no
-level.  One routine, ``_cover_rows``, makes the covers of every family from
-a cover step and the two levels' symbol streams, which ``perm`` (or, for
-subsets, ``itertools.combinations``) gives in the lexicographic order the
-elements are made in.  The cover step is the order's ``deletions`` from
-its ``perm.ORDERS`` entry, which also gives its containment test and, for
-prefix and substring, the blocks that freeness looks up.
+``levels`` and ``level`` make a builder's level.  Each level pair is given
+as a mapping of its cover edges or as its *cover step*: the call that maps
+a key of the upper level to the keys of the lower level it covers, once per
+edge.  A step's covers are made on first read, by one routine,
+``_cover_rows``, from the step and the two levels' key streams, which
+``perm`` (or, for subsets, ``itertools.combinations``) gives in the
+lexicographic order the elements are made in.  A builder's step is the
+order's ``deletions`` from its ``perm.ORDERS`` entry, which also gives its
+containment test and, for prefix and substring, the blocks that freeness
+looks up.  The exports read the name streams, lookups make nothing, and
+shadows and witnesses make only the elements they return, so a search on
+two levels of a tall host makes those two levels' covers only, and an
+export or an audit makes no level.
 """
 
 from __future__ import annotations
@@ -163,26 +164,27 @@ class GradedPoset:
     ``_TableLevel``, made, checked and named at once, and past it every read
     asks the level.  ``levels`` and ``level`` make a builder's level on
     first read, through ``_level``; ``sizes`` makes none, ``elements`` picks
-    from an unmade level's key stream, and ``index_of`` and
-    ``resolve_element`` ask the level's ``find`` and ``named``.  Each
-    edge between levels p and p+1 is stored once, as ``lower_index ->
-    multiplicity`` in the down-adjacency dict of its upper element: the
-    pair's *rows*, one per element of level p+1.
-    The constructor takes each pair's covers as a mapping ``(lower_index,
-    upper_index) -> multiplicity``, grouped into rows and checked at once,
-    or as a zero-argument callable returning the rows, which is called and
-    checked the first time the pair is read; ``_down_rows`` is the one
-    reader of both.  ``covers[p]`` maps ``(lower_index, upper_index) ->
-    multiplicity``; it is rebuilt from the rows on every access, at
-    O(edges) cost, and changing it changes nothing.  ``covers`` makes
-    every pair and ``levels`` every level.  Levels are addressed publicly
-    by *rank* ``first_rank + p`` (partial permutation posets start at rank
-    1, everything else at 0).  The index-level methods (``down_closure``,
-    ``down_masks``, ``pair_regularity``, ``elements``) take positions ``p``
-    and element indices into ``levels[p]``; all but ``elements`` make no
-    element.  Degrees are read per level pair, from the cached
-    ``pair_regularity`` audit.  Each level's element names are made once:
-    a table level's with it, any other's from its checked ``names()`` stream.
+    from the level's key stream, and ``index_of`` and ``resolve_element``
+    ask the level's ``find`` and ``named``.  Each edge between levels p and
+    p+1 is stored once, as ``lower_index -> multiplicity`` in the
+    down-adjacency dict of its upper element: the pair's *rows*, one per
+    element of level p+1.  The constructor takes each pair as a mapping
+    ``(lower_index, upper_index) -> multiplicity``, grouped into rows and
+    checked at once, or as a cover step, a callable from a key of level p+1
+    to the keys of level p it covers, a repeated key counting as a
+    multiplicity; ``_down_rows``, the one reader of both, makes and checks
+    a step's rows the first time the pair is read.  ``covers[p]`` maps
+    ``(lower_index, upper_index) -> multiplicity``; it is rebuilt from the
+    rows on every access, at O(edges) cost, and changing it changes
+    nothing.  ``covers`` makes every pair and ``levels`` every level.
+    Levels are addressed publicly by *rank* ``first_rank + p`` (partial
+    permutation posets start at rank 1, everything else at 0).  The
+    index-level methods (``down_closure``, ``down_masks``,
+    ``pair_regularity``, ``elements``) take positions ``p`` and element
+    indices into ``levels[p]``; all but ``elements`` make no element.
+    Degrees are read per level pair, from the cached ``pair_regularity``
+    audit.  Each level's element names are made once: a table level's with
+    it, any other's from its checked ``names()`` stream.
     """
 
     def __init__(self, levels, covers, family="custom", first_rank=0):
@@ -210,7 +212,7 @@ class GradedPoset:
                 self._level_names[p] = table.labels
 
         # _down[p]: the rows of the pair (p, p+1), row hi mapping lower index
-        # -> multiplicity, or until first read the callable that makes them
+        # -> multiplicity, or until first read the cover step that makes them
         self._down = [cov if callable(cov) else self._checked_rows(p, self._grouped(p, cov))
                       for p, cov in enumerate(covers)]
         # (lower pos, upper pos) -> the pair's degree audit
@@ -245,10 +247,9 @@ class GradedPoset:
 
     def elements(self, pos: int, indices) -> list:
         """The elements at ``indices`` of level position ``pos``, in the
-        order asked: from the level if it has been made, else from one pass
-        over the level's key stream up to the largest index, which makes
-        only the picked elements.  An index outside 0..size-1 raises
-        ValueError; a negative one does not wrap."""
+        order asked, from one pass over the level's key stream up to the
+        largest index, which makes only the picked elements.  An index
+        outside 0..size-1 raises ValueError; a negative one does not wrap."""
         indices = list(indices)
         require_ints(pos, *indices)
         if not 0 <= pos < len(self.sizes):
@@ -258,12 +259,9 @@ class GradedPoset:
         if bad:
             raise ValueError(f"no element {bad[0]} in level {self.rank_of_position(pos)}, "
                              f"whose indices run 0..{size - 1}")
-        level = self._levels[pos]
-        if level is None:
-            source = self._sources[pos]
-            keys = tuple(itertools.islice(source.keys(), max(indices, default=-1) + 1))
-            return list(map(source.element, map(keys.__getitem__, indices)))
-        return list(map(level.__getitem__, indices))
+        source = self._sources[pos]
+        keys = tuple(itertools.islice(source.keys(), max(indices, default=-1) + 1))
+        return list(map(source.element, map(keys.__getitem__, indices)))
 
     @property
     def levels(self) -> tuple[tuple, ...]:
@@ -287,12 +285,11 @@ class GradedPoset:
 
     def _checked_rows(self, p: int, rows) -> list[dict]:
         """The one check on the rows of the pair (p, p+1), whichever form
-        they came in: one dict per upper element, lower indices plain ints
+        they came in: one row per upper element, lower indices plain ints
         in range, multiplicities plain ints >= 1.  It stops at the first bad
         edge, in row order, and names it."""
-        rows = list(rows)
         n_lo = self.sizes[p]
-        if len(rows) != self.sizes[p + 1] or not set(map(type, rows)) <= {dict}:
+        if len(rows) != self.sizes[p + 1]:
             raise ValueError(f"need one dict row per element of level {p + 1}, "
                              f"got {len(rows)} rows between levels {p} and {p + 1}")
         for hi, row in enumerate(rows):
@@ -308,11 +305,13 @@ class GradedPoset:
         return rows
 
     def _down_rows(self, p: int) -> list[dict]:
-        """The rows of the pair (p, p+1), made and checked on first read:
-        the one reader of ``_down``."""
+        """The rows of the pair (p, p+1), made from its cover step and the
+        two levels' key streams and checked on first read: the one reader
+        of ``_down``.  A pair whose rows fail stays unread."""
         rows = self._down[p]
         if callable(rows):
-            rows = self._down[p] = self._checked_rows(p, rows())
+            made = _cover_rows(self._sources[p].keys(), self._sources[p + 1].keys(), rows, p)
+            rows = self._down[p] = self._checked_rows(p, made)
         return rows
 
     @property
@@ -663,28 +662,25 @@ def _require_elements(lengths, size, size_bits) -> None:
                                   f"{MAX_LEVELS}; build a smaller instance")
 
 
-def _cover_rows(lower, upper, deletions) -> list[dict]:
-    """The rows of the pair from the symbol tuples ``lower`` of one level up
-    to the symbol tuples ``upper`` of the next, each in its level's order:
-    row j maps i to m when m of the words that ``deletions`` gives for upper
-    word j are lower word i, the i in order of first occurrence."""
+def _cover_rows(lower, upper, step, p: int) -> list[dict]:
+    """The rows of the pair (p, p+1) from the keys ``lower`` of level p and
+    the keys ``upper`` of level p+1, each in its level's order: row j maps
+    i to m when m of the keys that the cover step gives for upper key j
+    are lower key i, the i in order of first occurrence.  A value that is
+    no lower key, hashable or not, raises ValueError naming the pair."""
     index = {k: i for i, k in enumerate(lower)}
     rows = []
     for k in upper:
         row = {}
-        for word in deletions(k):
-            i = index[word]
+        for word in step(k):
+            try:
+                i = index[word]
+            except (KeyError, TypeError):
+                raise ValueError(f"the cover step between levels {p} and {p + 1} maps {k!r} "
+                                 f"to {word!r}, which is no key of level {p}") from None
             row[i] = row.get(i, 0) + 1
         rows.append(row)
     return rows
-
-
-def _pair_calls(levels, steps) -> list:
-    """One cover call per level pair (p, p+1): it makes the pair's rows with
-    the cover step ``steps[p]`` from fresh streams of the two levels' symbol
-    tuples."""
-    return [lambda lo=lo, hi=hi, step=step: _cover_rows(lo.keys(), hi.keys(), step)
-            for lo, hi, step in zip(levels, levels[1:], steps)]
 
 
 class _SubsetLevel(Level):
@@ -735,8 +731,7 @@ def build_string_poset(r: int, relation: str, max_level: int) -> GradedPoset:
     size = lambda l: r**l
     _require_elements(range(max_level + 1), size, lambda l: (r.bit_length() - 1) * l)
     levels = [StringLevel(r, l, size(l)) for l in range(max_level + 1)]
-    covers = _pair_calls(levels, [ORDERS[relation].deletions] * max_level)
-    return GradedPoset(levels, covers, family=f"string({relation}, r={r})", first_rank=0)
+    return GradedPoset(levels, [ORDERS[relation].deletions] * max_level, family=f"string({relation}, r={r})")
 
 
 def build_partial_perm_poset(k: int, relation: str) -> GradedPoset:
@@ -750,8 +745,8 @@ def build_partial_perm_poset(k: int, relation: str) -> GradedPoset:
     size = partial(math.perm, k)
     _require_elements(range(1, k + 1), size, factorial_bits)  # k!/(k-l)! >= l!
     levels = [SequenceLevel(k, l, size(l)) for l in range(1, k + 1)]
-    covers = _pair_calls(levels, [ORDERS[relation].deletions] * (k - 1))
-    return GradedPoset(levels, covers, family=f"partial_perm({relation}, k={k})", first_rank=1)
+    return GradedPoset(levels, [ORDERS[relation].deletions] * (k - 1), family=f"partial_perm({relation}, k={k})",
+                       first_rank=1)
 
 
 def build_pattern_poset(k: int, relation: str) -> GradedPoset:
@@ -778,8 +773,7 @@ def build_pattern_poset(k: int, relation: str) -> GradedPoset:
     levels = [SequenceLevel((p + 3) // 2, p // 2 + 1, size(p)) for p in range(2 * k - 1)]
     # a helper covers its pattern; a permutation, the helpers it deletes down to
     steps = [lambda key: (order_pattern(key),), ORDERS[ORDERS[relation].base].deletions] * (k - 1)
-    return GradedPoset(levels, _pair_calls(levels, steps), family=f"perm_pattern({relation}, k={k})",
-                       first_rank=0)
+    return GradedPoset(levels, steps, family=f"perm_pattern({relation}, k={k})", first_rank=0)
 
 
 def build_subset_poset(n: int) -> GradedPoset:
@@ -793,5 +787,4 @@ def build_subset_poset(n: int) -> GradedPoset:
     _require_elements((n,), lambda n: 2**n, lambda n: n)
     universe = frozenset(range(1, n + 1))
     levels = [_SubsetLevel(universe, i, math.comb(n, i)) for i in range(n + 1)]
-    covers = _pair_calls(levels, [ORDERS["subsequence"].deletions] * n)
-    return GradedPoset(levels, covers, family=f"subsets(n={n})", first_rank=0)
+    return GradedPoset(levels, [ORDERS["subsequence"].deletions] * n, family=f"subsets(n={n})", first_rank=0)

@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -716,6 +718,41 @@ def test_memo_size_changes_no_witness_or_budget_point(P, dense, exists):
     assert _outcomes_at_memo_sizes(P, dense, nodes) == [default] * 3
     tripped = _outcomes_at_memo_sizes(P, dense, nodes - 1)
     assert tripped == [f"visited more than {nodes - 1} assignments; rerun with a larger budget or a smaller instance"] * 3
+
+
+def _memo_work(P, dense, bits):
+    """The search's nodes, its ``search`` calls and the C calls that a memo
+    hit skips, with the memos capped at ``bits``: a failed subtree counted
+    again skips its ``format`` of the forbidden mask, and a failed sub-walk
+    counted again skips its ``int.bit_count`` calls."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "c_call" and arg.__name__ in ("format", "bit_count"):
+            calls[arg.__name__] += 1
+        elif event == "call" and frame.f_code.co_name == "search":
+            calls["search"] += 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lym, "_MEMO_BITS", bits)
+        sys.setprofile(profile)
+        try:
+            nodes = antichain_exists(P, dense).nodes
+        finally:
+            sys.setprofile(None)
+    return nodes, calls["search"], calls["format"], calls["bit_count"]
+
+
+def test_memo_caps_stop_storing():
+    """The caps change no outcome, so only the work they save shows them:
+    at 0 neither memo stores an entry, and every subtree formats its mask;
+    with room for one entry the subtree memo hits, and the default memos
+    save most of the walk."""
+    P = build_pattern_poset(4, "substring_pattern")
+    one_entry = lym._MEMO_ENTRY_BITS + max(P.sizes)
+    work = {bits: _memo_work(P, (0, 0, 1, 0, 2, 0, 5), bits) for bits in (lym._MEMO_BITS, one_entry, 0)}
+    assert work[0] == (47_152, 4_337, 4_337, 24_113)
+    assert work[one_entry] == (47_152, 4_337, 4_099, 23_875)
+    assert work[lym._MEMO_BITS] == (47_152, 507, 32, 3_547)
 
 
 @pytest.mark.parametrize("P", [

@@ -523,17 +523,24 @@ def test_picked_indices_outside_the_level_are_refused(made_levels, indices):
     assert made.elements(1, [1, 0]) == [Str((1,), 2), Str((0,), 2)]
 
 
-@pytest.mark.parametrize("rows, message", [
-    ([{0: 1}], "one dict row per element of level 1"),
-    ([{0: 1}, {0.0: 1}], r"endpoints must be integers, not \(0.0, 1\)"),
-    ([{0: 1}, {1: 1}], r"edge \(1, 1\) out of range between levels 0 and 1"),
-    ([{0: 1}, {0: 0}], "edge multiplicities must be >= 1"),
-])
-def test_cover_rows_are_checked_on_first_read(rows, message):
-    P = GradedPoset([["a"], ["b", "c"]], [lambda: rows])
-    for _ in range(2):  # a pair whose rows fail stays unread
+LONG_KEYS = functools.partial(iter, ("b", "c", "d"))  # three keys for a ListedLevel's two elements
+TWO_NAMES = functools.partial(iter, ("b", "c"))
+
+
+@pytest.mark.parametrize("levels, step, message", [
+    ([["a"], ListedLevel(LONG_KEYS, TWO_NAMES)], lambda k: ["a"],
+     "need one dict row per element of level 1, got 3 rows between levels 0 and 1"),
+    ([ListedLevel(LONG_KEYS, TWO_NAMES), ["x"]], lambda k: ["d"], r"edge \(2, 0\) out of range between levels 0 and 1"),
+    ([["a"], ["b", "c"]], lambda k: ["z"], "the cover step between levels 0 and 1 maps 'b' to 'z', which is no key"),
+    ([["a"], ["b", "c"]], lambda k: [["a"]], r"maps 'b' to \['a'\], which is no key of level 0"),
+], ids=["upper keys", "lower keys", "no key", "unhashable"])
+def test_cover_rows_are_checked_on_first_read(levels, step, message):
+    P = GradedPoset(levels, [step])
+    reads = [lambda: P.down_closure(1, {0}, 0), lambda: P.covers, lambda: regularity_check(P), P.to_json_dict,
+             P.to_dot]
+    for read in reads * 2:  # a pair whose rows fail stays unread
         with pytest.raises(ValueError, match=message):
-            P.down_closure(1, {0}, 0)
+            read()
 
 
 def test_covers_is_a_fresh_view():
@@ -777,16 +784,46 @@ def test_exports_match_the_sorted_reference():
 
 
 @st.composite
-def shuffled_custom_posets(draw):
-    """Posets whose cover dicts list their edges in a drawn order, with
-    multiplicities up to 3 and possibly elements without edges."""
+def shuffled_custom_parts(draw):
+    """The levels, cover dicts and first rank of a poset whose cover dicts
+    list their edges in a drawn order, with multiplicities up to 3 and
+    possibly elements without edges."""
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     covers = []
     for n_lo, n_hi in zip(sizes, sizes[1:]):
         pairs = sorted(draw(st.sets(st.tuples(st.integers(0, n_lo - 1), st.integers(0, n_hi - 1)))))
         covers.append({pair: draw(st.integers(1, 3)) for pair in draw(st.permutations(pairs))})
     levels = [[f"{p}.{i}" for i in range(n)] for p, n in enumerate(sizes)]
-    return GradedPoset(levels, covers, first_rank=draw(st.integers(-2, 2)))
+    return levels, covers, draw(st.integers(-2, 2))
+
+
+def cover_step(lower, upper, cover):
+    """The cover step of a pair given as a cover dict: each upper element's
+    lower covers in the dict's order, repeated by multiplicity."""
+    below = {x: [] for x in upper}
+    for (lo, hi), mult in cover.items():
+        below[upper[hi]] += [lower[lo]] * mult
+    return below.__getitem__
+
+
+@st.composite
+def shuffled_custom_posets(draw):
+    """Posets from ``shuffled_custom_parts``, each pair given as its cover
+    dict or as the cover step that yields the same rows."""
+    levels, covers, first_rank = draw(shuffled_custom_parts())
+    pairs = [cover_step(lower, upper, cover) if draw(st.booleans()) else cover
+             for lower, upper, cover in zip(levels, levels[1:], covers)]
+    return GradedPoset(levels, pairs, first_rank=first_rank)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_custom_parts())
+def test_step_pairs_match_their_cover_dicts(parts):
+    levels, covers, first_rank = parts
+    steps = [cover_step(lower, upper, cover) for lower, upper, cover in zip(levels, levels[1:], covers)]
+    listed, stepped = (GradedPoset(levels, pairs, first_rank=first_rank) for pairs in (covers, steps))
+    assert {name: read(stepped) for name, read in HOST_READS.items()} == {
+        name: read(listed) for name, read in HOST_READS.items()}
 
 
 @settings(max_examples=150, deadline=None)
@@ -1285,7 +1322,7 @@ def test_poset_constructor_validation():
         GradedPoset([["a", "a"]], [])
     with pytest.raises(ValueError):
         GradedPoset([["a"], ["b"]], [{(0, 5): 1}])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="edge multiplicities must be >= 1"):
         GradedPoset([["a"], ["b"]], [{(0, 0): 0}])
     for mult in (1.5, True):
         with pytest.raises(ValueError, match="integers"):
@@ -1295,55 +1332,55 @@ def test_poset_constructor_validation():
     with pytest.raises(ValueError, match="one cover map per"):
         GradedPoset([["a"], ["b"]], [])
     for edge in ((0.0, 0), (True, 0), (0, 0.0), (0, True)):
-        with pytest.raises(ValueError, match="endpoints must be integers"):
+        with pytest.raises(ValueError, match=re.escape(f"endpoints must be integers, not {edge}")):
             GradedPoset([["a", "c"], ["b", "d"]], [{edge: 1}])
     for key in (5, (0, 0, 0)):
         with pytest.raises(ValueError, match=re.escape(f"cover key {key!r} is not a (lower, upper)")):
             GradedPoset([["a"], ["b"]], [{key: 1}])
 
 
-def _chained_rejects_rows(rows, n_lo: int, n_hi: int) -> bool:
-    """The check on a pair's rows as it was before the one-pass loop: the
-    rows' types, then every lower index at once, then every multiplicity."""
-    if len(rows) != n_hi or not set(map(type, rows)) <= {dict}:
-        return True
-    lows = list(itertools.chain.from_iterable(rows))
-    if not set(map(type, lows)) <= {int} or (lows and (min(lows) < 0 or max(lows) >= n_lo)):
-        return True
-    mults = list(itertools.chain.from_iterable(map(dict.values, rows)))
+def _chained_rejects_edges(edges, n_lo: int, n_hi: int) -> bool:
+    """The check on a pair's cover dict as it was before the one-pass loop:
+    every endpoint at once, then every multiplicity."""
+    for n, ends in ((n_lo, [lo for lo, _ in edges]), (n_hi, [hi for _, hi in edges])):
+        if not set(map(type, ends)) <= {int} or (ends and (min(ends) < 0 or max(ends) >= n)):
+            return True
+    mults = list(edges.values())
     return not set(map(type, mults)) <= {int} or (bool(mults) and min(mults) < 1)
 
 
 @st.composite
-def faulty_rows(draw, n_lo: int) -> list:
-    """One to three rows over n_lo lower elements, valid but for up to two
-    faults: a row that is not a dict, a lower index that is a float, a bool
-    or out of range, or a multiplicity that is a float, a bool or zero."""
-    rows = draw(st.lists(st.dictionaries(st.integers(0, n_lo - 1), st.integers(1, 3), max_size=n_lo),
-                         min_size=1, max_size=3))
+def faulty_edges(draw, n_lo: int) -> tuple[dict, int]:
+    """A cover dict from n_lo lower elements to one to three upper ones, and
+    the upper count, valid but for up to two faults: an endpoint that is a
+    float, a bool or out of range, or a multiplicity that is a float, a bool
+    or zero."""
+    n_hi = draw(st.integers(1, 3))
+    edges = draw(st.dictionaries(st.tuples(st.integers(0, n_lo - 1), st.integers(0, n_hi - 1)),
+                                 st.integers(1, 3)))
     for _ in range(draw(st.integers(0, 2))):
-        hi, fault = draw(st.integers(0, len(rows) - 1)), draw(st.sampled_from(["row", "lower", "mult"]))
-        if fault == "row":
-            rows[hi] = draw(st.sampled_from([[], [(0, 1)], None]))
-        elif fault == "lower" and isinstance(rows[hi], dict):
-            lo = draw(st.sampled_from([0.5, True, False, -1, n_lo]))
-            rows[hi].pop(lo, None)  # True and False would otherwise keep an equal int key
-            rows[hi][lo] = 1
-        elif isinstance(rows[hi], dict):
-            rows[hi][draw(st.integers(0, n_lo - 1))] = draw(st.sampled_from([0, 1.0, 2.5, True, False]))
-    return rows
+        fault = draw(st.sampled_from(["lower", "upper", "mult"]))
+        lo, hi = draw(st.integers(0, n_lo - 1)), draw(st.integers(0, n_hi - 1))
+        if fault == "mult":
+            edges[lo, hi] = draw(st.sampled_from([0, 1.0, 2.5, True, False]))
+        else:
+            bad = draw(st.sampled_from([0.5, True, False, -1, n_lo if fault == "lower" else n_hi]))
+            key = (bad, hi) if fault == "lower" else (lo, bad)
+            edges.pop(key, None)  # True and False would otherwise keep an equal int key
+            edges[key] = 1
+    return edges, n_hi
 
 
 @settings(max_examples=400)
 @given(st.integers(1, 3), st.data())
 def test_row_check_matches_the_chained_check(n_lo, data):
-    rows = data.draw(faulty_rows(n_lo))
-    P = GradedPoset([[f"l{i}" for i in range(n_lo)], [f"u{j}" for j in range(len(rows))]], [lambda: rows])
-    if _chained_rejects_rows(rows, n_lo, len(rows)):
+    edges, n_hi = data.draw(faulty_edges(n_lo))
+    levels = [[f"l{i}" for i in range(n_lo)], [f"u{j}" for j in range(n_hi)]]
+    if _chained_rejects_edges(edges, n_lo, n_hi):
         with pytest.raises(ValueError):
-            P.covers
+            GradedPoset(levels, [edges])
     else:
-        assert P.covers == ({(lo, hi): m for hi, row in enumerate(rows) for lo, m in row.items()},)
+        assert GradedPoset(levels, [edges]).covers == (edges,)
 
 
 @pytest.mark.parametrize("call", [
