@@ -3,10 +3,10 @@ machinery: greedy prefix-code building, counterexample parameter vectors,
 and exhaustive antichain-existence search.
 
 All densities are exact rationals.  Searches are deterministic: elements are
-explored in the lexicographic order their level lists were built in, so the
-returned witness (when one exists) is always the lexicographically least
-antichain, and certificates of nonexistence report how many partial
-assignments were visited.
+explored in their levels' lexicographic order, the order each level's keys
+stream and unrank in, so the returned witness (when one exists) is always
+the lexicographically least antichain, and certificates of nonexistence
+report how many partial assignments were visited.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 from . import codes
 from .codes import Code, Codomain, ParameterSequence, density
-from .perm import Str, require_ints
+from .perm import Str, StringLevel, require_ints
 from .poset import MAX_MASK_BITS, BudgetExceededError, GradedPoset, format_poset_element
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -204,33 +204,26 @@ def mcmillan_construct(r: int, params) -> McMillanResult:
     Kallick, 1964): O(sum of a_l * l) work and memory, however long the
     longest codeword.  The walk decides first; a feasible request for more
     than ``codes.MAX_CODEWORDS`` words then raises BudgetExceededError, and
-    only a request within it has its words built.
+    only a request within it has its words built, by ``StringLevel.key_at``.
     """
     require_ints(r)
     if r < 1:
         raise ValueError("need r >= 1")
     seq = ParameterSequence(params)
     start, free = 0, 1  # first unused value at this length, and r^l - start
-    runs = []  # (first value, count, length) of the words of each used length
+    runs = []  # (level, first value, count) of the words of each used length
     for length, need in enumerate(seq):
         if need > free:
             return McMillanResult(None, failed_level=length)
         if need:
-            runs.append((start, need, length))
+            runs.append((StringLevel(r, length, start + free), start, need))
         start, free = (start + need) * r, (free - need) * r
     if seq.total > codes.MAX_CODEWORDS:
         raise BudgetExceededError(f"the code has {seq.total} codewords, above the cap of "
                                   f"{codes.MAX_CODEWORDS}; ask for fewer codewords")
-    words = (_base_r_digits(v, r, length) for start, need, length in runs for v in range(start, start + need))
-    code = Code(Codomain("string", r), tuple(Str(w, r) for w in words))
+    words = (Str(level.key_at(v), r) for level, start, need in runs for v in range(start, start + need))
+    code = Code(Codomain("string", r), tuple(words))
     return McMillanResult(code, None)
-
-
-def _base_r_digits(value: int, r: int, length: int) -> tuple[int, ...]:
-    digits = [0] * length
-    for i in range(length - 1, -1, -1):
-        value, digits[i] = divmod(value, r)
-    return tuple(digits)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,10 @@ The elements of one length are enumerated as symbol tuples in
 lexicographic order.  ``StringLevel`` and ``SequenceLevel`` hand such a
 level to the poset builders: its symbol stream, its element names (where
 each symbol is one digit, the digits joined in the same order, with no
-element made) and lookups by rank arithmetic.
+element made), and lookups by rank arithmetic both ways: ``key_at``
+unranks an index to its symbol tuple and ``find`` ranks an element back.
+The element lists ``strings`` and ``partial_permutations`` map over a
+level's stream, so each family's order lives in its level class alone.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 
@@ -227,61 +230,9 @@ def is_substring_pattern_in(sigma: PartialPermutation, tau: PartialPermutation) 
 
 
 # ---------------------------------------------------------------------------
-# Enumeration (always in lexicographic order).  The symbol streams fix the
-# order; the element lists map over them, and the index functions invert them.
-
-def string_symbols(r: int, l: int):
-    """The symbol tuples of the strings of length l over {0, .., r-1}, lexicographically."""
-    return itertools.product(range(r), repeat=l)
-
-
-def sequence_symbols(k: int, l: int):
-    """The injective length-l symbol tuples over [1..k], lexicographically."""
-    return itertools.permutations(range(1, k + 1), l)
-
-
-def string_index(syms: Sequence[int], r: int) -> int:
-    """The position of ``syms`` in ``string_symbols(r, len(syms))``: its digits in base r."""
-    i = 0
-    for s in syms:
-        i = i * r + s
-    return i
-
-
-def sequence_index(syms: Sequence[int], k: int) -> int:
-    """The position of the injective ``syms`` in ``sequence_symbols(k,
-    len(syms))``: each entry adds the unused entries below it times the
-    number of ways to fill the positions after it."""
-    l, i = len(syms), 0
-    for t, s in enumerate(syms):
-        unused_below = s - 1 - sum(u < s for u in syms[:t])
-        i += unused_below * math.perm(k - t - 1, l - t - 1)
-    return i
-
-
-def strings(r: int, l: int) -> list[Str]:
-    """All strings of length l over {0, .., r-1}, lexicographically."""
-    require_ints(r, l)
-    if r < 1 or l < 0:
-        raise ValueError("need r >= 1 and l >= 0")
-    return [Str(p, r) for p in string_symbols(r, l)]
-
-
-def partial_permutations(k: int, l: int) -> list[PartialPermutation]:
-    """All injective length-l sequences over [1..k], lexicographically."""
-    require_ints(k, l)
-    if not 1 <= l <= k:
-        raise ValueError(f"need 1 <= l <= k, got l={l}, k={k}")
-    return [PartialPermutation(p, k) for p in sequence_symbols(k, l)]
-
-
-def full_permutations(l: int) -> list[PartialPermutation]:
-    """All permutations of [1..l], lexicographically."""
-    return partial_permutations(l, l)
-
-
-# ---------------------------------------------------------------------------
-# Levels: what a poset builder hands ``poset.GradedPoset`` for one level
+# Levels: what a poset builder hands ``poset.GradedPoset`` for one level.
+# A level's keys run in lexicographic order, and its class alone streams,
+# ranks and unranks them; the element lists below map over a level.
 
 DIGITS = "0123456789"  # the texts of the one-digit symbols, which name streams join
 
@@ -291,10 +242,11 @@ class Level:
     the level's size, trusted until the poset makes the level, and what
     fixes it, and makes nothing until asked: ``keys()`` streams the keys of
     the elements in level order, ``element`` makes the element of a key,
-    ``names()`` streams their names in the same order, and two lookups make
-    nothing: ``find(x)``, the index of element x or None, and ``named``,
-    below, which a builder's level answers with ``parse(text)``, the element
-    a name spells (ValueError when it spells none)."""
+    ``names()`` streams their names in the same order, and three lookups
+    make nothing: ``key_at(i)``, the key at index i, ``find(x)``, its
+    inverse, the index of element x or None, and ``named``, below, which a
+    builder's level answers with ``parse(text)``, the element a name spells
+    (ValueError when it spells none)."""
 
     __slots__ = ("size",)
 
@@ -310,7 +262,8 @@ class Level:
 
 
 class StringLevel(Level):
-    """The strings of length l over {0, .., r-1}."""
+    """The strings of length l over {0, .., r-1}; a string's index is its
+    digits read in base r."""
 
     __slots__ = ("r", "l")
 
@@ -318,7 +271,7 @@ class StringLevel(Level):
         self.r, self.l, self.size = r, l, size
 
     def keys(self):
-        return string_symbols(self.r, self.l)
+        return itertools.product(range(self.r), repeat=self.l)
 
     @property
     def element(self):
@@ -331,9 +284,15 @@ class StringLevel(Level):
             return map(format_element, map(self.element, self.keys()))
         return map("".join, itertools.product(DIGITS[: self.r], repeat=self.l))
 
+    def key_at(self, i: int) -> tuple[int, ...]:
+        digits = [0] * self.l
+        for t in range(self.l - 1, -1, -1):
+            i, digits[t] = divmod(i, self.r)
+        return tuple(digits)
+
     def find(self, x):
         if type(x) is Str and x.universe == self.r and len(x.symbols) == self.l:
-            return string_index(x.symbols, self.r)
+            return reduce(lambda i, s: i * self.r + s, x.symbols, 0)
         return None
 
     def parse(self, text: str) -> Str:
@@ -342,7 +301,9 @@ class StringLevel(Level):
 
 class SequenceLevel(Level):
     """The injective l-sequences over [1..k], as partial permutations of
-    universe k, named with their universe unless l = k."""
+    universe k, named with their universe unless l = k.  In a sequence's
+    index, each entry counts the unused entries below it times the number
+    of ways to fill the positions after it."""
 
     __slots__ = ("k", "l")
 
@@ -350,7 +311,7 @@ class SequenceLevel(Level):
         self.k, self.l, self.size = k, l, size
 
     def keys(self):
-        return sequence_symbols(self.k, self.l)
+        return itertools.permutations(range(1, self.k + 1), self.l)
 
     @property
     def element(self):
@@ -361,13 +322,47 @@ class SequenceLevel(Level):
         names = map("".join, itertools.permutations(DIGITS[1 : self.k + 1], self.l))
         return names if self.l == self.k else map(f"%s@{self.k}".__mod__, names)
 
+    def key_at(self, i: int) -> tuple[int, ...]:
+        unused, key = list(range(1, self.k + 1)), []
+        for t in range(self.l):
+            below, i = divmod(i, math.perm(self.k - t - 1, self.l - t - 1))
+            key.append(unused.pop(below))
+        return tuple(key)
+
     def find(self, x):
         if type(x) is PartialPermutation and x.universe == self.k and len(x.entries) == self.l:
-            return sequence_index(x.entries, self.k)
+            syms, i = x.entries, 0
+            for t, s in enumerate(syms):
+                unused_below = s - 1 - sum(u < s for u in syms[:t])
+                i += unused_below * math.perm(self.k - t - 1, self.l - t - 1)
+            return i
         return None
 
     def parse(self, text: str) -> PartialPermutation:
         return parse_partial_permutation(text, self.k)
+
+
+def strings(r: int, l: int) -> list[Str]:
+    """All strings of length l over {0, .., r-1}, lexicographically."""
+    require_ints(r, l)
+    if r < 1 or l < 0:
+        raise ValueError("need r >= 1 and l >= 0")
+    level = StringLevel(r, l, r**l)
+    return list(map(level.element, level.keys()))
+
+
+def partial_permutations(k: int, l: int) -> list[PartialPermutation]:
+    """All injective length-l sequences over [1..k], lexicographically."""
+    require_ints(k, l)
+    if not 1 <= l <= k:
+        raise ValueError(f"need 1 <= l <= k, got l={l}, k={k}")
+    level = SequenceLevel(k, l, math.perm(k, l))
+    return list(map(level.element, level.keys()))
+
+
+def full_permutations(l: int) -> list[PartialPermutation]:
+    """All permutations of [1..l], lexicographically."""
+    return partial_permutations(l, l)
 
 
 # ---------------------------------------------------------------------------

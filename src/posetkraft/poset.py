@@ -19,8 +19,8 @@ subsequence order on their increasing sequences.  Every level is a
 ``SequenceLevel``, or ``_SubsetLevel`` here) holds its closed-form size,
 the stream of its elements' symbol tuples, the call that makes an element
 from its tuple, the stream of the elements' names, and lookups by rank
-arithmetic from an element or a name to its index.  A level given as a
-sequence of its elements is a ``_TableLevel``, made at once; only
+arithmetic between an index and its tuple, element or name.  A level given
+as a sequence of its elements is a ``_TableLevel``, made at once; only
 ``levels`` and ``level`` make a builder's level.  Each level pair is given
 as a mapping of its cover edges or as its *cover step*: the call that maps
 a key of the upper level to the keys of the lower level it covers, once per
@@ -145,6 +145,9 @@ class _TableLevel(Level):
     def names(self):
         return map(format_poset_element, self.elements)
 
+    def key_at(self, i: int):
+        return self.elements[i]
+
     def find(self, x):
         try:
             return self.index.get(x)
@@ -164,8 +167,8 @@ class GradedPoset:
     ``_TableLevel``, made, checked and named at once, and past it every read
     asks the level.  ``levels`` and ``level`` make a builder's level on
     first read, through ``_level``; ``sizes`` makes none, ``elements`` picks
-    from the level's key stream, and ``index_of`` and ``resolve_element``
-    ask the level's ``find`` and ``named``.  Each edge between levels p and
+    by the level's ``key_at``, and ``index_of`` and ``resolve_element`` ask
+    the level's ``find`` and ``named``.  Each edge between levels p and
     p+1 is stored once, as ``lower_index -> multiplicity`` in the
     down-adjacency dict of its upper element: the pair's *rows*, one per
     element of level p+1.  The constructor takes each pair as a mapping
@@ -247,8 +250,8 @@ class GradedPoset:
 
     def elements(self, pos: int, indices) -> list:
         """The elements at ``indices`` of level position ``pos``, in the
-        order asked, from one pass over the level's key stream up to the
-        largest index, which makes only the picked elements.  An index
+        order asked, each made from the key the level's ``key_at`` unranks
+        from its index, so only the picked elements are made.  An index
         outside 0..size-1 raises ValueError; a negative one does not wrap."""
         indices = list(indices)
         require_ints(pos, *indices)
@@ -260,8 +263,7 @@ class GradedPoset:
             raise ValueError(f"no element {bad[0]} in level {self.rank_of_position(pos)}, "
                              f"whose indices run 0..{size - 1}")
         source = self._sources[pos]
-        keys = tuple(itertools.islice(source.keys(), max(indices, default=-1) + 1))
-        return list(map(source.element, map(keys.__getitem__, indices)))
+        return list(map(source.element, map(source.key_at, indices)))
 
     @property
     def levels(self) -> tuple[tuple, ...]:
@@ -685,7 +687,7 @@ def _cover_rows(lower, upper, step, p: int) -> list[dict]:
 
 class _SubsetLevel(Level):
     """The i-subsets of ``universe`` = [1..n], in the lexicographic order
-    of their increasing sequences."""
+    of their increasing sequences, ranked by the combinatorial number system."""
 
     __slots__ = ("universe", "i")
     element = frozenset  # a key is a subset's increasing sequence
@@ -701,6 +703,15 @@ class _SubsetLevel(Level):
             return iter(("∅",))
         texts = map(str, range(1, len(self.universe) + 1))
         return map("{%s}".__mod__, map(",".join, itertools.combinations(texts, self.i)))
+
+    def key_at(self, index: int) -> tuple[int, ...]:
+        n, key, c = len(self.universe), [], 1
+        for left in range(self.i - 1, -1, -1):  # c passes the C(n - c, left) subsets that hold it next
+            while index >= (skip := math.comb(n - c, left)):
+                index, c = index - skip, c + 1
+            key.append(c)
+            c += 1
+        return tuple(key)
 
     def find(self, x):
         n, i = len(self.universe), self.i

@@ -325,7 +325,7 @@ def test_mcmillan_decides_then_refuses_more_codewords_than_the_cap(monkeypatch):
     def no_words(*args):
         raise AssertionError("a word was built")
 
-    monkeypatch.setattr(lym, "_base_r_digits", no_words)
+    monkeypatch.setattr(perm.StringLevel, "key_at", no_words)
     with pytest.raises(BudgetExceededError, match="the code has 4 codewords, above the cap of 3;"):
         mcmillan_construct(2, (0, 1, 1, 2))
 

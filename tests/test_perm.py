@@ -388,14 +388,24 @@ def test_parse_symbols_coerces_nothing(text):
         perm.parse_symbols(text)
 
 
-def test_index_functions_invert_the_symbol_streams():
+def test_key_at_inverts_find_on_every_level():
+    levels = [perm.StringLevel(r, l, r**l) for r in (1, 2, 3, 11) for l in range(4)]
+    levels += [perm.SequenceLevel(k, l, math.perm(k, l)) for k in range(1, 7) for l in range(1, k + 1)]
+    levels += [perm.SequenceLevel(l + 1, l, math.factorial(l + 1)) for l in range(1, 6)]  # pattern helpers
+    levels += [poset._SubsetLevel(frozenset(range(1, n + 1)), i, math.comb(n, i))
+               for n in range(9) for i in range(n + 1)]
+    table = ("b", frozenset({2}), Str((0, 1), 2))
+    levels.append(poset._TableLevel(table, {x: i for i, x in enumerate(table)}))
+    for level in levels:
+        keys = list(level.keys())
+        assert len(keys) == level.size
+        for i, key in enumerate(keys):
+            assert level.key_at(i) == key
+            assert level.find(level.element(level.key_at(i))) == i
     for r in (1, 2, 3, 11):
         for l in range(4):
-            syms = list(perm.string_symbols(r, l))
-            assert [perm.string_index(t, r) for t in syms] == list(range(r**l))
-            assert [x.symbols for x in perm.strings(r, l)] == syms
+            assert [x.symbols for x in perm.strings(r, l)] == list(itertools.product(range(r), repeat=l))
     for k in range(1, 7):
         for l in range(1, k + 1):
-            syms = list(perm.sequence_symbols(k, l))
-            assert [perm.sequence_index(t, k) for t in syms] == list(range(len(syms)))
+            syms = list(itertools.permutations(range(1, k + 1), l))
             assert [x.entries for x in perm.partial_permutations(k, l)] == syms

@@ -444,9 +444,9 @@ def test_a_build_and_audit_makes_no_level(made_levels, build, t, lo):
 
 class ListedLevel(perm.Level):
     """A builder-style level of size 2 whose streams a test gives: keys
-    that are their own elements, and names."""
+    that are their own elements, and names; its lookups know "b" and "c"."""
 
-    element, find, parse = str, {"b": 0, "c": 1}.get, str
+    element, find, parse, key_at = str, {"b": 0, "c": 1}.get, str, ("b", "c").__getitem__
 
     def __init__(self, keys, names):
         self.size, self.keys, self.names = 2, keys, names
@@ -458,7 +458,7 @@ class ListedLevel(perm.Level):
     (["b", "b"], "level 1 has duplicate elements"),
     ([], "level 1 is empty"),
 ])
-def test_level_calls_are_checked_on_first_read(elements, message):
+def test_level_calls_are_checked_on_first_read(made_levels, elements, message):
     calls = []
 
     def keys():
@@ -467,6 +467,7 @@ def test_level_calls_are_checked_on_first_read(elements, message):
 
     P = GradedPoset([["a"], ListedLevel(keys, lambda: map(str, keys()))], [{(0, 0): 1, (0, 1): 1}])
     assert calls == [] and P.index_of(1, "c") == 1 and P.resolve_element(1, "b") == "b"
+    assert P.elements(1, [1]) == ["c"] and calls == [] and made_levels == []  # unranked: no level made
     for read in (lambda: P.level(1), P.to_json_dict, lambda: P.levels):
         with pytest.raises(ValueError, match=message):  # a level whose call fails stays unmade
             read()
@@ -503,7 +504,7 @@ def test_picked_elements_match_the_levels_and_make_none(made_levels, data):
     indices = data.draw(st.lists(index, max_size=6) | st.lists(st.sampled_from([0, size - 1]), max_size=3))
     made_before = list(made_levels)
     picked = host.elements(pos, indices)
-    assert made_levels == made_before  # picked from the key stream: no level made
+    assert made_levels == made_before  # unranked by the level: no level made
     level = made.levels[pos]
     assert picked == [level[i] for i in indices] == made.elements(pos, indices)
 
