@@ -20,11 +20,11 @@ from posetkraft.codes import (
     is_free,
     is_uniquely_decodable,
     kraft_number,
+    mcmillan_construct,
     parameter_sequence,
     partial_perm_constant,
     ulam_subsequence_condition,
 )
-from posetkraft.lym import mcmillan_construct
 
 # the classic binary example
 code = Code.of_strings(2, ["0", "10", "11"])

@@ -10,6 +10,11 @@ Argparse prints the usage for what it cannot parse; every later refusal
 reaches ``main`` as an exception and prints one ``error:`` line.
 All output is deterministic; fractions print as p/q unless --decimal asks
 for the shortest round-tripping decimal.
+
+A command runs in a fresh interpreter, so loading the package is a fixed
+share of its time.  ``main`` therefore imports only the modules the
+subcommand names in ``_MODULES``, before it builds the parser; ``perm``
+comes with this module, and any other first argument loads them all.
 """
 
 from __future__ import annotations
@@ -17,14 +22,34 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from importlib import import_module
+from typing import TYPE_CHECKING
 
-from . import codes, lym, perm, poset
+from . import perm
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from . import codes, lym, poset
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# The modules each subcommand's handler reads, which ``main`` imports as
+# globals of this module: the code subcommands need no poset, and the
+# poset audit and export read no code or antichain.
+_ALL_MODULES = ("poset", "codes", "lym")
+_MODULES = {
+    "enumerate": ("codes",),
+    "check-free": ("codes",),
+    "constants": ("codes",),
+    "kraft": ("codes",),
+    "mcmillan": ("codes",),
+    "regularity": ("poset",),
+    "hasse": ("poset",),
+}
 
 
 def _fmt_fraction(value: Fraction, decimal: bool = False) -> str:
@@ -34,7 +59,7 @@ def _fmt_fraction(value: Fraction, decimal: bool = False) -> str:
         try:
             return f"{value.numerator}/{value.denominator}"
         except ValueError:  # a part has more than sys.get_int_max_str_digits() digits
-            raise poset.BudgetExceededError(
+            raise perm.BudgetExceededError(
                 f"the exact value has more than {sys.get_int_max_str_digits()} digits in its "
                 "numerator or denominator, the interpreter's limit for printing an integer; "
                 "ask for a smaller instance") from None
@@ -181,7 +206,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_mcmillan(args) -> int:
-    result = lym.mcmillan_construct(args.r, args.params)
+    result = codes.mcmillan_construct(args.r, args.params)
     if not result:
         _emit(args, {"feasible": False, "failed_level": result.failed_level},
               lambda: f"infeasible at level {result.failed_level} "
@@ -418,6 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for name in _MODULES.get(argv[0] if argv else None, _ALL_MODULES):
+        globals()[name] = import_module(f"{__package__}.{name}")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -425,7 +453,7 @@ def main(argv=None) -> int:
         # every refusal after parsing, from option conflicts to malformed files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except poset.BudgetExceededError as exc:
+    except perm.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -14,6 +14,11 @@ sequence may use.  The orders themselves live in ``perm.ORDERS``.
 length histogram or a poset's level counts.  Each code
 constant is ``density`` against those level sizes, the sum
 ``lym.lym_number`` takes over a poset's levels, as an exact rational.
+``mcmillan_construct`` builds the canonical r-ary prefix code of a
+parameter sequence, or names the length at which none exists.
+
+The module imports ``perm`` alone, never ``poset``: a command that only
+lists, checks, counts or builds codes loads no poset code.
 """
 
 from __future__ import annotations
@@ -30,8 +35,12 @@ from .perm import (
     CODE_RELATIONS,
     ORDERS,
     STRING_RELATIONS,
+    BudgetExceededError,
     PartialPermutation,
     Str,
+    StringLevel,
+    count_above,
+    factorial_bits,
     format_element,
     full_permutations,
     parse_partial_permutation,
@@ -41,7 +50,6 @@ from .perm import (
     strings,
     symbols_of,
 )
-from .poset import BudgetExceededError, count_above, factorial_bits
 
 MAX_CODEWORDS = 1_000_000  # the most words in one Codomain.codewords listing, and the longest word
 
@@ -312,6 +320,58 @@ CODOMAINS = {
         lambda l, k: full_permutations(l), lambda k: (1, k),
     ),
 }
+
+
+# ---------------------------------------------------------------------------
+# Greedy prefix-code construction
+
+@dataclass(frozen=True)
+class McMillanResult:
+    """Either a prefix-free code realizing the requested parameters, or the
+    first codeword length at which the greedy tree walk ran out of strings."""
+
+    code: Code | None
+    failed_level: int | None
+
+    @property
+    def feasible(self) -> bool:
+        return self.code is not None
+
+    def __bool__(self) -> bool:
+        return self.feasible
+
+
+def mcmillan_construct(r: int, params) -> McMillanResult:
+    """Greedily pick codewords in the r-ary tree, shortest lengths first and
+    lexicographically smallest strings first, never extending a chosen word.
+
+    Succeeds exactly when the Kraft number of the parameters is at most 1.
+    The strings of length l that extend no chosen word are those whose
+    base-r values run from some ``start`` to ``r^l - 1``, so the walk keeps
+    two integers instead of the frontier (the canonical code of Schwartz and
+    Kallick, 1964): O(sum of a_l * l) work and memory, however long the
+    longest codeword.  The walk decides first; a feasible request for more
+    than ``MAX_CODEWORDS`` words then raises BudgetExceededError, and
+    only a request within it has its words built, by ``StringLevel.key_at``.
+    """
+    require_ints(r)
+    if r < 1:
+        raise ValueError("need r >= 1")
+    seq = ParameterSequence(params)
+    start, free = 0, 1  # first unused value at this length, and r^l - start
+    runs = []  # (level, first value, count) of the words of each used length
+    for length, need in enumerate(seq):
+        if need > free:
+            return McMillanResult(None, failed_level=length)
+        if need:
+            runs.append((StringLevel(r, length, start + free), start, need))
+        start, free = (start + need) * r, (free - need) * r
+    if seq.total > MAX_CODEWORDS:
+        raise BudgetExceededError(f"the code has {seq.total} codewords, above the cap of "
+                                  f"{MAX_CODEWORDS}; ask for fewer codewords")
+    words = (Str(level.key_at(v), r) for level, start, need in runs for v in range(start, start + need))
+    code = Code(Codomain("string", r), tuple(words))
+    return McMillanResult(code, None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Antichains, level-density (LYM) numbers, and the converse-construction
-machinery: greedy prefix-code building, counterexample parameter vectors,
-and exhaustive antichain-existence search.
+machinery: counterexample parameter vectors and exhaustive
+antichain-existence search.  The greedy prefix code needs no poset and
+lives in ``codes``; ``mcmillan_construct`` and ``McMillanResult`` are
+re-exported here under their old names.
 
 All densities are exact rationals.  Searches are deterministic: elements are
 explored in their levels' lexicographic order, the order each level's keys
@@ -17,9 +19,10 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Mapping
 
-from . import codes
-from .codes import Code, Codomain, ParameterSequence, density
-from .perm import Str, StringLevel, require_ints
+from .codes import ParameterSequence, density
+# the greedy prefix code is defined in codes; bench/ calls it and its result type here
+from .codes import McMillanResult, mcmillan_construct  # noqa: F401
+from .perm import require_ints
 from .poset import MAX_MASK_BITS, BudgetExceededError, GradedPoset, format_poset_element
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -172,58 +175,6 @@ def reduce_top_level(poset: GradedPoset, antichain) -> Antichain:
         _require_biregular(poset, top - 1)
         raise InternalInvariantError("reduction decreased the LYM number")
     return reduced
-
-
-# ---------------------------------------------------------------------------
-# Greedy prefix-code construction
-
-@dataclass(frozen=True)
-class McMillanResult:
-    """Either a prefix-free code realizing the requested parameters, or the
-    first codeword length at which the greedy tree walk ran out of strings."""
-
-    code: Code | None
-    failed_level: int | None
-
-    @property
-    def feasible(self) -> bool:
-        return self.code is not None
-
-    def __bool__(self) -> bool:
-        return self.feasible
-
-
-def mcmillan_construct(r: int, params) -> McMillanResult:
-    """Greedily pick codewords in the r-ary tree, shortest lengths first and
-    lexicographically smallest strings first, never extending a chosen word.
-
-    Succeeds exactly when the Kraft number of the parameters is at most 1.
-    The strings of length l that extend no chosen word are those whose
-    base-r values run from some ``start`` to ``r^l - 1``, so the walk keeps
-    two integers instead of the frontier (the canonical code of Schwartz and
-    Kallick, 1964): O(sum of a_l * l) work and memory, however long the
-    longest codeword.  The walk decides first; a feasible request for more
-    than ``codes.MAX_CODEWORDS`` words then raises BudgetExceededError, and
-    only a request within it has its words built, by ``StringLevel.key_at``.
-    """
-    require_ints(r)
-    if r < 1:
-        raise ValueError("need r >= 1")
-    seq = ParameterSequence(params)
-    start, free = 0, 1  # first unused value at this length, and r^l - start
-    runs = []  # (level, first value, count) of the words of each used length
-    for length, need in enumerate(seq):
-        if need > free:
-            return McMillanResult(None, failed_level=length)
-        if need:
-            runs.append((StringLevel(r, length, start + free), start, need))
-        start, free = (start + need) * r, (free - need) * r
-    if seq.total > codes.MAX_CODEWORDS:
-        raise BudgetExceededError(f"the code has {seq.total} codewords, above the cap of "
-                                  f"{codes.MAX_CODEWORDS}; ask for fewer codewords")
-    words = (Str(level.key_at(v), r) for level, start, need in runs for v in range(start, start + need))
-    code = Code(Codomain("string", r), tuple(words))
-    return McMillanResult(code, None)
 
 
 # ---------------------------------------------------------------------------

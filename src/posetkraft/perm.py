@@ -47,6 +47,45 @@ def require_ints(*values) -> None:
             raise ValueError(f"need a plain int, not {v!r} ({type(v).__name__})")
 
 
+# ---------------------------------------------------------------------------
+# Size limits: the one error every cap raises, and the sum the caps on
+# level sizes are checked with before anything is enumerated.
+
+COUNT_BITS = 64  # a size total is summed exactly only below 2^64, past every cap
+
+
+class BudgetExceededError(RuntimeError):
+    """Raised when a request would pass a size limit: a search's budget,
+    ``poset.MAX_VERTICES``, ``poset.MAX_MASK_BITS``, ``poset.MAX_ELEMENTS``,
+    ``poset.MAX_LEVELS``, ``codes.MAX_CODEWORDS`` or the interpreter's digit
+    limit on printing an exact value."""
+
+
+def count_above(cap: int, lengths, size, size_bits) -> str | None:
+    """The total of ``size(l)`` over ``lengths`` as text when it passes
+    ``cap``, else None.  The sum stops once it reaches 2^64, and a level
+    whose lower bound ``2^size_bits(l)`` does is never evaluated; such a
+    total prints as "at least 2^N".  Levels are nonempty, so the sum also
+    stops after ``cap + 1`` of them, at "at least" the total so far.  So a
+    huge size or length costs little; every cap must sit below 2^64."""
+    total = 0
+    for count, l in enumerate(lengths):
+        if count > cap:  # the levels summed so far already pass it
+            return f"at least {total}"
+        bits = size_bits(l)
+        if bits >= COUNT_BITS:
+            return f"at least 2^{bits}"
+        total += size(l)
+        if total.bit_length() > COUNT_BITS:
+            return f"at least 2^{total.bit_length() - 1}"
+    return str(total) if total > cap else None
+
+
+def factorial_bits(l: int) -> int:
+    """An N with 2^N <= l!: exact below 21 and 65 from there (21! > 2^65)."""
+    return math.factorial(min(l, 21)).bit_length() - 1
+
+
 @dataclass(frozen=True)
 class Str:
     """A string over the digit alphabet {0, .., universe-1}; symbols may

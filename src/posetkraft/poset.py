@@ -47,11 +47,14 @@ from .perm import (
     ORDERS,
     PATTERN_RELATIONS,
     STRING_RELATIONS,
+    BudgetExceededError,
     Level,
     PartialPermutation,
     SequenceLevel,
     Str,
     StringLevel,
+    count_above,
+    factorial_bits,
     format_element,
     order_pattern,
     parse_number,
@@ -59,44 +62,12 @@ from .perm import (
 )
 # the builders no longer call these, but bench/tracer.py wraps them under these names
 from .perm import full_permutations, partial_permutations, strings  # noqa: F401
+from .perm import COUNT_BITS  # noqa: F401  (the size limits are defined in perm)
 
 MAX_VERTICES = 5000  # the most vertices a DOT export may draw
 MAX_MASK_BITS = 1 << 30  # the cap on down_masks' bits: at most 128 MiB of masks
 MAX_ELEMENTS = 500_000  # the most elements a builder makes: about 2.5 KB each, 1.2 GB
 MAX_LEVELS = 64  # the most levels a builder makes: past every r >= 2 family that fits MAX_ELEMENTS
-COUNT_BITS = 64  # a size total is summed exactly only below 2^64, past every cap
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when a request would pass a size limit: a search's budget,
-    ``MAX_VERTICES``, ``MAX_MASK_BITS``, ``MAX_ELEMENTS``, ``MAX_LEVELS``,
-    ``codes.MAX_CODEWORDS`` or the interpreter's digit limit on printing an
-    exact value."""
-
-
-def count_above(cap: int, lengths, size, size_bits) -> str | None:
-    """The total of ``size(l)`` over ``lengths`` as text when it passes
-    ``cap``, else None.  The sum stops once it reaches 2^64, and a level
-    whose lower bound ``2^size_bits(l)`` does is never evaluated; such a
-    total prints as "at least 2^N".  Levels are nonempty, so the sum also
-    stops after ``cap + 1`` of them, at "at least" the total so far.  So a
-    huge size or length costs little; every cap must sit below 2^64."""
-    total = 0
-    for count, l in enumerate(lengths):
-        if count > cap:  # the levels summed so far already pass it
-            return f"at least {total}"
-        bits = size_bits(l)
-        if bits >= COUNT_BITS:
-            return f"at least 2^{bits}"
-        total += size(l)
-        if total.bit_length() > COUNT_BITS:
-            return f"at least 2^{total.bit_length() - 1}"
-    return str(total) if total > cap else None
-
-
-def factorial_bits(l: int) -> int:
-    """An N with 2^N <= l!: exact below 21 and 65 from there (21! > 2^65)."""
-    return math.factorial(min(l, 21)).bit_length() - 1
 
 
 def format_poset_element(x) -> str:

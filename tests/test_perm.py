@@ -288,6 +288,31 @@ def test_transitivity_spot_checks():
 
 
 # ---------------------------------------------------------------------------
+# Size limits
+
+def test_count_above_sums_exactly_below_2_to_the_64():
+    def never(l):
+        raise AssertionError(f"level {l} was evaluated")
+
+    powers, bits = (lambda l: 2**l), (lambda l: l)
+    assert perm.count_above(7, range(3), powers, bits) is None
+    assert perm.count_above(6, range(3), powers, bits) == "7"
+    assert perm.count_above(100, range(64), powers, bits) == str(2**64 - 1)
+    assert perm.count_above(100, range(10**9), powers, bits) == "at least 2^64"
+    assert perm.count_above(6, (10**9,), never, bits) == "at least 2^1000000000"
+    assert perm.count_above(6, (1, 2), lambda l: 2**63, lambda l: 0) == "at least 2^64"
+    # nonempty levels: more of them than the cap pass it without a full sum
+    assert perm.count_above(5, range(10**18), lambda l: 1, lambda l: 0) == "at least 6"
+
+
+def test_factorial_bits_bound_the_factorials():
+    for l in range(40):
+        assert 1 << perm.factorial_bits(l) <= math.factorial(l)
+        if l <= 21:
+            assert perm.factorial_bits(l) == math.factorial(l).bit_length() - 1
+
+
+# ---------------------------------------------------------------------------
 # Enumeration
 
 def test_enumerate_partial_permutations():
