@@ -27,13 +27,16 @@ a key of the upper level to the keys of the lower level it covers, once per
 edge.  A step's covers are made on first read, by one routine,
 ``_cover_rows``, from the step and the two levels' key streams, which
 ``perm`` (or, for subsets, ``itertools.combinations``) gives in the
-lexicographic order the elements are made in.  A builder's step is the
-order's ``deletions`` from its ``perm.ORDERS`` entry, which also gives its
+lexicographic order the elements are made in; they are checked as they
+are made, the lower stream by the poset's one level check, whose key ->
+index dict gives every lower index.  A builder's step is the order's
+``deletions`` from its ``perm.ORDERS`` entry, which also gives its
 containment test and, for prefix and substring, the blocks that freeness
-looks up.  The exports read the name streams, lookups make nothing, and
-shadows and witnesses make only the elements they return, so a search on
-two levels of a tall host makes those two levels' covers only, and an
-export or an audit makes no level.
+looks up.  The exports read the name streams and emit each pair's edges
+in one pass over its down rows into per-lower buckets, keeping no
+transpose; lookups make nothing, and shadows and witnesses make only the
+elements they return, so a search on two levels of a tall host makes
+those two levels' covers only, and an export or an audit makes no level.
 """
 
 from __future__ import annotations
@@ -146,8 +149,11 @@ class GradedPoset:
     ``(lower_index, upper_index) -> multiplicity``, grouped into rows and
     checked at once, or as a cover step, a callable from a key of level p+1
     to the keys of level p it covers, a repeated key counting as a
-    multiplicity; ``_down_rows``, the one reader of both, makes and checks
-    a step's rows the first time the pair is read.  ``covers[p]`` maps
+    multiplicity; ``_down_rows``, the one reader of both, makes a step's
+    rows the first time the pair is read, checking them as they are made:
+    the lower key stream passes the level check, so only the row count is
+    left to check.  The exports walk the rows once per pair, filling a
+    bucket per lower element, and keep no transpose.  ``covers[p]`` maps
     ``(lower_index, upper_index) -> multiplicity``; it is rebuilt from the
     rows on every access, at O(edges) cost, and changing it changes
     nothing.  ``covers`` makes every pair and ``levels`` every level.
@@ -257,14 +263,11 @@ class GradedPoset:
         return rows
 
     def _checked_rows(self, p: int, rows) -> list[dict]:
-        """The one check on the rows of the pair (p, p+1), whichever form
-        they came in: one row per upper element, lower indices plain ints
-        in range, multiplicities plain ints >= 1.  It stops at the first bad
-        edge, in row order, and names it."""
+        """The check on the rows ``_grouped`` makes for the pair (p, p+1)
+        from a mapping: lower indices plain ints in range, multiplicities
+        plain ints >= 1.  It stops at the first bad edge, in row order, and
+        names it.  A step's rows need none of it (``_down_rows``)."""
         n_lo = self.sizes[p]
-        if len(rows) != self.sizes[p + 1]:
-            raise ValueError(f"need one dict row per element of level {p + 1}, "
-                             f"got {len(rows)} rows between levels {p} and {p + 1}")
         for hi, row in enumerate(rows):
             for lo, mult in row.items():
                 if type(lo) is not int:
@@ -279,12 +282,20 @@ class GradedPoset:
 
     def _down_rows(self, p: int) -> list[dict]:
         """The rows of the pair (p, p+1), made from its cover step and the
-        two levels' key streams and checked on first read: the one reader
-        of ``_down``.  A pair whose rows fail stays unread."""
+        two levels' key streams on first read: the one reader of ``_down``.
+        The rows are checked as they are made: the lower key stream passes
+        ``_checked_level``, whose key -> index dict gives every lower index,
+        so each is in range and each multiplicity a count >= 1, and only
+        the number of rows is left to check.  A pair whose rows fail stays
+        unread."""
         rows = self._down[p]
         if callable(rows):
-            made = _cover_rows(self._sources[p].keys(), self._sources[p + 1].keys(), rows, p)
-            rows = self._down[p] = self._checked_rows(p, made)
+            index = self._checked_level(p, tuple(self._sources[p].keys()))
+            made = _cover_rows(index, self._sources[p + 1].keys(), rows, p)
+            if len(made) != self.sizes[p + 1]:
+                raise ValueError(f"need one dict row per element of level {p + 1}, "
+                                 f"got {len(made)} rows between levels {p} and {p + 1}")
+            rows = self._down[p] = made
         return rows
 
     @property
@@ -504,8 +515,11 @@ class GradedPoset:
     def to_dot(self) -> str:
         """DOT digraph with one pinned rank per level and multiplicity labels
         read from the pair's rows, each node label escaped by
-        ``_dot_escaped``.  Raises BudgetExceededError when the poset has more
-        than ``MAX_VERTICES`` elements."""
+        ``_dot_escaped``.  Each pair's edge lines come from one pass over its
+        down rows, in upper-index order, into a bucket per lower element,
+        so the lines run by lower and then upper index with no sort and no
+        transpose.  Raises BudgetExceededError when the poset has more than
+        ``MAX_VERTICES`` elements."""
         total = sum(self.sizes)
         if total > MAX_VERTICES:
             raise BudgetExceededError(f"poset has {total} vertices, above the cap of "
@@ -516,46 +530,40 @@ class GradedPoset:
             nodes = "; ".join(f'n{p}_{i} [label="{label}"]' for i, label in enumerate(labels))
             lines.append("  { rank=same; " + nodes + "; }")
         for p in range(len(self.sizes) - 1):
-            down = self._down_rows(p)
-            for lo, highs in enumerate(self._up_rows(p)):
-                head = f"  n{p}_{lo} -> n{p + 1}_"
-                for hi in highs:
-                    mult = down[hi][lo]
-                    lines.append(f'{head}{hi} [label="{mult}"];' if mult > 1 else f"{head}{hi};")
+            tails = [[] for _ in range(self.sizes[p])]  # by lower index: each edge's line past its head
+            for hi, lows in enumerate(self._down_rows(p)):
+                plain = f"{hi};"
+                for lo, mult in lows.items():
+                    tails[lo].append(f'{hi} [label="{mult}"];' if mult > 1 else plain)
+            for lo, row in enumerate(tails):
+                if row:
+                    head = f"  n{p}_{lo} -> n{p + 1}_"
+                    lines.append(head + ("\n" + head).join(row))
         lines.append("}")
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
         """Compact interchange form: element strings per level, edge triples
         (lower name, upper name, multiplicity), the multiplicity read from
-        the pair's rows."""
+        the pair's rows.  Like ``to_dot``, each pair's triples are made in
+        one pass over its down rows into a bucket per lower element, then
+        chained: by lower and then upper index, with no sort."""
         names = [self._names(p) for p in range(len(self.sizes))]
         edges = []
         for p in range(len(self.sizes) - 1):
-            upper, down = names[p + 1], self._down_rows(p)
-            for lo, (name, highs) in enumerate(zip(names[p], self._up_rows(p))):
-                for hi in highs:
-                    edges.append([name, upper[hi], down[hi][lo]])
+            lower, upper = names[p], names[p + 1]
+            triples = [[] for _ in lower]  # by lower index
+            for hi, lows in enumerate(self._down_rows(p)):
+                name = upper[hi]
+                for lo, mult in lows.items():
+                    triples[lo].append([lower[lo], name, mult])
+            edges.extend(itertools.chain.from_iterable(triples))
         return {
             "family": self.family,
             "first_rank": self.first_rank,
             "levels": [list(level_names) for level_names in names],
             "edges": edges,
         }
-
-    def _up_rows(self, p: int) -> list[list[int]]:
-        """The edges between positions p and p+1 by lower index: row lo lists
-        the upper indices of lo's edges in increasing order, since one
-        O(edges) pass walks the rows in upper-index order.  It holds indices
-        only; an export reads each multiplicity from the pair's rows.
-        Walking these rows gives both exports their edge order, lower then
-        upper index, with no sort.  Nothing keeps them, so one pair's
-        transpose is alive at a time."""
-        rows = [[] for _ in range(self.sizes[p])]
-        for hi, lows in enumerate(self._down_rows(p)):
-            for lo in lows:
-                rows[lo].append(hi)
-        return rows
 
     def __repr__(self):
         sizes = ",".join(map(str, self.sizes))
@@ -635,13 +643,15 @@ def _require_elements(lengths, size, size_bits) -> None:
                                   f"{MAX_LEVELS}; build a smaller instance")
 
 
-def _cover_rows(lower, upper, step, p: int) -> list[dict]:
-    """The rows of the pair (p, p+1) from the keys ``lower`` of level p and
-    the keys ``upper`` of level p+1, each in its level's order: row j maps
-    i to m when m of the keys that the cover step gives for upper key j
-    are lower key i, the i in order of first occurrence.  A value that is
-    no lower key, hashable or not, raises ValueError naming the pair."""
-    index = {k: i for i, k in enumerate(lower)}
+def _cover_rows(index: dict, upper, step, p: int) -> list[dict]:
+    """The rows of the pair (p, p+1) from ``index``, the checked key ->
+    index dict of level p, and the keys ``upper`` of level p+1 in its
+    level's order, in one pass over the step's keys: row j maps i to m
+    when m of the keys that the cover step gives for upper key j are lower
+    key i, the i in order of first occurrence.  Every i comes from
+    ``index`` and every m counts at least one key, so the rows need no
+    second check.  A value that is no lower key, hashable or not, raises
+    ValueError naming the pair."""
     rows = []
     for k in upper:
         row = {}

@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import itertools
+import json
 import random
 import re
 import time
@@ -353,10 +355,10 @@ def symbol_tuples(level):
 def test_covers_are_made_per_pair_on_first_read(monkeypatch, made_levels):
     made, make = [], poset._cover_rows
 
-    def counted(lower, upper, *args):
-        lower, upper = tuple(lower), tuple(upper)
-        made.append((lower, upper))
-        return make(lower, upper, *args)
+    def counted(index, upper, *args):
+        upper = tuple(upper)
+        made.append((tuple(index), upper))
+        return make(index, upper, *args)
 
     monkeypatch.setattr(poset, "_cover_rows", counted)
     P = build_string_poset(2, "subsequence", 10)
@@ -530,10 +532,14 @@ TWO_NAMES = functools.partial(iter, ("b", "c"))
 @pytest.mark.parametrize("levels, step, message", [
     ([["a"], ListedLevel(LONG_KEYS, TWO_NAMES)], lambda k: ["a"],
      "need one dict row per element of level 1, got 3 rows between levels 0 and 1"),
-    ([ListedLevel(LONG_KEYS, TWO_NAMES), ["x"]], lambda k: ["d"], r"edge \(2, 0\) out of range between levels 0 and 1"),
+    ([ListedLevel(LONG_KEYS, TWO_NAMES), ["x"]], lambda k: ["d"], "level 0 has 3 elements, not its size 2"),
+    ([ListedLevel(functools.partial(iter, ("b", "b")), TWO_NAMES), ["x"]], lambda k: ["b"],
+     "level 0 has duplicate elements"),
+    ([ListedLevel(functools.partial(iter, ("b",)), TWO_NAMES), ["x"]], lambda k: ["b"],
+     "level 0 has 1 elements, not its size 2"),
     ([["a"], ["b", "c"]], lambda k: ["z"], "the cover step between levels 0 and 1 maps 'b' to 'z', which is no key"),
     ([["a"], ["b", "c"]], lambda k: [["a"]], r"maps 'b' to \['a'\], which is no key of level 0"),
-], ids=["upper keys", "lower keys", "no key", "unhashable"])
+], ids=["upper keys", "lower keys", "repeated lower key", "missing lower key", "no key", "unhashable"])
 def test_cover_rows_are_checked_on_first_read(levels, step, message):
     P = GradedPoset(levels, [step])
     reads = [lambda: P.down_closure(1, {0}, 0), lambda: P.covers, lambda: regularity_check(P), P.to_json_dict,
@@ -781,6 +787,43 @@ def test_exports_match_the_sorted_reference():
     )
     for P in hosts:
         check_exports_against_reference(P)
+
+
+# sha256 of to_dot() (None past its vertex cap) and of json.dumps(to_json_dict())
+# on the hosts that bench/workloads.py's build round exports
+BUILD_HOST_DIGESTS = [
+    (functools.partial(build_partial_perm_poset, 6, "subsequence"),
+     "21d2ce598362c63b489af80c968a7ace104a21a137478929afac6068cf0c6efc",
+     "f275bc032ab709d14af44eef38710cfcdf13eb8c7edb9e553a3ac5bfd42f96ae"),
+    (functools.partial(build_pattern_poset, 6, "pattern"),
+     "dab16af0acc0ab4b82243650471ef88a8f1bfdd896777218170dadbeffdf2f8e",
+     "d4b36cf914279b4aebf94b4edf9d85c8b343f290e3b092b04ffe08a80c3375b8"),
+    (functools.partial(build_string_poset, 3, "substring", 7),
+     "d93dee09ebc6558dff37e4bdfc7f521a92f5b2b5ec78c020f8ccc7b11c0bcad7",
+     "ccb1074efd41d9344a52af85f97ff80edd913945ea0a32b326f802cf50545b2e"),
+    (functools.partial(build_subset_poset, 12),
+     "571cb367b1566a0f825bab270213503b14f0e789572c34b77cc012ed23486e58",
+     "0df82c94e37be64a9659d5606e2a47d1168f773ecde365ba2520705ea02cdb46"),
+    (functools.partial(build_string_poset, 2, "subsequence", 11),
+     "dc1a2cd3677bc9b18804a37f31803256cfe5b12c8c1bae274f62a66a35bffbf9",
+     "993cafe23cc5175ce429229ae47cc1d8212c038573eac65e156e30d7bd8645c9"),
+    (functools.partial(build_pattern_poset, 7, "substring_pattern"),
+     None,
+     "e4cf81e86ed964ef475fcc7fe3ecebb9dd8f60396acf1150ef3b2889708ea697"),
+]
+
+
+@pytest.mark.parametrize("build, dot_digest, json_digest", BUILD_HOST_DIGESTS,
+                         ids=["pperm6", "pattern6", "str3-7", "subsets12", "str2-11", "subpattern7"])
+def test_exports_keep_their_bytes_on_the_build_hosts(build, dot_digest, json_digest):
+    P = build()
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    if dot_digest is None:
+        with pytest.raises(poset.BudgetExceededError):
+            P.to_dot()
+    else:
+        assert digest(P.to_dot()) == dot_digest
+    assert digest(json.dumps(P.to_json_dict())) == json_digest
 
 
 @st.composite
