@@ -285,9 +285,17 @@ class Level:
     make nothing: ``key_at(i)``, the key at index i, ``find(x)``, its
     inverse, the index of element x or None, and ``named``, below, which a
     builder's level answers with ``parse(text)``, the element a name spells
-    (ValueError when it spells none)."""
+    (ValueError when it spells none).  ``heads(below)`` is None but on
+    string and subset levels."""
 
     __slots__ = ("size",)
+
+    def heads(self, below):
+        """For each first symbol c, in key order, ``(c, start, stop, shift)``
+        when the keys led by c are c before the keys of ``below`` at
+        start..stop-1, and c·u's index is u's plus shift; None unless
+        ``below`` is this level's keys one symbol shorter."""
+        return None
 
     def named(self, text: str, name_of):
         """The element that ``name_of`` names ``text``, with or without its
@@ -322,6 +330,12 @@ class StringLevel(Level):
         if self.r > 10:  # a symbol past 9 is written in parentheses
             return map(format_element, map(self.element, self.keys()))
         return map("".join, itertools.product(DIGITS[: self.r], repeat=self.l))
+
+    def heads(self, below):
+        if type(below) is not StringLevel or (below.r, below.l + 1) != (self.r, self.l):
+            return None
+        tails = self.r ** below.l  # every c is followed by every key below
+        return [(c, 0, tails, c * tails) for c in range(self.r)]
 
     def key_at(self, i: int) -> tuple[int, ...]:
         digits = [0] * self.l

@@ -24,12 +24,15 @@ as a sequence of its elements is a ``_TableLevel``, made at once; only
 ``levels`` and ``level`` make a builder's level.  Each level pair is given
 as a mapping of its cover edges or as its *cover step*: the call that maps
 a key of the upper level to the keys of the lower level it covers, once per
-edge.  A step's covers are made on first read, by one routine,
-``_cover_rows``, from the step and the two levels' key streams, which
-``perm`` (or, for subsets, ``itertools.combinations``) gives in the
-lexicographic order the elements are made in; they are checked as they
-are made, the lower stream by the poset's one level check, whose key ->
-index dict gives every lower index.  A builder's step is the order's
+edge.  A step's covers are made on first read and checked as they are
+made, the lower key stream by the poset's one level check, whose key ->
+index dict gives every lower index.  ``_cover_rows`` makes them from the
+step and the two levels' key streams, which ``perm`` (or, for subsets,
+``itertools.combinations``) gives in the lexicographic order the elements
+are made in; a subsequence pair of strings or subsets read after the pair
+below it shifts that pair's rows instead (``_rows_from_below``).  Audits,
+exports and ``covers`` read bottom-up, so they take that path, and a lone
+pair read makes that pair only.  A builder's step is the order's
 ``deletions`` from its ``perm.ORDERS`` entry, which also gives its
 containment test and, for prefix and substring, the blocks that freeness
 looks up.  The exports read the name streams and emit each pair's edges
@@ -152,8 +155,10 @@ class GradedPoset:
     multiplicity; ``_down_rows``, the one reader of both, makes a step's
     rows the first time the pair is read, checking them as they are made:
     the lower key stream passes the level check, so only the row count is
-    left to check.  The exports walk the rows once per pair, filling a
-    bucket per lower element, and keep no transpose.  ``covers[p]`` maps
+    left to check.  A subsequence pair of strings or subsets read after
+    the pair below it shifts that pair's rows (``_rows_from_below``).  The
+    exports walk the rows once per pair, filling a bucket per lower
+    element, and keep no transpose.  ``covers[p]`` maps
     ``(lower_index, upper_index) -> multiplicity``; it is rebuilt from the
     rows on every access, at O(edges) cost, and changing it changes
     nothing.  ``covers`` makes every pair and ``levels`` every level.
@@ -195,6 +200,8 @@ class GradedPoset:
         # -> multiplicity, or until first read the cover step that makes them
         self._down = [cov if callable(cov) else self._checked_rows(p, self._grouped(p, cov))
                       for p, cov in enumerate(covers)]
+        # _steps[p]: the pair's cover step (None for a mapping), kept once _down[p] holds rows
+        self._steps = tuple(cov if callable(cov) else None for cov in covers)
         # (lower pos, upper pos) -> the pair's degree audit
         self._pair_audits: dict[tuple[int, int], LevelPairRegularity] = {}
 
@@ -281,17 +288,29 @@ class GradedPoset:
         return rows
 
     def _down_rows(self, p: int) -> list[dict]:
-        """The rows of the pair (p, p+1), made from its cover step and the
-        two levels' key streams on first read: the one reader of ``_down``.
-        The rows are checked as they are made: the lower key stream passes
-        ``_checked_level``, whose key -> index dict gives every lower index,
-        so each is in range and each multiplicity a count >= 1, and only
-        the number of rows is left to check.  A pair whose rows fail stays
-        unread."""
+        """The rows of the pair (p, p+1), made from its cover step on first
+        read: the one reader of ``_down``.  A subsequence pair over one made
+        from the same step shifts its rows when both levels give ``heads``;
+        any other is made by ``_cover_rows``.  The rows are checked as they
+        are made: the lower key stream passes ``_checked_level`` (a table
+        level did when the poset was made: its ``index``), whose key ->
+        index dict gives every lower index, so each is in range and each
+        multiplicity a count >= 1, and only the number of rows is left to
+        check.  A pair whose rows fail stays unread."""
         rows = self._down[p]
         if callable(rows):
-            index = self._checked_level(p, tuple(self._sources[p].keys()))
-            made = _cover_rows(index, self._sources[p + 1].keys(), rows, p)
+            lower, upper = self._sources[p], self._sources[p + 1]
+            heads = (None,)
+            if p and rows is self._steps[p - 1] is ORDERS["subsequence"].deletions \
+                    and not callable(self._down[p - 1]):
+                heads = lower.heads(self._sources[p - 1]), upper.heads(lower)
+            if None not in heads:
+                self._checked_level(p, tuple(lower.keys()))  # the check alone: no key dict is read
+                made = _rows_from_below(*heads, self._down[p - 1], self.sizes[p])
+            elif isinstance(lower, _TableLevel):
+                made = _cover_rows(lower.index, upper.keys(), rows, p)
+            else:
+                made = _cover_rows(self._checked_level(p, tuple(lower.keys())), upper.keys(), rows, p)
             if len(made) != self.sizes[p + 1]:
                 raise ValueError(f"need one dict row per element of level {p + 1}, "
                                  f"got {len(made)} rows between levels {p} and {p + 1}")
@@ -666,6 +685,27 @@ def _cover_rows(index: dict, upper, step, p: int) -> list[dict]:
     return rows
 
 
+def _rows_from_below(lower, upper, below_rows, size: int) -> list[dict]:
+    """A subsequence pair's rows from ``below_rows``, the pair beneath's,
+    and the ``heads`` of its levels.  The step deletes position 0 first, so
+    c·w covers w, then c·d for each d that w covers: its row is w's index,
+    then w's row below shifted by c's shift, a repeat (w, when it starts
+    with c) adding where it first stood, as in ``_cover_rows``.  The rows
+    share one int per lower index, as ``_cover_rows``'s do."""
+    indices = list(range(size))
+    shifts = {c: shift for c, _, _, shift in lower}
+    rows = []
+    for c, start, stop, _ in upper:
+        shift = shifts[c]
+        for w in indices[start:stop]:
+            row = {w: 1}
+            for lo, mult in below_rows[w].items():
+                lo = indices[lo + shift]
+                row[lo] = row.get(lo, 0) + mult
+            rows.append(row)
+    return rows
+
+
 class _SubsetLevel(Level):
     """The i-subsets of ``universe`` = [1..n], in the lexicographic order
     of their increasing sequences, ranked by the combinatorial number system."""
@@ -693,6 +733,17 @@ class _SubsetLevel(Level):
             key.append(c)
             c += 1
         return tuple(key)
+
+    def heads(self, below):
+        n, i = len(self.universe), self.i
+        if type(below) is not _SubsetLevel or (len(below.universe), below.i + 1) != (n, i):
+            return None
+        heads = []
+        for c in range(1, n - i + 2):
+            start = math.comb(n, i - 1) - math.comb(n - c, i - 1)  # the keys below past c come last
+            first = math.comb(n, i) - math.comb(n - c + 1, i)  # the keys here led by a member below c
+            heads.append((c, start, math.comb(n, i - 1), first - start))
+        return heads
 
     def find(self, x):
         n, i = len(self.universe), self.i

@@ -1033,6 +1033,109 @@ def test_lazy_lookups_match_eager_rebuilds(made_levels, build):
     assert made_levels == made_before  # the lazy host's lookups made no level
 
 
+# ---------------------------------------------------------------------------
+# Subsequence rows from the pair below
+
+@pytest.fixture
+def step_pairs(monkeypatch):
+    """The positions of the pairs that ``_cover_rows`` makes after this;
+    every other step pair is made from the pair below it."""
+    made, make = [], poset._cover_rows
+
+    def counted(index, upper, step, p):
+        made.append(p)
+        return make(index, upper, step, p)
+    monkeypatch.setattr(poset, "_cover_rows", counted)
+    return made
+
+
+def cover_rows_of(P, p):
+    """The rows of the pair (p, p+1) as ``_cover_rows`` makes them from the
+    two levels' key streams, each row as its list of items, so order counts."""
+    lower, upper = P._sources[p], P._sources[p + 1]
+    index = {k: i for i, k in enumerate(lower.keys())}
+    rows = poset._cover_rows(index, upper.keys(), perm.ORDERS["subsequence"].deletions, p)
+    return [list(row.items()) for row in rows]
+
+
+FROM_BELOW_HOSTS = ([functools.partial(build_string_poset, r, "subsequence", L) for r in (1, 2, 3) for L in range(7)]
+                    + [functools.partial(build_subset_poset, n) for n in range(11)])
+
+
+@pytest.mark.parametrize("build", FROM_BELOW_HOSTS, ids=lambda build: repr(build()))
+def test_rows_from_below_match_the_cover_rows(step_pairs, build):
+    pairs = list(range(build().num_levels - 1))
+    want = {p: cover_rows_of(build(), p) for p in pairs}
+    step_pairs.clear()
+    shuffled = random.Random(len(pairs)).sample(pairs, len(pairs))
+    for order in (pairs, pairs[::-1], shuffled):
+        P = build()
+        assert {p: [list(row.items()) for row in P._down_rows(p)] for p in order} == want
+    # bottom-up, only the lowest pair is made from the key streams; top-down, every pair is
+    assert step_pairs[: len(pairs) + 1] == pairs[:1] + pairs[::-1]
+
+
+@pytest.mark.parametrize("build", FROM_BELOW_HOSTS, ids=lambda build: repr(build()))
+def test_level_heads_split_the_key_stream(build):
+    levels = build()._sources
+    for below, level in zip(levels, levels[1:]):
+        keys, tails = list(level.keys()), list(below.keys())
+        heads = level.heads(below)
+        assert [c for c, *_ in heads] == sorted({k[0] for k in keys})
+        assert [(c, *tails[j]) for c, start, stop, _ in heads for j in range(start, stop)] == keys
+        for c, start, stop, shift in heads:
+            assert all(keys[j + shift] == (c, *tails[j]) for j in range(start, stop))
+    for q, level in enumerate(levels):  # a level splits over the level right beneath it only
+        assert all(level.heads(other) is None for other in levels[: max(q - 1, 0)] + levels[q:])
+    assert perm.SequenceLevel(3, 2, 6).heads(perm.SequenceLevel(3, 1, 3)) is None
+    assert perm.StringLevel(2, 2, 4).heads(perm.StringLevel(3, 1, 3)) is None
+
+
+@pytest.mark.parametrize("build, p", [
+    (functools.partial(build_subset_poset, 14), 7), (functools.partial(build_subset_poset, 14), 13),
+    (functools.partial(build_string_poset, 2, "subsequence", 12), 8),
+    (functools.partial(build_string_poset, 2, "subsequence", 12), 11),
+], ids=["subsets 14, pair 7", "subsets 14, top pair", "strings L=12, pair 8", "strings L=12, top pair"])
+def test_a_lone_pair_read_makes_that_pair_only(step_pairs, build, p):
+    P = build()
+    assert P.down_closure(p + 1, {0}, p) == set(P._down_rows(p)[0])
+    assert step_pairs == [p]
+    assert [not callable(rows) for rows in P._down] == [q == p for q in range(P.num_levels - 1)]
+    # an audit afterwards makes the lowest pair from the key streams and the rest from below
+    audit = regularity_check(P)
+    assert step_pairs == [p, 0]
+    fresh = build()
+    assert regularity_check(fresh) == audit
+    assert [list(cover.items()) for cover in P.covers] == [list(cover.items()) for cover in fresh.covers]
+
+
+def test_rows_come_from_below_only_over_a_subsequence_pair(step_pairs):
+    levels = [perm.StringLevel(2, l, 2**l) for l in range(3)]
+    want = list(build_string_poset(2, "subsequence", 2).covers[1].items())
+    step_pairs.clear()
+    for below in (lambda k: [(), ()], {(0, 0): 2, (0, 1): 2}):  # two covers of the empty string each
+        P = GradedPoset(levels, [below, perm.ORDERS["subsequence"].deletions])
+        assert list(P.covers[1].items()) == want
+    assert step_pairs == [0, 1, 1]  # the step below, then the pair above it twice
+
+
+def test_step_pairs_on_table_levels_reuse_the_level_check(monkeypatch):
+    checked, check = [], GradedPoset._checked_level
+
+    def counted(self, p, level):
+        checked.append(p)
+        return check(self, p, level)
+    monkeypatch.setattr(GradedPoset, "_checked_level", counted)
+    levels = [["a"], ["b", "c"], ["d", "e", "f"]]
+    steps = [lambda k: ["a"], {"d": ["b"], "e": ["b", "c", "b"], "f": ["c"]}.__getitem__]
+    P = GradedPoset(levels, steps)
+    assert checked == [0, 1, 2]  # each table level once, as the poset is made
+    assert [list(cover.items()) for cover in P.covers] == [
+        [((0, 0), 1), ((0, 1), 1)], [((0, 0), 1), ((0, 1), 2), ((1, 1), 1), ((1, 2), 1)]]
+    regularity_check(P), P.to_json_dict(), P.to_dot()
+    assert checked == [0, 1, 2]
+
+
 def union_find_connected(P, rank, upper_rank):
     """The connectivity check as it was: one union-find over the pair's
     down-closures, kept as the reference for the mask merge."""
