@@ -167,8 +167,8 @@ def order_pattern(seq: Sequence[int]) -> tuple[int, ...]:
     """The ranks of seq's distinct entries among themselves, in seq's order:
     ``order_pattern((5, 2, 7)) == (2, 1, 3)``.  One C-level ``map`` looks
     each entry up in a sorted copy behind a placeholder, so the index found
-    is the one-based rank; at the lengths the builders reach (at most 8) the
-    linear ``index`` scan costs less than a rank dict."""
+    is the one-based rank; at the lengths the pattern orders compare (at
+    most 8) the linear ``index`` scan costs less than a rank dict."""
     order = [None, *sorted(seq)]
     return tuple(map(order.index, seq))
 

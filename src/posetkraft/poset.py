@@ -32,8 +32,11 @@ step and the two levels' key streams, which ``perm`` (or, for subsets,
 are made in; a subsequence pair of strings or subsets read after the pair
 below it shifts that pair's rows instead (``_rows_from_below``).  Audits,
 exports and ``covers`` read bottom-up, so they take that path, and a lone
-pair read makes that pair only.  A builder's step is the order's
-``deletions`` from its ``perm.ORDERS`` entry, which also gives its
+pair read makes that pair only.  A pattern poset's helper pair, whose step
+``_pattern_of`` maps a helper to its order pattern, is made from ranks on
+any read (``_pattern_rows``).  Neither path reads a lower key, so the lower
+level is checked only when it is itself read.  Every other builder step is
+the order's ``deletions`` from its ``perm.ORDERS`` entry, which also gives its
 containment test and, for prefix and substring, the blocks that freeness
 looks up.  The exports read the name streams and emit each pair's edges
 in one pass over its down rows into per-lower buckets, keeping no
@@ -153,12 +156,12 @@ class GradedPoset:
     checked at once, or as a cover step, a callable from a key of level p+1
     to the keys of level p it covers, a repeated key counting as a
     multiplicity; ``_down_rows``, the one reader of both, makes a step's
-    rows the first time the pair is read, checking them as they are made:
-    the lower key stream passes the level check, so only the row count is
-    left to check.  A subsequence pair of strings or subsets read after
-    the pair below it shifts that pair's rows (``_rows_from_below``).  The
-    exports walk the rows once per pair, filling a bucket per lower
-    element, and keep no transpose.  ``covers[p]`` maps
+    rows the first time the pair is read, checking them as they are made.
+    A subsequence pair of strings or subsets read after the pair below it
+    shifts that pair's rows (``_rows_from_below``), and a pattern poset's
+    helper pair is made from ranks (``_pattern_rows``).  The exports walk
+    the rows once per pair, filling a bucket per lower element, and keep
+    no transpose.  ``covers[p]`` maps
     ``(lower_index, upper_index) -> multiplicity``; it is rebuilt from the
     rows on every access, at O(edges) cost, and changing it changes
     nothing.  ``covers`` makes every pair and ``levels`` every level.
@@ -291,12 +294,15 @@ class GradedPoset:
         """The rows of the pair (p, p+1), made from its cover step on first
         read: the one reader of ``_down``.  A subsequence pair over one made
         from the same step shifts its rows when both levels give ``heads``;
-        any other is made by ``_cover_rows``.  The rows are checked as they
-        are made: the lower key stream passes ``_checked_level`` (a table
-        level did when the poset was made: its ``index``), whose key ->
-        index dict gives every lower index, so each is in range and each
-        multiplicity a count >= 1, and only the number of rows is left to
-        check.  A pair whose rows fail stays unread."""
+        a ``_pattern_of`` pair from the permutations of [n] to the
+        n-sequences over [n+1] is made from ranks; any other is made by
+        ``_cover_rows``.  There the lower key stream passes
+        ``_checked_level`` (a table level did when the poset was made: its
+        ``index``), whose key -> index dict gives every lower index, so each
+        is in range and each multiplicity a count >= 1.  The closed-form
+        paths read no lower key: the lower level's size is its closed form,
+        or the pair below counted its keys as rows.  Only the number of rows
+        is left to check.  A pair whose rows fail stays unread."""
         rows = self._down[p]
         if callable(rows):
             lower, upper = self._sources[p], self._sources[p + 1]
@@ -305,8 +311,11 @@ class GradedPoset:
                     and not callable(self._down[p - 1]):
                 heads = lower.heads(self._sources[p - 1]), upper.heads(lower)
             if None not in heads:
-                self._checked_level(p, tuple(lower.keys()))  # the check alone: no key dict is read
                 made = _rows_from_below(*heads, self._down[p - 1], self.sizes[p])
+            elif rows is _pattern_of and type(lower) is type(upper) is SequenceLevel \
+                    and lower.k == lower.l == upper.l == upper.k - 1 \
+                    and lower.size == math.factorial(lower.k):
+                made = _pattern_rows(lower.k)
             elif isinstance(lower, _TableLevel):
                 made = _cover_rows(lower.index, upper.keys(), rows, p)
             else:
@@ -706,6 +715,30 @@ def _rows_from_below(lower, upper, below_rows, size: int) -> list[dict]:
     return rows
 
 
+def _pattern_of(key) -> tuple:
+    """A pattern poset's helper step: a helper covers its order pattern."""
+    return (order_pattern(key),)
+
+
+def _pattern_rows(n: int) -> list[dict]:
+    """The rows of a helper pair, the permutations of [n] below the
+    injective n-sequences over [n+1], from ranks alone.  The helper of
+    size s and index j = (c-1)·s! + t is c·τ, where t indexes τ's
+    standardization among the helpers of size s-1.  It covers the
+    permutation of index (c - 1 - [m_t < c])·(s-1)! + F[t], where F[t] is
+    the pattern index of helper t and m_t the value of [s] that helper t
+    misses; c·τ misses m_t + [m_t >= c].  The patterns share one int per
+    lower index, as ``_cover_rows``'s rows do."""
+    indices, patterns, missing = list(range(math.factorial(n))), [0], [1]
+    for s in range(1, n + 1):
+        if s > 1:
+            missing = [m + (m >= c) for c in range(1, s + 1) for m in missing]
+        w = math.factorial(s - 1)
+        patterns = [indices[f + (c - 1 - (m < c)) * w]
+                    for c in range(1, s + 2) for f, m in zip(patterns, missing)]
+    return [{f: 1} for f in patterns]
+
+
 class _SubsetLevel(Level):
     """The i-subsets of ``universe`` = [1..n], in the lexicographic order
     of their increasing sequences, ranked by the combinatorial number system."""
@@ -815,7 +848,7 @@ def build_pattern_poset(k: int, relation: str) -> GradedPoset:
     _require_elements(range(2 * k - 1), size, lambda p: factorial_bits((p + 3) // 2))
     levels = [SequenceLevel((p + 3) // 2, p // 2 + 1, size(p)) for p in range(2 * k - 1)]
     # a helper covers its pattern; a permutation, the helpers it deletes down to
-    steps = [lambda key: (order_pattern(key),), ORDERS[ORDERS[relation].base].deletions] * (k - 1)
+    steps = [_pattern_of, ORDERS[ORDERS[relation].base].deletions] * (k - 1)
     return GradedPoset(levels, steps, family=f"perm_pattern({relation}, k={k})", first_rank=0)
 
 

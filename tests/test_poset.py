@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 import re
 import time
@@ -1049,12 +1050,25 @@ def step_pairs(monkeypatch):
     return made
 
 
+@pytest.fixture
+def level_checks(monkeypatch):
+    """The positions that ``_checked_level`` checks after this."""
+    checked, check = [], GradedPoset._checked_level
+
+    def counted(self, p, level):
+        checked.append(p)
+        return check(self, p, level)
+    monkeypatch.setattr(GradedPoset, "_checked_level", counted)
+    return checked
+
+
 def cover_rows_of(P, p):
     """The rows of the pair (p, p+1) as ``_cover_rows`` makes them from the
-    two levels' key streams, each row as its list of items, so order counts."""
+    pair's step and the two levels' key streams, each row as its list of
+    items, so order counts."""
     lower, upper = P._sources[p], P._sources[p + 1]
     index = {k: i for i, k in enumerate(lower.keys())}
-    rows = poset._cover_rows(index, upper.keys(), perm.ORDERS["subsequence"].deletions, p)
+    rows = poset._cover_rows(index, upper.keys(), P._steps[p], p)
     return [list(row.items()) for row in rows]
 
 
@@ -1119,21 +1133,87 @@ def test_rows_come_from_below_only_over_a_subsequence_pair(step_pairs):
     assert step_pairs == [0, 1, 1]  # the step below, then the pair above it twice
 
 
-def test_step_pairs_on_table_levels_reuse_the_level_check(monkeypatch):
-    checked, check = [], GradedPoset._checked_level
-
-    def counted(self, p, level):
-        checked.append(p)
-        return check(self, p, level)
-    monkeypatch.setattr(GradedPoset, "_checked_level", counted)
+def test_step_pairs_on_table_levels_reuse_the_level_check(level_checks):
     levels = [["a"], ["b", "c"], ["d", "e", "f"]]
     steps = [lambda k: ["a"], {"d": ["b"], "e": ["b", "c", "b"], "f": ["c"]}.__getitem__]
     P = GradedPoset(levels, steps)
-    assert checked == [0, 1, 2]  # each table level once, as the poset is made
+    assert level_checks == [0, 1, 2]  # each table level once, as the poset is made
     assert [list(cover.items()) for cover in P.covers] == [
         [((0, 0), 1), ((0, 1), 1)], [((0, 0), 1), ((0, 1), 2), ((1, 1), 1), ((1, 2), 1)]]
     regularity_check(P), P.to_json_dict(), P.to_dot()
-    assert checked == [0, 1, 2]
+    assert level_checks == [0, 1, 2]
+
+
+@pytest.mark.parametrize("build, key_checks", [
+    (functools.partial(build_subset_poset, 10), [0]),
+    (functools.partial(build_pattern_poset, 5, "pattern"), [1, 3, 5, 7]),
+], ids=["subsets n=10", "pattern k=5"])
+def test_closed_form_rows_read_no_lower_key(level_checks, build, key_checks):
+    P = build()
+    regularity_check(P)
+    # only the pairs made from the key streams check their lower level's keys
+    assert level_checks == key_checks
+    level_checks.clear()
+    P.levels
+    assert level_checks == list(range(P.num_levels))  # each level once, as it is made
+    P.to_json_dict()
+    assert level_checks == list(range(P.num_levels)) * 2  # the names, once per level
+
+
+# ---------------------------------------------------------------------------
+# Helper rows of the pattern posets from ranks
+
+@pytest.mark.parametrize("relation", poset.PATTERN_RELATIONS)
+@pytest.mark.parametrize("k", range(1, 8))
+def test_helper_rows_match_the_cover_rows(step_pairs, k, relation):
+    build = functools.partial(build_pattern_poset, k, relation)
+    pairs = list(range(build().num_levels - 1))
+    want = {p: cover_rows_of(build(), p) for p in pairs}
+    step_pairs.clear()
+    shuffled = random.Random(k).sample(pairs, len(pairs))
+    for order in (pairs, pairs[::-1], shuffled, *([p] for p in pairs)):
+        P = build()
+        assert {p: [list(row.items()) for row in P._down_rows(p)] for p in order} == {p: want[p] for p in order}
+    # the helper pairs, at even positions, never reach _cover_rows
+    assert set(step_pairs) == set(pairs[1::2])
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_helper_rows_are_the_helpers_order_patterns(n):
+    lower, helpers = perm.SequenceLevel(n, n, math.factorial(n)), perm.SequenceLevel(n + 1, n, math.factorial(n + 1))
+    patterns = [lower.find(PartialPermutation(perm.order_pattern(key), n)) for key in helpers.keys()]
+    assert [list(row.items()) for row in poset._pattern_rows(n)] == [[(i, 1)] for i in patterns]
+
+
+def test_helper_rows_come_from_ranks_only_over_the_helper_shape(step_pairs):
+    step = poset._pattern_of
+    three = perm.SequenceLevel(3, 3, 6)
+    tables = [list(itertools.permutations(range(1, 4))), list(itertools.permutations(range(1, 5), 3))]
+    for levels in ([three, perm.SequenceLevel(5, 3, 60)], tables):
+        P = GradedPoset(levels, [step])
+        rows = [list(row.items()) for row in P._down_rows(0)]
+        assert step_pairs == [0]
+        assert rows == cover_rows_of(P, 0)
+        step_pairs.clear()
+    # over the helper shape the rows come from ranks, and by another step from the key streams
+    four = perm.SequenceLevel(4, 3, 24)
+    want = list(GradedPoset([three, four], [step]).covers[0].items())
+    assert step_pairs == []
+    P = GradedPoset([three, four], [lambda key: (perm.order_pattern(key),)])
+    assert list(P.covers[0].items()) == want and step_pairs == [0]
+    # a helper level below whose size is not n! gets the level check
+    with pytest.raises(ValueError, match="level 0 has 6 elements, not its size 5"):
+        GradedPoset([perm.SequenceLevel(3, 3, 5), four], [step]).covers
+
+
+@pytest.mark.parametrize("relation", poset.PATTERN_RELATIONS)
+def test_a_lone_helper_pair_read_makes_that_pair_only(step_pairs, made_levels, relation):
+    P = build_pattern_poset(8, relation)
+    p = 12  # the permutations of [7] below the helpers of size 7
+    assert P.down_closure(p + 1, {0, 40319}, p) == {0, 5039}
+    assert step_pairs == [] and made_levels == []
+    assert [not callable(rows) for rows in P._down] == [q == p for q in range(P.num_levels - 1)]
+    assert [list(row.items()) for row in P._down_rows(p)] == cover_rows_of(P, p)
 
 
 def union_find_connected(P, rank, upper_rank):
