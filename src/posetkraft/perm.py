@@ -24,9 +24,10 @@ lexicographic order.  ``StringLevel`` and ``SequenceLevel`` hand such a
 level to the poset builders: its symbol stream, its element names (where
 each symbol is one digit, the digits joined in the same order, with no
 element made), and lookups by rank arithmetic both ways: ``key_at``
-unranks an index to its symbol tuple and ``find`` ranks an element back.
-The element lists ``strings`` and ``partial_permutations`` map over a
-level's stream, so each family's order lives in its level class alone.
+unranks an index to its symbol tuple and ``find`` ranks an element back;
+``rows_over`` makes a pair's cover rows from ranks where it can.  The
+element lists ``strings`` and ``partial_permutations`` map over a level's
+stream, so each family's order lives in its level class alone.
 """
 
 from __future__ import annotations
@@ -286,7 +287,7 @@ class Level:
     inverse, the index of element x or None, and ``named``, below, which a
     builder's level answers with ``parse(text)``, the element a name spells
     (ValueError when it spells none).  ``heads(below)`` is None but on
-    string and subset levels."""
+    string and subset levels, and so is ``rows_over`` on every other level."""
 
     __slots__ = ("size",)
 
@@ -295,6 +296,14 @@ class Level:
         when the keys led by c are c before the keys of ``below`` at
         start..stop-1, and c·u's index is u's plus shift; None unless
         ``below`` is this level's keys one symbol shorter."""
+        return None
+
+    def rows_over(self, lower, step, below):
+        """The rows of the pair from ``lower`` up to this level by ``step``,
+        by a closed form, item for item as ``poset._cover_rows`` makes them,
+        or None.  ``below`` is the pair beneath, its lower level and rows,
+        when it is made from the same step.  A closed form reads no key, so
+        it needs ``lower`` one symbol shorter, of this level's family."""
         return None
 
     def named(self, text: str, name_of):
@@ -336,6 +345,18 @@ class StringLevel(Level):
             return None
         tails = self.r ** below.l  # every c is followed by every key below
         return [(c, 0, tails, c * tails) for c in range(self.r)]
+
+    def rows_over(self, lower, step, below):
+        r = self.r
+        if type(lower) is not StringLevel or (lower.r, lower.l + 1, lower.size) != (r, self.l, r**lower.l):
+            return None
+        if step is ORDERS["prefix"].deletions or step is ORDERS["substring"].deletions and not lower.l:
+            return _fan_rows(lower.size, r)  # key j covers key j // r only
+        if step is ORDERS["substring"].deletions:  # key j covers j mod r^l, then j // r
+            indices = list(range(lower.size))
+            heads = [i for i in indices for _ in range(r)]
+            return [{t: 1, h: 1} if t != h else {t: 2} for t, h in zip(indices * r, heads)]
+        return _rows_from_below(lower, self, below) if step is ORDERS["subsequence"].deletions and below else None
 
     def key_at(self, i: int) -> tuple[int, ...]:
         digits = [0] * self.l
@@ -391,8 +412,74 @@ class SequenceLevel(Level):
             return i
         return None
 
+    def rows_over(self, lower, step, below):
+        if type(lower) is not SequenceLevel:
+            return None
+        k, l = lower.k, lower.l
+        if step is ORDERS["prefix"].deletions and (k, l + 1, lower.size) == (self.k, self.l, math.perm(k, l)):
+            return _fan_rows(lower.size, k - l)  # the last entry weighs 1, the one before it k - l
+        if step is _pattern_of and k == l == self.l == self.k - 1 and lower.size == math.factorial(k):
+            return _pattern_rows(k)
+        return None
+
     def parse(self, text: str) -> PartialPermutation:
         return parse_partial_permutation(text, self.k)
+
+
+# The closed forms of ``rows_over``: rows share one int per lower index,
+# as ``poset._cover_rows``'s do.
+
+def _fan_rows(size: int, fan: int) -> list[dict]:
+    """Rows where upper index j covers lower index j // fan once: deleting
+    the last symbol of a word whose last symbol has ``fan`` choices."""
+    return [{i: 1} for i in range(size) for _ in range(fan)]
+
+
+def _rows_from_below(lower, upper, below) -> list[dict] | None:
+    """A subsequence pair's rows from ``below``, the pair beneath, by the
+    three levels' ``heads`` (None when one has none).  The step deletes
+    position 0 first, so c·w covers w, then c·d for each d that w covers:
+    its row is w's index, then w's row below shifted by c's shift, a repeat
+    adding where it first stood."""
+    beneath, below_rows = below
+    heads = lower.heads(beneath), upper.heads(lower)
+    if None in heads:
+        return None
+    indices = list(range(lower.size))  # the pair beneath counted lower.size rows
+    shifts = {c: shift for c, _, _, shift in heads[0]}
+    rows = []
+    for c, start, stop, _ in heads[1]:
+        shift = shifts[c]
+        for w in indices[start:stop]:
+            row = {w: 1}
+            for lo, mult in below_rows[w].items():
+                lo = indices[lo + shift]
+                row[lo] = row.get(lo, 0) + mult
+            rows.append(row)
+    return rows
+
+
+def _pattern_of(key) -> tuple:
+    """A pattern poset's helper step: a helper covers its order pattern."""
+    return (order_pattern(key),)
+
+
+def _pattern_rows(n: int) -> list[dict]:
+    """The rows of a helper pair, the permutations of [n] below the
+    injective n-sequences over [n+1], from ranks alone.  The helper of
+    size s and index j = (c-1)·s! + t is c·τ, where t indexes τ's
+    standardization among the helpers of size s-1.  It covers the
+    permutation of index (c - 1 - [m_t < c])·(s-1)! + F[t], where F[t] is
+    the pattern index of helper t and m_t the value of [s] that helper t
+    misses; c·τ misses m_t + [m_t >= c]."""
+    indices, patterns, missing = list(range(math.factorial(n))), [0], [1]
+    for s in range(1, n + 1):
+        if s > 1:
+            missing = [m + (m >= c) for c in range(1, s + 1) for m in missing]
+        w = math.factorial(s - 1)
+        patterns = [indices[f + (c - 1 - (m < c)) * w]
+                    for c in range(1, s + 2) for f, m in zip(patterns, missing)]
+    return [{f: 1} for f in patterns]
 
 
 def strings(r: int, l: int) -> list[Str]:

@@ -29,17 +29,17 @@ made, the lower key stream by the poset's one level check, whose key ->
 index dict gives every lower index.  ``_cover_rows`` makes them from the
 step and the two levels' key streams, which ``perm`` (or, for subsets,
 ``itertools.combinations``) gives in the lexicographic order the elements
-are made in; a subsequence pair of strings or subsets read after the pair
-below it shifts that pair's rows instead (``_rows_from_below``).  Audits,
-exports and ``covers`` read bottom-up, so they take that path, and a lone
-pair read makes that pair only.  A pattern poset's helper pair, whose step
-``_pattern_of`` maps a helper to its order pattern, is made from ranks on
-any read (``_pattern_rows``).  Neither path reads a lower key, so the lower
-level is checked only when it is itself read.  Every other builder step is
-the order's ``deletions`` from its ``perm.ORDERS`` entry, which also gives its
-containment test and, for prefix and substring, the blocks that freeness
-looks up.  The exports read the name streams and emit each pair's edges
-in one pass over its down rows into per-lower buckets, keeping no
+are made in, unless the upper level's ``rows_over`` has a closed form:
+string prefix and substring and partial-permutation prefix pairs, a
+pattern poset's helper pairs, and a subsequence pair of strings or
+subsets read after the pair below it, whose rows it shifts.  A closed
+form reads no lower key.  A builder's step is ``perm._pattern_of`` for a
+helper pair and else the order's ``deletions`` from its ``perm.ORDERS``
+entry, which also gives its containment test and, for prefix and
+substring, the blocks that freeness looks up.  Audits, exports and
+``covers`` read bottom-up, and a lone pair read makes that pair only.
+The exports read the name streams and emit each pair's edges in one
+pass over its down rows into per-lower buckets, keeping no
 transpose; lookups make nothing, and shadows and witnesses make only the
 elements they return, so a search on two levels of a tall host makes
 those two levels' covers only, and an export or an audit makes no level.
@@ -62,16 +62,16 @@ from .perm import (
     SequenceLevel,
     Str,
     StringLevel,
+    _pattern_of,
+    _rows_from_below,
     count_above,
     factorial_bits,
     format_element,
-    order_pattern,
     parse_number,
     require_ints,
 )
 # the builders no longer call these, but bench/tracer.py wraps them under these names
 from .perm import full_permutations, partial_permutations, strings  # noqa: F401
-from .perm import COUNT_BITS  # noqa: F401  (the size limits are defined in perm)
 
 MAX_VERTICES = 5000  # the most vertices a DOT export may draw
 MAX_MASK_BITS = 1 << 30  # the cap on down_masks' bits: at most 128 MiB of masks
@@ -156,10 +156,9 @@ class GradedPoset:
     checked at once, or as a cover step, a callable from a key of level p+1
     to the keys of level p it covers, a repeated key counting as a
     multiplicity; ``_down_rows``, the one reader of both, makes a step's
-    rows the first time the pair is read, checking them as they are made.
-    A subsequence pair of strings or subsets read after the pair below it
-    shifts that pair's rows (``_rows_from_below``), and a pattern poset's
-    helper pair is made from ranks (``_pattern_rows``).  The exports walk
+    rows the first time the pair is read, checking them as they are made,
+    by the upper level's closed form (``Level.rows_over``) where it has
+    one and from the key streams (``_cover_rows``) elsewhere.  The exports walk
     the rows once per pair, filling a bucket per lower element, and keep
     no transpose.  ``covers[p]`` maps
     ``(lower_index, upper_index) -> multiplicity``; it is rebuilt from the
@@ -194,10 +193,11 @@ class GradedPoset:
             raise ValueError("need exactly one cover map per consecutive level pair")
         # pos -> element names: a table level's, which may repeat, made here
         self._level_names: dict[int, tuple[str, ...]] = {}
+        self._indices: dict[int, dict] = {}  # pos -> a table level's checked element -> index dict
         for p, made in enumerate(self._levels):
             if made is not None:
                 table = self._sources[p] = _TableLevel(made, self._checked_level(p, made))
-                self._level_names[p] = table.labels
+                self._indices[p], self._level_names[p] = table.index, table.labels
 
         # _down[p]: the rows of the pair (p, p+1), row hi mapping lower index
         # -> multiplicity, or until first read the cover step that makes them
@@ -238,8 +238,10 @@ class GradedPoset:
     def elements(self, pos: int, indices) -> list:
         """The elements at ``indices`` of level position ``pos``, in the
         order asked, each made from the key the level's ``key_at`` unranks
-        from its index, so only the picked elements are made.  An index
-        outside 0..size-1 raises ValueError; a negative one does not wrap."""
+        from its index, so only the picked elements are made; a whole level
+        in order is made from its key stream, which passes the level check.
+        An index outside 0..size-1 raises ValueError; a negative one does
+        not wrap."""
         indices = list(indices)
         require_ints(pos, *indices)
         if not 0 <= pos < len(self.sizes):
@@ -250,6 +252,10 @@ class GradedPoset:
             raise ValueError(f"no element {bad[0]} in level {self.rank_of_position(pos)}, "
                              f"whose indices run 0..{size - 1}")
         source = self._sources[pos]
+        if indices and len(indices) == size and indices == list(range(size)):
+            keys = tuple(source.keys())
+            self._checked_level(pos, keys)
+            return list(map(source.element, keys))
         return list(map(source.element, map(source.key_at, indices)))
 
     @property
@@ -292,34 +298,22 @@ class GradedPoset:
 
     def _down_rows(self, p: int) -> list[dict]:
         """The rows of the pair (p, p+1), made from its cover step on first
-        read: the one reader of ``_down``.  A subsequence pair over one made
-        from the same step shifts its rows when both levels give ``heads``;
-        a ``_pattern_of`` pair from the permutations of [n] to the
-        n-sequences over [n+1] is made from ranks; any other is made by
-        ``_cover_rows``.  There the lower key stream passes
-        ``_checked_level`` (a table level did when the poset was made: its
-        ``index``), whose key -> index dict gives every lower index, so each
-        is in range and each multiplicity a count >= 1.  The closed-form
-        paths read no lower key: the lower level's size is its closed form,
-        or the pair below counted its keys as rows.  Only the number of rows
-        is left to check.  A pair whose rows fail stays unread."""
+        read: the one reader of ``_down``.  The upper level's ``rows_over``
+        makes them by a closed form where it has one, given the pair beneath
+        when that is made from the same step; ``_cover_rows`` makes any
+        other.  There the lower key stream passes ``_checked_level`` (a
+        table level's dict, in ``_indices``, passed it with the poset), so
+        each lower index is in range and each multiplicity a count >= 1.  A
+        closed form reads no key and leaves the row count to check.  A pair
+        whose rows fail stays unread."""
         rows = self._down[p]
         if callable(rows):
             lower, upper = self._sources[p], self._sources[p + 1]
-            heads = (None,)
-            if p and rows is self._steps[p - 1] is ORDERS["subsequence"].deletions \
-                    and not callable(self._down[p - 1]):
-                heads = lower.heads(self._sources[p - 1]), upper.heads(lower)
-            if None not in heads:
-                made = _rows_from_below(*heads, self._down[p - 1], self.sizes[p])
-            elif rows is _pattern_of and type(lower) is type(upper) is SequenceLevel \
-                    and lower.k == lower.l == upper.l == upper.k - 1 \
-                    and lower.size == math.factorial(lower.k):
-                made = _pattern_rows(lower.k)
-            elif isinstance(lower, _TableLevel):
-                made = _cover_rows(lower.index, upper.keys(), rows, p)
-            else:
-                made = _cover_rows(self._checked_level(p, tuple(lower.keys())), upper.keys(), rows, p)
+            below = p and self._steps[p - 1] is rows and not callable(self._down[p - 1])
+            made = upper.rows_over(lower, rows, (self._sources[p - 1], self._down[p - 1]) if below else None)
+            if made is None:
+                index = self._indices.get(p) or self._checked_level(p, tuple(lower.keys()))
+                made = _cover_rows(index, upper.keys(), rows, p)
             if len(made) != self.sizes[p + 1]:
                 raise ValueError(f"need one dict row per element of level {p + 1}, "
                                  f"got {len(made)} rows between levels {p} and {p + 1}")
@@ -694,51 +688,6 @@ def _cover_rows(index: dict, upper, step, p: int) -> list[dict]:
     return rows
 
 
-def _rows_from_below(lower, upper, below_rows, size: int) -> list[dict]:
-    """A subsequence pair's rows from ``below_rows``, the pair beneath's,
-    and the ``heads`` of its levels.  The step deletes position 0 first, so
-    c·w covers w, then c·d for each d that w covers: its row is w's index,
-    then w's row below shifted by c's shift, a repeat (w, when it starts
-    with c) adding where it first stood, as in ``_cover_rows``.  The rows
-    share one int per lower index, as ``_cover_rows``'s do."""
-    indices = list(range(size))
-    shifts = {c: shift for c, _, _, shift in lower}
-    rows = []
-    for c, start, stop, _ in upper:
-        shift = shifts[c]
-        for w in indices[start:stop]:
-            row = {w: 1}
-            for lo, mult in below_rows[w].items():
-                lo = indices[lo + shift]
-                row[lo] = row.get(lo, 0) + mult
-            rows.append(row)
-    return rows
-
-
-def _pattern_of(key) -> tuple:
-    """A pattern poset's helper step: a helper covers its order pattern."""
-    return (order_pattern(key),)
-
-
-def _pattern_rows(n: int) -> list[dict]:
-    """The rows of a helper pair, the permutations of [n] below the
-    injective n-sequences over [n+1], from ranks alone.  The helper of
-    size s and index j = (c-1)·s! + t is c·τ, where t indexes τ's
-    standardization among the helpers of size s-1.  It covers the
-    permutation of index (c - 1 - [m_t < c])·(s-1)! + F[t], where F[t] is
-    the pattern index of helper t and m_t the value of [s] that helper t
-    misses; c·τ misses m_t + [m_t >= c].  The patterns share one int per
-    lower index, as ``_cover_rows``'s rows do."""
-    indices, patterns, missing = list(range(math.factorial(n))), [0], [1]
-    for s in range(1, n + 1):
-        if s > 1:
-            missing = [m + (m >= c) for c in range(1, s + 1) for m in missing]
-        w = math.factorial(s - 1)
-        patterns = [indices[f + (c - 1 - (m < c)) * w]
-                    for c in range(1, s + 2) for f, m in zip(patterns, missing)]
-    return [{f: 1} for f in patterns]
-
-
 class _SubsetLevel(Level):
     """The i-subsets of ``universe`` = [1..n], in the lexicographic order
     of their increasing sequences, ranked by the combinatorial number system."""
@@ -777,6 +726,9 @@ class _SubsetLevel(Level):
             first = math.comb(n, i) - math.comb(n - c + 1, i)  # the keys here led by a member below c
             heads.append((c, start, math.comb(n, i - 1), first - start))
         return heads
+
+    def rows_over(self, lower, step, below):
+        return _rows_from_below(lower, self, below) if step is ORDERS["subsequence"].deletions and below else None
 
     def find(self, x):
         n, i = len(self.universe), self.i

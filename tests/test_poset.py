@@ -470,10 +470,11 @@ def test_level_calls_are_checked_on_first_read(made_levels, elements, message):
     P = GradedPoset([["a"], ListedLevel(keys, lambda: map(str, keys()))], [{(0, 0): 1, (0, 1): 1}])
     assert calls == [] and P.index_of(1, "c") == 1 and P.resolve_element(1, "b") == "b"
     assert P.elements(1, [1]) == ["c"] and calls == [] and made_levels == []  # unranked: no level made
-    for read in (lambda: P.level(1), P.to_json_dict, lambda: P.levels):
+    # a whole-level pick reads the key stream, checked as the level is
+    for read in (lambda: P.level(1), P.to_json_dict, lambda: P.levels, lambda: P.elements(1, range(2))):
         with pytest.raises(ValueError, match=message):  # a level whose call fails stays unmade
             read()
-    assert len(calls) == 3
+    assert len(calls) == 4
     assert P.sizes == (1, 2) and repr(P) == "GradedPoset(custom; sizes 1,2)"
     assert P.level(0) == ("a",) and P.down_closure(1, {1}, 0) == {0}
     assert lym.counterexample_params(P, 0).reason == "down-degree not > 1"
@@ -1034,6 +1035,17 @@ def test_lazy_lookups_match_eager_rebuilds(made_levels, build):
     assert made_levels == made_before  # the lazy host's lookups made no level
 
 
+@pytest.mark.parametrize("build", [pytest.param(case[0], id=repr(case[0]())) for case in LAZY_CASES])
+def test_whole_level_picks_match_key_at(made_levels, build):
+    P = build()
+    for pos, size in enumerate(P.sizes):
+        source = P._sources[pos]
+        want = [source.element(source.key_at(i)) for i in range(size)]
+        assert P.elements(pos, range(size)) == want == P.elements(pos, list(range(size)))
+        assert P.elements(pos, range(size - 1, -1, -1)) == want[::-1]  # out of order: unranked
+    assert made_levels == []
+
+
 # ---------------------------------------------------------------------------
 # Subsequence rows from the pair below
 
@@ -1147,7 +1159,10 @@ def test_step_pairs_on_table_levels_reuse_the_level_check(level_checks):
 @pytest.mark.parametrize("build, key_checks", [
     (functools.partial(build_subset_poset, 10), [0]),
     (functools.partial(build_pattern_poset, 5, "pattern"), [1, 3, 5, 7]),
-], ids=["subsets n=10", "pattern k=5"])
+    (functools.partial(build_string_poset, 2, "prefix", 8), []),
+    (functools.partial(build_string_poset, 3, "substring", 5), []),
+    (functools.partial(build_partial_perm_poset, 5, "prefix"), []),
+], ids=["subsets n=10", "pattern k=5", "strings prefix r=2 L=8", "strings substring r=3 L=5", "pperm prefix k=5"])
 def test_closed_form_rows_read_no_lower_key(level_checks, build, key_checks):
     P = build()
     regularity_check(P)
@@ -1158,6 +1173,87 @@ def test_closed_form_rows_read_no_lower_key(level_checks, build, key_checks):
     assert level_checks == list(range(P.num_levels))  # each level once, as it is made
     P.to_json_dict()
     assert level_checks == list(range(P.num_levels)) * 2  # the names, once per level
+
+
+# ---------------------------------------------------------------------------
+# Closed-form rows against the rows made from the key streams
+
+# family prefix -> which pairs the upper level's closed form makes
+CLOSED_FORMS = {"string(prefix": "every", "string(substring": "every", "partial_perm(prefix": "every",
+                "string(subsequence": "over a made pair", "subsets": "over a made pair",
+                "perm_pattern": "helper pairs"}
+
+
+def cover_row_reads(P, order):
+    """The pairs that ``_cover_rows`` makes when P's pairs are read in
+    ``order`` on a fresh host, in that order: those no closed form makes."""
+    form = next((form for name, form in CLOSED_FORMS.items() if P.family.startswith(name)), None)
+    made, reads = set(), []
+    for p in order:
+        if not (form == "every" or form == "over a made pair" and p - 1 in made
+                or form == "helper pairs" and p % 2 == 0):
+            reads.append(p)
+        made.add(p)
+    return reads
+
+
+CLOSED_FORM_HOSTS = (
+    [functools.partial(build_string_poset, r, rel, L)
+     for r in (1, 2, 3, 4) for rel in poset.STRING_RELATIONS for L in range(7 if r < 4 else 6)]
+    + [functools.partial(build_partial_perm_poset, k, rel)
+       for rel in poset.STRING_RELATIONS for k in range(1, 8 if rel == "prefix" else 6)]
+    + [functools.partial(build_subset_poset, n) for n in range(11)]
+    + [functools.partial(build_pattern_poset, k, rel) for k in range(1, 8) for rel in poset.PATTERN_RELATIONS]
+)
+
+
+@pytest.mark.parametrize("build", CLOSED_FORM_HOSTS, ids=lambda build: repr(build()))
+def test_closed_form_rows_match_the_cover_rows(step_pairs, build):
+    pairs = list(range(build().num_levels - 1))
+    want = {p: cover_rows_of(build(), p) for p in pairs}
+    shuffled = random.Random(len(pairs)).sample(pairs, len(pairs))
+    for order in (pairs, pairs[::-1], shuffled, *([p] for p in pairs)):
+        P = build()
+        step_pairs.clear()
+        assert {p: [list(row.items()) for row in P._down_rows(p)] for p in order} == {p: want[p] for p in order}
+        assert step_pairs == cover_row_reads(P, order)
+
+
+S, Q = perm.StringLevel, perm.SequenceLevel
+PAIR_OF_ONES = {(0, 0): 1, (0, 1): 1}
+FOREIGN_SHAPES = {  # name: levels, the steps by order name or as a mapping, and the refusal if any
+    "prefix over another r": ([S(3, 1, 3), S(2, 2, 4)], ["prefix"], None),
+    "substring over another r": ([S(3, 1, 3), S(2, 2, 4)], ["substring"], None),
+    "subsequence over another r": ([S(3, 0, 1), S(3, 1, 3), S(2, 2, 4)], ["subsequence"] * 2, None),
+    "prefix over a wrong string size": ([S(2, 1, 3), S(2, 2, 4)], ["prefix"], "level 0 has 2 elements"),
+    "substring of length 1 over another r": ([S(3, 0, 1), S(2, 1, 2)], ["substring"], None),
+    "prefix over another k": ([Q(5, 2, 20), Q(4, 3, 24)], ["prefix"], None),
+    "prefix over SequenceLevel(5, 3)": ([Q(5, 3, 60), Q(5, 3, 60)], ["prefix"], "which is no key"),
+    "prefix up to SequenceLevel(5, 3)": ([Q(3, 3, 6), Q(5, 3, 60)], ["prefix"], "which is no key"),
+    "prefix over a wrong sequence size": ([Q(4, 2, 11), Q(4, 3, 24)], ["prefix"], "level 0 has 12 elements"),
+    "prefix over a table": ([list(S(2, 1, 2).keys()), S(2, 2, 4)], ["prefix"], None),
+    "substring under a table": ([S(2, 1, 2), list(S(2, 2, 4).keys())], ["substring"], None),
+    "prefix of sequences under a table": ([Q(4, 2, 12), list(Q(4, 3, 24).keys())], ["prefix"], None),
+    "subsequence over a table": ([[()], S(2, 1, 2), S(2, 2, 4)], ["subsequence"] * 2, None),
+    "subsets over a table": ([[()], poset._SubsetLevel(frozenset({1, 2}), 1, 2),
+                              poset._SubsetLevel(frozenset({1, 2}), 2, 1)], ["subsequence"] * 2, None),
+    "subsequence over a mapping": ([S(2, 0, 1), S(2, 1, 2), S(2, 2, 4)], [PAIR_OF_ONES, "subsequence"], None),
+    "subsequence over another step": ([S(2, 0, 1), S(2, 1, 2), S(2, 2, 4)], ["prefix", "subsequence"], None),
+}
+
+
+@pytest.mark.parametrize("levels, steps, refusal", FOREIGN_SHAPES.values(), ids=FOREIGN_SHAPES)
+def test_foreign_shapes_take_the_cover_rows(step_pairs, levels, steps, refusal):
+    steps = [perm.ORDERS[step].deletions if isinstance(step, str) else step for step in steps]
+    P = GradedPoset(levels, steps)
+    if refusal:  # the lower level check, or a lower key missing: refusals of the key-stream path
+        with pytest.raises(ValueError, match=refusal):
+            P.covers
+        return
+    got = [list(cover.items()) for cover in P.covers]
+    assert step_pairs[-1] == len(steps) - 1  # read bottom-up: the top pair last, from the key streams
+    for p in list(step_pairs):  # cover_rows_of below records its own calls
+        assert [((lo, hi), m) for hi, row in enumerate(cover_rows_of(P, p)) for lo, m in row] == got[p]
 
 
 # ---------------------------------------------------------------------------
@@ -1182,11 +1278,11 @@ def test_helper_rows_match_the_cover_rows(step_pairs, k, relation):
 def test_helper_rows_are_the_helpers_order_patterns(n):
     lower, helpers = perm.SequenceLevel(n, n, math.factorial(n)), perm.SequenceLevel(n + 1, n, math.factorial(n + 1))
     patterns = [lower.find(PartialPermutation(perm.order_pattern(key), n)) for key in helpers.keys()]
-    assert [list(row.items()) for row in poset._pattern_rows(n)] == [[(i, 1)] for i in patterns]
+    assert [list(row.items()) for row in perm._pattern_rows(n)] == [[(i, 1)] for i in patterns]
 
 
 def test_helper_rows_come_from_ranks_only_over_the_helper_shape(step_pairs):
-    step = poset._pattern_of
+    step = perm._pattern_of
     three = perm.SequenceLevel(3, 3, 6)
     tables = [list(itertools.permutations(range(1, 4))), list(itertools.permutations(range(1, 5), 3))]
     for levels in ([three, perm.SequenceLevel(5, 3, 60)], tables):
