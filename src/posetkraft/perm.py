@@ -23,11 +23,10 @@ The elements of one length are enumerated as symbol tuples in
 lexicographic order.  ``StringLevel`` and ``SequenceLevel`` hand such a
 level to the poset builders: its symbol stream, its element names (where
 each symbol is one digit, the digits joined in the same order, with no
-element made), and lookups by rank arithmetic both ways: ``key_at``
-unranks an index to its symbol tuple and ``find`` ranks an element back;
-``rows_over`` makes a pair's cover rows from ranks where it can.  The
-element lists ``strings`` and ``partial_permutations`` map over a level's
-stream, so each family's order lives in its level class alone.
+element made), rank arithmetic both ways (``key_at`` unranks an index,
+``find`` ranks an element) and a pair's cover rows by ranks (``rows_over``).
+The element lists ``strings`` and ``partial_permutations`` map over a
+level's stream, so each family's order lives in its level class alone.
 """
 
 from __future__ import annotations
@@ -287,7 +286,7 @@ class Level:
     inverse, the index of element x or None, and ``named``, below, which a
     builder's level answers with ``parse(text)``, the element a name spells
     (ValueError when it spells none).  ``heads(below)`` is None but on
-    string and subset levels, and so is ``rows_over`` on every other level."""
+    string and subset levels."""
 
     __slots__ = ("size",)
 
@@ -299,12 +298,12 @@ class Level:
         return None
 
     def rows_over(self, lower, step, below):
-        """The rows of the pair from ``lower`` up to this level by ``step``,
-        by a closed form, item for item as ``poset._cover_rows`` makes them,
-        or None.  ``below`` is the pair beneath, its lower level and rows,
-        when it is made from the same step.  A closed form reads no key, so
-        it needs ``lower`` one symbol shorter, of this level's family."""
-        return None
+        """The rows of the pair from ``lower`` by ``step``, by a closed form
+        item for item as ``poset._cover_rows`` makes them, or None.  Here a
+        subsequence pair's, from ``below`` (the pair beneath, made from the
+        same step: its lower level and rows) when the levels give ``heads``."""
+        heads = below and step is ORDERS["subsequence"].deletions and (lower.heads(below[0]), self.heads(lower))
+        return _rows_from_below(*heads, below[1], lower.size) if heads and None not in heads else None
 
     def named(self, text: str, name_of):
         """The element that ``name_of`` names ``text``, with or without its
@@ -356,7 +355,7 @@ class StringLevel(Level):
             indices = list(range(lower.size))
             heads = [i for i in indices for _ in range(r)]
             return [{t: 1, h: 1} if t != h else {t: 2} for t, h in zip(indices * r, heads)]
-        return _rows_from_below(lower, self, below) if step is ORDERS["subsequence"].deletions and below else None
+        return super().rows_over(lower, step, below)
 
     def key_at(self, i: int) -> tuple[int, ...]:
         digits = [0] * self.l
@@ -418,37 +417,31 @@ class SequenceLevel(Level):
         k, l = lower.k, lower.l
         if step is ORDERS["prefix"].deletions and (k, l + 1, lower.size) == (self.k, self.l, math.perm(k, l)):
             return _fan_rows(lower.size, k - l)  # the last entry weighs 1, the one before it k - l
-        if step is _pattern_of and k == l == self.l == self.k - 1 and lower.size == math.factorial(k):
-            return _pattern_rows(k)
-        return None
+        shape = k == l == self.l == self.k - 1 and lower.size == math.factorial(k)
+        return _pattern_rows(k) if step is _pattern_of and shape else None
 
     def parse(self, text: str) -> PartialPermutation:
         return parse_partial_permutation(text, self.k)
 
 
-# The closed forms of ``rows_over``: rows share one int per lower index,
-# as ``poset._cover_rows``'s do.
-
 def _fan_rows(size: int, fan: int) -> list[dict]:
-    """Rows where upper index j covers lower index j // fan once: deleting
-    the last symbol of a word whose last symbol has ``fan`` choices."""
+    """Rows where upper index j covers lower index j // fan once, sharing
+    one int per lower index: deleting the last symbol of a word whose last
+    symbol has ``fan`` choices."""
     return [{i: 1} for i in range(size) for _ in range(fan)]
 
 
-def _rows_from_below(lower, upper, below) -> list[dict] | None:
-    """A subsequence pair's rows from ``below``, the pair beneath, by the
-    three levels' ``heads`` (None when one has none).  The step deletes
-    position 0 first, so c·w covers w, then c·d for each d that w covers:
-    its row is w's index, then w's row below shifted by c's shift, a repeat
-    adding where it first stood."""
-    beneath, below_rows = below
-    heads = lower.heads(beneath), upper.heads(lower)
-    if None in heads:
-        return None
-    indices = list(range(lower.size))  # the pair beneath counted lower.size rows
-    shifts = {c: shift for c, _, _, shift in heads[0]}
+def _rows_from_below(lower, upper, below_rows, size: int) -> list[dict]:
+    """A subsequence pair's rows from ``below_rows``, the pair beneath's,
+    and the ``heads`` of its levels.  The step deletes position 0 first, so
+    c·w covers w, then c·d for each d that w covers: its row is w's index,
+    then w's row below shifted by c's shift, a repeat (w, when it starts
+    with c) adding where it first stood, as in ``_cover_rows``.  The rows
+    share one int per lower index, as ``_cover_rows``'s do."""
+    indices = list(range(size))
+    shifts = {c: shift for c, _, _, shift in lower}
     rows = []
-    for c, start, stop, _ in heads[1]:
+    for c, start, stop, _ in upper:
         shift = shifts[c]
         for w in indices[start:stop]:
             row = {w: 1}
@@ -471,7 +464,8 @@ def _pattern_rows(n: int) -> list[dict]:
     standardization among the helpers of size s-1.  It covers the
     permutation of index (c - 1 - [m_t < c])·(s-1)! + F[t], where F[t] is
     the pattern index of helper t and m_t the value of [s] that helper t
-    misses; c·τ misses m_t + [m_t >= c]."""
+    misses; c·τ misses m_t + [m_t >= c].  The patterns share one int per
+    lower index, as ``_cover_rows``'s rows do."""
     indices, patterns, missing = list(range(math.factorial(n))), [0], [1]
     for s in range(1, n + 1):
         if s > 1:

@@ -29,20 +29,18 @@ made, the lower key stream by the poset's one level check, whose key ->
 index dict gives every lower index.  ``_cover_rows`` makes them from the
 step and the two levels' key streams, which ``perm`` (or, for subsets,
 ``itertools.combinations``) gives in the lexicographic order the elements
-are made in, unless the upper level's ``rows_over`` has a closed form:
-string prefix and substring and partial-permutation prefix pairs, a
-pattern poset's helper pairs, and a subsequence pair of strings or
-subsets read after the pair below it, whose rows it shifts.  A closed
-form reads no lower key.  A builder's step is ``perm._pattern_of`` for a
-helper pair and else the order's ``deletions`` from its ``perm.ORDERS``
-entry, which also gives its containment test and, for prefix and
-substring, the blocks that freeness looks up.  Audits, exports and
-``covers`` read bottom-up, and a lone pair read makes that pair only.
-The exports read the name streams and emit each pair's edges in one
-pass over its down rows into per-lower buckets, keeping no
-transpose; lookups make nothing, and shadows and witnesses make only the
-elements they return, so a search on two levels of a tall host makes
-those two levels' covers only, and an export or an audit makes no level.
+are made in, unless the upper level's ``rows_over`` makes them by a
+closed form, reading no lower key (the README tables the forms).  A
+builder's step is ``perm._pattern_of`` for a helper pair and else the
+order's ``deletions`` from its ``perm.ORDERS`` entry, which also gives its
+containment test and, for prefix and substring, the blocks that freeness
+looks up.  Audits, exports and ``covers`` read bottom-up, and a lone pair
+read makes that pair only.  The exports read the name streams and emit
+each pair's edges in one pass over its down rows into per-lower buckets,
+keeping no transpose; lookups make nothing, and shadows and witnesses
+make only the elements they return, so a search on two levels of a tall
+host makes those two levels' covers only, and an export or an audit
+makes no level.
 """
 
 from __future__ import annotations
@@ -63,7 +61,6 @@ from .perm import (
     Str,
     StringLevel,
     _pattern_of,
-    _rows_from_below,
     count_above,
     factorial_bits,
     format_element,
@@ -158,9 +155,9 @@ class GradedPoset:
     multiplicity; ``_down_rows``, the one reader of both, makes a step's
     rows the first time the pair is read, checking them as they are made,
     by the upper level's closed form (``Level.rows_over``) where it has
-    one and from the key streams (``_cover_rows``) elsewhere.  The exports walk
-    the rows once per pair, filling a bucket per lower element, and keep
-    no transpose.  ``covers[p]`` maps
+    one and from the key streams (``_cover_rows``) elsewhere.  The exports
+    walk the rows once per pair, filling a bucket per lower element, and
+    keep no transpose.  ``covers[p]`` maps
     ``(lower_index, upper_index) -> multiplicity``; it is rebuilt from the
     rows on every access, at O(edges) cost, and changing it changes
     nothing.  ``covers`` makes every pair and ``levels`` every level.
@@ -193,11 +190,10 @@ class GradedPoset:
             raise ValueError("need exactly one cover map per consecutive level pair")
         # pos -> element names: a table level's, which may repeat, made here
         self._level_names: dict[int, tuple[str, ...]] = {}
-        self._indices: dict[int, dict] = {}  # pos -> a table level's checked element -> index dict
         for p, made in enumerate(self._levels):
             if made is not None:
                 table = self._sources[p] = _TableLevel(made, self._checked_level(p, made))
-                self._indices[p], self._level_names[p] = table.index, table.labels
+                self._level_names[p] = table.labels
 
         # _down[p]: the rows of the pair (p, p+1), row hi mapping lower index
         # -> multiplicity, or until first read the cover step that makes them
@@ -238,10 +234,8 @@ class GradedPoset:
     def elements(self, pos: int, indices) -> list:
         """The elements at ``indices`` of level position ``pos``, in the
         order asked, each made from the key the level's ``key_at`` unranks
-        from its index, so only the picked elements are made; a whole level
-        in order is made from its key stream, which passes the level check.
-        An index outside 0..size-1 raises ValueError; a negative one does
-        not wrap."""
+        from its index, so only the picked elements are made.  An index
+        outside 0..size-1 raises ValueError; a negative one does not wrap."""
         indices = list(indices)
         require_ints(pos, *indices)
         if not 0 <= pos < len(self.sizes):
@@ -252,10 +246,6 @@ class GradedPoset:
             raise ValueError(f"no element {bad[0]} in level {self.rank_of_position(pos)}, "
                              f"whose indices run 0..{size - 1}")
         source = self._sources[pos]
-        if indices and len(indices) == size and indices == list(range(size)):
-            keys = tuple(source.keys())
-            self._checked_level(pos, keys)
-            return list(map(source.element, keys))
         return list(map(source.element, map(source.key_at, indices)))
 
     @property
@@ -302,8 +292,8 @@ class GradedPoset:
         makes them by a closed form where it has one, given the pair beneath
         when that is made from the same step; ``_cover_rows`` makes any
         other.  There the lower key stream passes ``_checked_level`` (a
-        table level's dict, in ``_indices``, passed it with the poset), so
-        each lower index is in range and each multiplicity a count >= 1.  A
+        table level's ``index`` passed it with the poset), so each lower
+        index is in range and each multiplicity a count >= 1.  A
         closed form reads no key and leaves the row count to check.  A pair
         whose rows fail stays unread."""
         rows = self._down[p]
@@ -312,7 +302,7 @@ class GradedPoset:
             below = p and self._steps[p - 1] is rows and not callable(self._down[p - 1])
             made = upper.rows_over(lower, rows, (self._sources[p - 1], self._down[p - 1]) if below else None)
             if made is None:
-                index = self._indices.get(p) or self._checked_level(p, tuple(lower.keys()))
+                index = getattr(lower, "index", None) or self._checked_level(p, tuple(lower.keys()))
                 made = _cover_rows(index, upper.keys(), rows, p)
             if len(made) != self.sizes[p + 1]:
                 raise ValueError(f"need one dict row per element of level {p + 1}, "
@@ -726,9 +716,6 @@ class _SubsetLevel(Level):
             first = math.comb(n, i) - math.comb(n - c + 1, i)  # the keys here led by a member below c
             heads.append((c, start, math.comb(n, i - 1), first - start))
         return heads
-
-    def rows_over(self, lower, step, below):
-        return _rows_from_below(lower, self, below) if step is ORDERS["subsequence"].deletions and below else None
 
     def find(self, x):
         n, i = len(self.universe), self.i

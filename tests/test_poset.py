@@ -470,11 +470,10 @@ def test_level_calls_are_checked_on_first_read(made_levels, elements, message):
     P = GradedPoset([["a"], ListedLevel(keys, lambda: map(str, keys()))], [{(0, 0): 1, (0, 1): 1}])
     assert calls == [] and P.index_of(1, "c") == 1 and P.resolve_element(1, "b") == "b"
     assert P.elements(1, [1]) == ["c"] and calls == [] and made_levels == []  # unranked: no level made
-    # a whole-level pick reads the key stream, checked as the level is
-    for read in (lambda: P.level(1), P.to_json_dict, lambda: P.levels, lambda: P.elements(1, range(2))):
+    for read in (lambda: P.level(1), P.to_json_dict, lambda: P.levels):
         with pytest.raises(ValueError, match=message):  # a level whose call fails stays unmade
             read()
-    assert len(calls) == 4
+    assert len(calls) == 3
     assert P.sizes == (1, 2) and repr(P) == "GradedPoset(custom; sizes 1,2)"
     assert P.level(0) == ("a",) and P.down_closure(1, {1}, 0) == {0}
     assert lym.counterexample_params(P, 0).reason == "down-degree not > 1"
@@ -1035,17 +1034,6 @@ def test_lazy_lookups_match_eager_rebuilds(made_levels, build):
     assert made_levels == made_before  # the lazy host's lookups made no level
 
 
-@pytest.mark.parametrize("build", [pytest.param(case[0], id=repr(case[0]())) for case in LAZY_CASES])
-def test_whole_level_picks_match_key_at(made_levels, build):
-    P = build()
-    for pos, size in enumerate(P.sizes):
-        source = P._sources[pos]
-        want = [source.element(source.key_at(i)) for i in range(size)]
-        assert P.elements(pos, range(size)) == want == P.elements(pos, list(range(size)))
-        assert P.elements(pos, range(size - 1, -1, -1)) == want[::-1]  # out of order: unranked
-    assert made_levels == []
-
-
 # ---------------------------------------------------------------------------
 # Subsequence rows from the pair below
 
@@ -1237,6 +1225,8 @@ FOREIGN_SHAPES = {  # name: levels, the steps by order name or as a mapping, and
     "subsequence over a table": ([[()], S(2, 1, 2), S(2, 2, 4)], ["subsequence"] * 2, None),
     "subsets over a table": ([[()], poset._SubsetLevel(frozenset({1, 2}), 1, 2),
                               poset._SubsetLevel(frozenset({1, 2}), 2, 1)], ["subsequence"] * 2, None),
+    "subsets under another step": ([poset._SubsetLevel(frozenset({1, 2, 3}), i, math.comb(3, i)) for i in range(3)],
+                                   ["prefix"] * 2, None),
     "subsequence over a mapping": ([S(2, 0, 1), S(2, 1, 2), S(2, 2, 4)], [PAIR_OF_ONES, "subsequence"], None),
     "subsequence over another step": ([S(2, 0, 1), S(2, 1, 2), S(2, 2, 4)], ["prefix", "subsequence"], None),
 }
